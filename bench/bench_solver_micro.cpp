@@ -261,57 +261,6 @@ void BM_CholeskySparse(benchmark::State& state) {
 }
 BENCHMARK(BM_CholeskySparse)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
 
-// ---- Threaded sparse numeric factorization: the level-scheduled
-// left-looking kernel vs the serial up-looking sweep on the same analyzed
-// pattern. Random sparsity (not banded): a banded pattern's elimination
-// tree is a path, which gives level scheduling nothing to fan out, while a
-// random pattern's bushy etree is the shape the big Newton systems have
-// after RCM. Timed loop is numeric factor + solve only.
-
-linalg::SymSparse random_sparse_spd(std::size_t n, std::size_t nnz_per_row,
-                                    std::uint64_t seed) {
-  util::Rng rng(seed);
-  std::vector<linalg::Triplet> trips;
-  linalg::Vec mass(n, 0.0);
-  for (std::size_t r = 1; r < n; ++r)
-    for (std::size_t k = 0; k < nnz_per_row; ++k) {
-      const std::size_t c = rng.uniform_index(r);
-      const double v = rng.normal();
-      trips.push_back({r, c, v});
-      mass[r] += std::fabs(v);
-      mass[c] += std::fabs(v);
-    }
-  for (std::size_t j = 0; j < n; ++j)
-    trips.push_back({j, j, mass[j] + 1.0});
-  return linalg::SymSparse::from_lower_triplets(n, std::move(trips));
-}
-
-void run_cholesky_threaded(benchmark::State& state, bool threaded) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const auto a = random_sparse_spd(n, 4, 17);
-  linalg::SparseCholesky chol;
-  chol.set_threaded_min_dim(threaded ? 1 : n + 1);
-  chol.analyze(a);
-  linalg::Vec b(n, 1.0);
-  for (auto _ : state) {
-    chol.factor_regularized(a, 1e-12, 1e16);
-    linalg::Vec x = b;
-    chol.solve_in_place(x);
-    benchmark::DoNotOptimize(x.data());
-  }
-  state.counters["fill_nnz"] = static_cast<double>(chol.factor_nonzeros());
-}
-
-void BM_CholeskyThreadedLevelSet(benchmark::State& state) {
-  run_cholesky_threaded(state, true);
-}
-BENCHMARK(BM_CholeskyThreadedLevelSet)->Arg(256)->Arg(512)->Arg(1024);
-
-void BM_CholeskyThreadedOffSerial(benchmark::State& state) {
-  run_cholesky_threaded(state, false);
-}
-BENCHMARK(BM_CholeskyThreadedOffSerial)->Arg(256)->Arg(512)->Arg(1024);
-
 // ---- Batched per-block barrier solves: a fleet of same-dimension dense
 // Newton systems (the decomposed P2's per-block subproblems, ~12 variables
 // each) through solver::solve_barrier_batch vs one serial solve_barrier per

@@ -23,8 +23,8 @@ struct P3Rows {
   // [t][...] row ids.
   std::vector<std::vector<std::size_t>> rho, phi, sigma;   // per edge
   std::vector<std::vector<std::size_t>> gamma;             // per tier-1
-  std::vector<std::vector<std::size_t>> alpha, delta;      // per tier-2
-  std::vector<std::vector<std::size_t>> beta, theta;       // per edge
+  std::vector<std::vector<std::size_t>> alpha;             // per tier-2
+  std::vector<std::vector<std::size_t>> beta;              // per edge
   std::vector<std::vector<std::size_t>> alpha_z;           // per tier-1
 };
 
@@ -106,17 +106,12 @@ CertificateReport verify_competitive_certificate(const Instance& inst,
   rows.gamma.assign(T, std::vector<std::size_t>(J));
   rows.alpha.assign(T, std::vector<std::size_t>(I));
   rows.beta.assign(T, std::vector<std::size_t>(E));
-  rows.delta.assign(T, std::vector<std::size_t>(I, SIZE_MAX));
-  rows.theta.assign(T, std::vector<std::size_t>(E, SIZE_MAX));
   if (with_z) {
     rows.sigma.assign(T, std::vector<std::size_t>(E));
     rows.alpha_z.assign(T, std::vector<std::size_t>(J));
   }
 
   for (std::size_t t = 0; t < T; ++t) {
-    double total_demand = 0.0;
-    for (std::size_t j = 0; j < J; ++j) total_demand += inputs.lambda(t, j);
-
     for (std::size_t e = 0; e < E; ++e) {
       rows.rho[t][e] =
           b.add_ge({{layout.x(t, e), 1.0}, {layout.s(t, e), -1.0}}, 0.0);
@@ -148,25 +143,6 @@ CertificateReport verify_competitive_certificate(const Instance& inst,
       if (t > 0) terms.push_back({layout.y(t - 1, e), 1.0});
       rows.beta[t][e] = b.add_ge(terms, 0.0);
     }
-    // (7d).
-    for (std::size_t i = 0; i < I; ++i) {
-      const double rhs = total_demand - inst.tier2_capacity[i];
-      if (rhs <= 0.0) continue;
-      std::vector<LinTerm> terms;
-      for (std::size_t e = 0; e < E; ++e)
-        if (inst.edges[e].tier2 != i) terms.push_back({layout.x(t, e), 1.0});
-      rows.delta[t][i] = b.add_ge(terms, rhs);
-    }
-    // (7e).
-    for (std::size_t e = 0; e < E; ++e) {
-      const std::size_t j = inst.edges[e].tier1;
-      const double rhs = inputs.lambda(t, j) - inst.edge_capacity[e];
-      if (rhs <= 0.0) continue;
-      std::vector<LinTerm> terms;
-      for (const std::size_t e2 : inst.edges_of_tier1[j])
-        if (e2 != e) terms.push_back({layout.y(t, e2), 1.0});
-      rows.theta[t][e] = b.add_ge(terms, rhs);
-    }
     // z analogue of (7a).
     if (with_z) {
       for (std::size_t j = 0; j < J; ++j) {
@@ -189,12 +165,9 @@ CertificateReport verify_competitive_certificate(const Instance& inst,
     for (std::size_t e = 0; e < E; ++e) {
       dual[rows.rho[t][e]] = s.rho[e];
       dual[rows.phi[t][e]] = s.phi[e];
-      if (rows.theta[t][e] != SIZE_MAX) dual[rows.theta[t][e]] = s.theta[e];
       if (with_z) dual[rows.sigma[t][e]] = s.sigma[e];
     }
     for (std::size_t j = 0; j < J; ++j) dual[rows.gamma[t][j]] = s.gamma[j];
-    for (std::size_t i = 0; i < I; ++i)
-      if (rows.delta[t][i] != SIZE_MAX) dual[rows.delta[t][i]] = s.delta[i];
 
     // Closed forms: alpha_it = (b_i/eta_i) ln((C_i+eps)/(X_{i,t-1}+eps)),
     // beta_et = (d_e/eta'_e) ln((B_e+eps')/(y_{e,t-1}+eps')).

@@ -8,6 +8,13 @@
 // ever solving the offline problem, and Step 4 shows
 // cost(ROA) <= r * D <= r * OPT(P1).
 //
+// This repo's P2 keeps the capacity rows (1b)/(1c) and leaves out the
+// transfer rows (3d)/(3e), which are sums of (3a)-(3c) and (1b)/(1c) (see
+// core/p2_subproblem.hpp). With no (3d)/(3e) multipliers to carry, the
+// matching (7d)/(7e) rows of P3 would get zero duals, so they are left out
+// as well: D and A^T y are unchanged, and a P3 with fewer rows is still a
+// relaxation of P1, so D <= OPT(P1) holds as before.
+//
 // This module reconstructs that pipeline numerically: it builds P3 as an LP
 // over the whole horizon, assembles the dual point from the per-slot P2
 // multipliers plus the closed forms

@@ -293,9 +293,8 @@ struct P2DecomposedSolver::Impl {
     std::vector<std::size_t> edges;
     solver::BlockBarrier barrier;
     std::unique_ptr<BlockObjective> objective;
-    std::vector<std::size_t> rho_row, phi_row, theta_row, sigma_row;
+    std::vector<std::size_t> rho_row, phi_row, sigma_row;
     std::size_t gamma_row = kNoRow;
-    std::vector<char> theta_active;
     Vec h_static;
     Vec anchor;
     Vec local;  // last accepted local optimum [x|y|s(|z)]
@@ -360,15 +359,14 @@ struct P2DecomposedSolver::Impl {
   }
 
   // Block polyhedron over the local [x|y|s(|z)] layout: (3a)/(3b), the
-  // group's coverage row (3c), the conditional transfer rows (3e) (patched
-  // active/inert per slot like the monolithic workspace), nonnegativity,
-  // the edge capacities y <= B_e, the per-edge relaxation x_e <= C_i of the
-  // tier-2 capacity row (valid for the global polyhedron, keeps block
-  // iterates physical and bounded), and with a tier-1 term s <= z, z >= 0,
-  // sum z <= C'_j — block-local because the group owns all of site j's
-  // edges. The relaxed coupling rows sum_{e in i} x <= C_i and the (3d)
-  // rows are NOT generated here; consensus / restoration owns the former
-  // and Lemma 1 (slackness at the optimum) covers the latter.
+  // group's coverage row (3c), nonnegativity, the edge capacities y <= B_e,
+  // the per-edge relaxation x_e <= C_i of the tier-2 capacity row (valid
+  // for the global polyhedron, keeps block iterates physical and bounded),
+  // and with a tier-1 term s <= z, z >= 0, sum z <= C'_j — block-local
+  // because the group owns all of site j's edges. The relaxed coupling rows
+  // sum_{e in i} x <= C_i are NOT generated here; consensus / restoration
+  // owns them. Like the monolithic P2, the block carries no transfer rows
+  // (3d)/(3e): they are sums of (3a)-(3c) and the capacity rows.
   void build_block_constraints(Block& b) {
     const std::size_t m = b.edges.size();
     const BlockObjective& L = *b.objective;
@@ -377,9 +375,7 @@ struct P2DecomposedSolver::Impl {
     std::size_t r = 0;
     b.rho_row.assign(m, kNoRow);
     b.phi_row.assign(m, kNoRow);
-    b.theta_row.assign(m, kNoRow);
     b.sigma_row.assign(m, kNoRow);
-    b.theta_active.assign(m, 0);
 
     for (std::size_t k = 0; k < m; ++k) {
       b.rho_row[k] = r;
@@ -397,13 +393,6 @@ struct P2DecomposedSolver::Impl {
     for (std::size_t k = 0; k < m; ++k) trips.push_back({r, L.s(k), -1.0});
     b.h_static.push_back(0.0);  // patched to -lambda_j per slot
     ++r;
-    for (std::size_t k = 0; k < m; ++k) {  // (3e), values + h patched
-      b.theta_row[k] = r;
-      for (std::size_t k2 = 0; k2 < m; ++k2)
-        if (k2 != k) trips.push_back({r, L.y(k2), -1.0});
-      b.h_static.push_back(0.0);
-      ++r;
-    }
     for (std::size_t k = 0; k < m; ++k) {
       const std::size_t e = b.edges[k];
       trips.push_back({r, L.x(k), -1.0});
@@ -442,8 +431,8 @@ struct P2DecomposedSolver::Impl {
         b.h_static);
   }
 
-  // Per-slot patching of one block: coverage rhs, conditional (3e) rows,
-  // objective prices / previous decision, and the even-split anchor.
+  // Per-slot patching of one block: coverage rhs, objective prices /
+  // previous decision, and the even-split anchor.
   void patch_block_slot(Block& b, const SlotInputs& in,
                         const Allocation& prev) {
     const std::size_t m = b.edges.size();
@@ -452,18 +441,6 @@ struct P2DecomposedSolver::Impl {
     Vec& h = b.barrier.mutable_rhs();
     h = b.h_static;
     h[b.gamma_row] = -lambda;
-    SparseMatrix& g = b.barrier.mutable_constraints();
-    auto& vals = g.mutable_values();
-    const auto& offs = g.row_offsets();
-    for (std::size_t k = 0; k < m; ++k) {
-      const double rhs = lambda - inst.edge_capacity[b.edges[k]];
-      const bool active = rhs > 0.0;
-      b.theta_active[k] = active ? 1 : 0;
-      const std::size_t row = b.theta_row[k];
-      for (std::size_t p = offs[row]; p < offs[row + 1]; ++p)
-        vals[p] = active ? -1.0 : 0.0;
-      h[row] = active ? -rhs : 1.0;
-    }
     b.objective->begin_slot(inst, in, prev);
 
     const double split = lambda / static_cast<double>(m);
@@ -973,11 +950,9 @@ struct P2DecomposedSolver::Impl {
 
     // Named multipliers from the final block solves. These constraints are
     // block-local, so at consensus the block KKT system matches the global
-    // one; delta is identically zero (the (3d) rows are never generated —
-    // Lemma 1 keeps them slack at the optimum).
+    // one.
     out.rho.assign(E, 0.0);
     out.phi.assign(E, 0.0);
-    out.theta.assign(E, 0.0);
     out.sigma.assign(E, 0.0);
     out.gamma.assign(inst.num_tier1(), 0.0);
     for (const Block& b : blocks) {
@@ -986,7 +961,6 @@ struct P2DecomposedSolver::Impl {
         const std::size_t e = b.edges[k];
         out.rho[e] = b.ineq_dual[b.rho_row[k]];
         out.phi[e] = b.ineq_dual[b.phi_row[k]];
-        if (b.theta_active[k]) out.theta[e] = b.ineq_dual[b.theta_row[k]];
         if (with_z) out.sigma[e] = b.ineq_dual[b.sigma_row[k]];
       }
       out.gamma[b.j] = b.ineq_dual[b.gamma_row];

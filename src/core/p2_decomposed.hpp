@@ -116,12 +116,10 @@ bool decomposition_selected(const Instance& inst,
 
 /// What a decomposed solve hands back to the P2 pipeline: the packed
 /// [x|y|s(|z)] point (feasibility-restored), the named block-local KKT
-/// multipliers (delta is identically zero — Lemma 1 renders (3d) slack at
-/// the optimum, and the decomposed path never generates those rows), and
-/// convergence accounting.
+/// multipliers, and convergence accounting.
 struct DecomposedResult {
   Vec packed;
-  Vec rho, phi, gamma, theta, sigma;  // named duals, monolithic layout
+  Vec rho, phi, gamma, sigma;  // named duals, monolithic layout
   std::size_t iterations = 0;
   std::size_t newton_steps = 0;  // summed over all block solves
   double primal_residual = 0.0;

@@ -249,8 +249,8 @@ class P2Objective : public solver::ConvexObjective {
 };
 
 // Constraint polyhedron G v <= h for P2(t), with the rows of the paper's
-// named constraints tracked for dual recovery (kNoRow where a conditional
-// row was not generated).
+// named constraints tracked for dual recovery (kNoRow where a row was not
+// generated: an edgeless zero-demand cloud's (3c), or z >= s without z).
 inline constexpr std::size_t kNoRow = static_cast<std::size_t>(-1);
 
 struct P2Constraints {
@@ -259,8 +259,6 @@ struct P2Constraints {
   std::vector<std::size_t> rho_row;    // per edge, (3a)
   std::vector<std::size_t> phi_row;    // per edge, (3b)
   std::vector<std::size_t> gamma_row;  // per tier-1, (3c)
-  std::vector<std::size_t> delta_row;  // per tier-2, (3d)
-  std::vector<std::size_t> theta_row;  // per edge, (3e)
   std::vector<std::size_t> sigma_row;  // per edge, z >= s
 };
 
@@ -270,11 +268,7 @@ P2Constraints build_constraints(const Instance& inst, const SlotInputs& in) {
   const std::size_t I = inst.num_tier2();
   const std::size_t J = inst.num_tier1();
 
-  double total_demand = 0.0;
-  for (std::size_t j = 0; j < J; ++j) total_demand += in.lambda(j);
-
-  // Count rows: 2E (3a,3b) + J (3c) + nonneg 3E + capacity I + E, plus the
-  // conditional transfer rows (3d)/(3e).
+  // Rows: 2E (3a,3b) + J (3c) + nonneg 3E + capacity I + E.
   std::vector<std::pair<std::vector<std::pair<std::size_t, double>>, double>>
       rows;
   auto add_row = [&rows](std::vector<std::pair<std::size_t, double>> terms,
@@ -287,8 +281,6 @@ P2Constraints build_constraints(const Instance& inst, const SlotInputs& in) {
   out.rho_row.assign(E, kNoRow);
   out.phi_row.assign(E, kNoRow);
   out.gamma_row.assign(J, kNoRow);
-  out.delta_row.assign(I, kNoRow);
-  out.theta_row.assign(E, kNoRow);
   out.sigma_row.assign(E, kNoRow);
 
   for (std::size_t e = 0; e < E; ++e) {
@@ -306,27 +298,6 @@ P2Constraints build_constraints(const Instance& inst, const SlotInputs& in) {
     // the empty row is kept: it correctly renders the problem infeasible.)
     if (terms.empty() && in.lambda(j) <= 0.0) continue;
     out.gamma_row[j] = add_row(std::move(terms), -in.lambda(j));
-  }
-  // (3d): for each i, sum of x over edges NOT incident to i must cover
-  // total demand minus C_i (when positive).
-  for (std::size_t i = 0; i < I; ++i) {
-    const double rhs = total_demand - inst.tier2_capacity[i];
-    if (rhs <= 0.0) continue;
-    std::vector<std::pair<std::size_t, double>> terms;
-    for (std::size_t e = 0; e < E; ++e)
-      if (inst.edges[e].tier2 != i) terms.push_back({layout.x(e), -1.0});
-    out.delta_row[i] = add_row(std::move(terms), -rhs);
-  }
-  // (3e): for each edge e = (j, i), the other edges of j must cover
-  // lambda_j - B_e (when positive).
-  for (std::size_t e = 0; e < E; ++e) {
-    const std::size_t j = inst.edges[e].tier1;
-    const double rhs = in.lambda(j) - inst.edge_capacity[e];
-    if (rhs <= 0.0) continue;
-    std::vector<std::pair<std::size_t, double>> terms;
-    for (const std::size_t e2 : inst.edges_of_tier1[j])
-      if (e2 != e) terms.push_back({layout.y(e2), -1.0});
-    out.theta_row[e] = add_row(std::move(terms), -rhs);
   }
   // Nonnegativity (3f) + capacities (1b)/(1c).
   for (std::size_t e = 0; e < E; ++e) {
@@ -495,8 +466,6 @@ P2Solution solve_p2_dense(const Instance& inst, const SlotInputs& in,
   out.rho = pick(cons.rho_row, layout.num_edges);
   out.phi = pick(cons.phi_row, layout.num_edges);
   out.gamma = pick(cons.gamma_row, inst.num_tier1());
-  out.delta = pick(cons.delta_row, inst.num_tier2());
-  out.theta = pick(cons.theta_row, layout.num_edges);
   out.sigma = pick(cons.sigma_row, layout.num_edges);
   return out;
 }
@@ -734,17 +703,13 @@ struct P2Workspace::Impl {
   Layout layout;
   SparseP2Objective objective;
 
-  // The CSR pattern holds EVERY potential row, including the conditional
-  // transfer rows (3d)/(3e). Inactive conditional rows are patched to an
-  // all-zero row with h = 1: slack is identically 1, so they contribute
-  // nothing to the gradient, Hessian, or line search — only the duality-gap
-  // count m, which costs at most a fraction of one extra outer iteration.
+  // The CSR constraint matrix is fixed for the workspace's lifetime; a slot
+  // only rewrites the coverage right-hand sides, so the Newton pattern (and
+  // its symbolic analysis) never changes.
   SparseMatrix g;
-  Vec h_static;  // slot-independent right-hand sides (patched rows hold 0)
+  Vec h_static;  // slot-independent right-hand sides (coverage rows hold 0)
   Vec h;         // per-slot patched copy
-  std::vector<std::size_t> rho_row, phi_row, gamma_row, delta_row, theta_row,
-      sigma_row;
-  std::vector<char> delta_active, theta_active;
+  std::vector<std::size_t> rho_row, phi_row, gamma_row, sigma_row;
 
   // Warm-start state: the packed [x|y|s|z] optimum of the previous solve.
   Vec last_opt;
@@ -779,11 +744,7 @@ struct P2Workspace::Impl {
     rho_row.assign(E, kNoRow);
     phi_row.assign(E, kNoRow);
     gamma_row.assign(J, kNoRow);
-    delta_row.assign(I, kNoRow);
-    theta_row.assign(E, kNoRow);
     sigma_row.assign(E, kNoRow);
-    delta_active.assign(I, 0);
-    theta_active.assign(E, 0);
 
     for (std::size_t e = 0; e < E; ++e) {
       rho_row[e] = r;
@@ -801,22 +762,6 @@ struct P2Workspace::Impl {
       gamma_row[j] = r;
       for (const std::size_t e : inst.edges_of_tier1[j])
         trips.push_back({r, layout.s(e), -1.0});
-      h_static.push_back(0.0);
-      ++r;
-    }
-    for (std::size_t i = 0; i < I; ++i) {  // (3d), values + h patched
-      delta_row[i] = r;
-      for (std::size_t e = 0; e < E; ++e)
-        if (inst.edges[e].tier2 != i)
-          trips.push_back({r, layout.x(e), -1.0});
-      h_static.push_back(0.0);
-      ++r;
-    }
-    for (std::size_t e = 0; e < E; ++e) {  // (3e), values + h patched
-      theta_row[e] = r;
-      const std::size_t j = inst.edges[e].tier1;
-      for (const std::size_t e2 : inst.edges_of_tier1[j])
-        if (e2 != e) trips.push_back({r, layout.y(e2), -1.0});
       h_static.push_back(0.0);
       ++r;
     }
@@ -863,19 +808,8 @@ struct P2Workspace::Impl {
     g = SparseMatrix::from_triplets(r, layout.size(), std::move(trips));
   }
 
-  // Set every stored value of CSR row `row` to `value` (the conditional
-  // rows' coefficients are uniformly -1 when active, 0 when disabled).
-  void patch_row_values(std::size_t row, double value) {
-    auto& vals = g.mutable_values();
-    const auto& offs = g.row_offsets();
-    for (std::size_t k = offs[row]; k < offs[row + 1]; ++k) vals[k] = value;
-  }
-
   void patch_slot(const SlotInputs& in) {
     h = h_static;
-    double total_demand = 0.0;
-    for (std::size_t j = 0; j < inst.num_tier1(); ++j)
-      total_demand += in.lambda(j);
     for (std::size_t j = 0; j < inst.num_tier1(); ++j) {
       const double lambda = in.lambda(j);
       // An edgeless cloud's (3c) row is empty; with zero demand pad it to
@@ -883,21 +817,6 @@ struct P2Workspace::Impl {
       // positive demand keep 0 <= -lambda so infeasibility surfaces.
       h[gamma_row[j]] =
           inst.edges_of_tier1[j].empty() && lambda <= 0.0 ? 1.0 : -lambda;
-    }
-    for (std::size_t i = 0; i < inst.num_tier2(); ++i) {
-      const double rhs = total_demand - inst.tier2_capacity[i];
-      const bool active = rhs > 0.0;
-      delta_active[i] = active ? 1 : 0;
-      patch_row_values(delta_row[i], active ? -1.0 : 0.0);
-      h[delta_row[i]] = active ? -rhs : 1.0;
-    }
-    for (std::size_t e = 0; e < layout.num_edges; ++e) {
-      const std::size_t j = inst.edges[e].tier1;
-      const double rhs = in.lambda(j) - inst.edge_capacity[e];
-      const bool active = rhs > 0.0;
-      theta_active[e] = active ? 1 : 0;
-      patch_row_values(theta_row[e], active ? -1.0 : 0.0);
-      h[theta_row[e]] = active ? -rhs : 1.0;
     }
   }
 
@@ -953,8 +872,6 @@ struct P2Workspace::Impl {
     out.phi.assign(layout.num_edges, 0.0);
     out.sigma.assign(layout.num_edges, 0.0);
     out.gamma.assign(inst.num_tier1(), 0.0);
-    out.delta.assign(inst.num_tier2(), 0.0);
-    out.theta.assign(layout.num_edges, 0.0);
   }
 
   // Unpack a [x|y|s|z] point into the solution, clamped to the nonnegative
@@ -1019,9 +936,8 @@ struct P2Workspace::Impl {
         b.add_ge(terms, -prev_z_totals[j]);
       }
     }
-    // The patched CSR polyhedron, row by row. Disabled conditional rows are
-    // all-zero (inert 0 <= 1) and empty gamma rows were validated by
-    // even_split_start_into — skip both.
+    // The patched CSR polyhedron, row by row. Empty gamma rows (inert
+    // 0 <= 1) were validated by even_split_start_into — skip them.
     for (std::size_t r = 0; r < g.rows(); ++r) {
       std::vector<solver::LinTerm> terms;
       const auto row = g.row(r);
@@ -1052,9 +968,9 @@ struct P2Workspace::Impl {
   }
 
   // Graceful degradation: hold x_{t-1} and, when coverage (3c) is short,
-  // push the cheapest additive repair (dx, dy, ds[, dz] >= 0) mirroring the
-  // feasibility-transfer construction of (3d)/(3e). Never fault-injected:
-  // this is the terminal stage of the chain.
+  // push the cheapest additive repair (dx, dy, ds[, dz] >= 0) that keeps
+  // (3a)/(3b) and the capacities (1b)-(1d). Never fault-injected: this is
+  // the terminal stage of the chain.
   bool hold_and_repair(const SlotInputs& in, const Allocation& prev,
                        P2Solution& out, SolveOutcome& outcome,
                        std::size_t& attempt) {
@@ -1213,9 +1129,7 @@ struct P2Workspace::Impl {
     out.rho = std::move(dres.rho);
     out.phi = std::move(dres.phi);
     out.gamma = std::move(dres.gamma);
-    out.theta = std::move(dres.theta);
     out.sigma = std::move(dres.sigma);
-    out.delta.assign(inst.num_tier2(), 0.0);
     return true;
   }
 
@@ -1344,25 +1258,21 @@ struct P2Workspace::Impl {
     if (solved) {
       extract_primal(layout, result, out);
 
-      // Named KKT multipliers; disabled conditional rows report zero.
+      // Named KKT multipliers; an edgeless cloud's padded (3c) row reports
+      // zero.
       const std::size_t E = layout.num_edges;
       out.rho.assign(E, 0.0);
       out.phi.assign(E, 0.0);
       out.sigma.assign(E, 0.0);
       out.gamma.assign(inst.num_tier1(), 0.0);
-      out.delta.assign(inst.num_tier2(), 0.0);
-      out.theta.assign(E, 0.0);
       for (std::size_t e = 0; e < E; ++e) {
         out.rho[e] = result.ineq_dual[rho_row[e]];
         out.phi[e] = result.ineq_dual[phi_row[e]];
         if (layout.with_z) out.sigma[e] = result.ineq_dual[sigma_row[e]];
-        if (theta_active[e]) out.theta[e] = result.ineq_dual[theta_row[e]];
       }
       for (std::size_t j = 0; j < inst.num_tier1(); ++j)
         if (!inst.edges_of_tier1[j].empty())
           out.gamma[j] = result.ineq_dual[gamma_row[j]];
-      for (std::size_t i = 0; i < inst.num_tier2(); ++i)
-        if (delta_active[i]) out.delta[i] = result.ineq_dual[delta_row[i]];
 
       last_opt = result.x;
       has_last = true;

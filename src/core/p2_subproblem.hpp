@@ -7,19 +7,25 @@
 //   + sum_i (b_i/eta_i)   * entropic(X_i | X_i^{t-1}, eps)     (X_i = sum x)
 //   + sum_e (d_e/eta'_e)  * entropic(y_e | y_e^{t-1}, eps')
 //
-// subject to the coverage constraints (3a)-(3c), the feasibility-transfer
-// constraints (3d)/(3e), nonnegativity (3f), and — following Lemma 1, which
-// shows they are slack at the optimum — the explicit capacity constraints
-// (1b)/(1c) to keep interior-point iterates physical.
+// subject to the coverage constraints (3a)-(3c), nonnegativity (3f), and
+// the explicit capacity constraints (1b)/(1c) (Lemma 1 shows they are slack
+// at the optimum; keeping them keeps interior-point iterates physical).
+//
+// The paper's feasibility-transfer rows (3d)/(3e) are not generated: with
+// (1b)/(1c) present each is a sum of rows P2 already has,
+//   (3d)_i = sum_e (3a)_e + sum_j (3c)_j + (1b)_i,
+//   (3e)_e = sum_{e' in j} (3b)_{e'} + (3c)_j + (1c)_e   (e = (j, i)),
+// so they constrain nothing, while each (3d) row would couple every x
+// outside cloud i and make the Newton system dense.
 //
 // Two solver pipelines:
 //
 //   * P2Workspace (default): the constraint matrix is built ONCE per
-//     Instance as a CSR sparsity pattern with row bookkeeping; each slot
-//     only patches the right-hand side h and the conditional (3d)/(3e)
-//     rows, warm-starts from the previous slot's optimum pulled into the
-//     strict interior, and runs the sparse barrier IPM with preallocated
-//     scratch (zero heap allocation in the Newton loop).
+//     Instance as a CSR matrix with row bookkeeping; each slot only patches
+//     the coverage right-hand sides, warm-starts from the previous slot's
+//     optimum pulled into the strict interior, and runs the sparse barrier
+//     IPM with preallocated scratch (zero heap allocation in the Newton
+//     loop).
 //   * the dense reference path (RoaOptions::use_sparse = false): rebuilds
 //     dense constraints every slot and cold-starts from the even-split
 //     point (phase-I LP fallback) — kept for cross-validation.
@@ -98,14 +104,11 @@ struct P2Solution {
   SolveOutcome outcome;
 
   // KKT multipliers of P2(t)'s constraints (the paper's Step 3 notation),
-  // recovered from the barrier solve. Zero where the constraint was not
-  // generated (the conditional transfer rows (3d)/(3e)). Used by the
-  // competitive-certificate construction.
+  // recovered from the barrier solve; zero when a fallback backend produced
+  // the slot. Used by the competitive-certificate construction.
   Vec rho;    // per edge, for (3a) x >= s
   Vec phi;    // per edge, for (3b) y >= s
   Vec gamma;  // per tier-1 cloud, for (3c) coverage
-  Vec delta;  // per tier-2 cloud, for (3d)
-  Vec theta;  // per edge, for (3e)
   Vec sigma;  // per edge, for z >= s (only with the tier-1 term)
 };
 

@@ -9,8 +9,8 @@
 //   warm IPM -> cold IPM -> cold IPM with tightened barrier parameters
 //            -> simplex on the linear surrogate -> PDHG on the surrogate
 //            -> graceful degradation: hold x_{t-1} and repair coverage
-//               sum s >= lambda with the cheapest feasible push (the
-//               feasibility-transfer construction of (3d)/(3e))
+//               sum s >= lambda with the cheapest push that stays within
+//               the capacities (1b)-(1d)
 //
 // A degraded slot still satisfies the P1 feasibility invariants (coverage
 // (1a), capacities (1b)-(1d)); only optimality and the KKT multipliers are

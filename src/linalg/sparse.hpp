@@ -34,7 +34,7 @@ class SparseMatrix {
 
   /// Build from triplets; duplicate (row, col) entries are summed. Zeros are
   /// dropped unless `keep_explicit_zeros` is set (patchable sparsity
-  /// patterns, e.g. the P2 workspace's conditional rows, need stable slots).
+  /// patterns need stable slots).
   static SparseMatrix from_triplets(std::size_t rows, std::size_t cols,
                                     std::vector<Triplet> triplets,
                                     bool keep_explicit_zeros = false);

@@ -1,11 +1,9 @@
 #include "linalg/sparse_cholesky.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 
 #include "util/check.hpp"
-#include "util/thread_pool.hpp"
 
 namespace sora::linalg {
 
@@ -281,80 +279,6 @@ void SparseCholesky::analyze(const SymSparse& a) {
   }
 
   xwork_.assign(n, 0.0);
-
-  // Level-scheduled parallel numeric kernel: only worth its extra index
-  // arrays (and only built) at or above the dimension threshold.
-  threaded_ = n >= threaded_min_dim_;
-  if (!threaded_) {
-    level_ptr_.clear();
-    level_cols_.clear();
-    ac_ptr_.clear();
-    ac_rows_.clear();
-    ac_src_.clear();
-    rl_ptr_.clear();
-    rl_col_.clear();
-    rl_off_.clear();
-    return;
-  }
-
-  // Elimination-tree heights (children precede parents, so one ascending
-  // sweep suffices), then columns bucketed by height — within a level in
-  // ascending column order, so the per-column work order is deterministic.
-  std::vector<std::size_t> height(n, 0);
-  std::size_t max_h = 0;
-  for (std::size_t j = 0; j < n; ++j) {
-    const std::size_t p = parent_[j];
-    if (p != n) height[p] = std::max(height[p], height[j] + 1);
-    max_h = std::max(max_h, height[j]);
-  }
-  level_ptr_.assign(max_h + 2, 0);
-  for (std::size_t j = 0; j < n; ++j) ++level_ptr_[height[j] + 1];
-  for (std::size_t l = 0; l + 1 < level_ptr_.size(); ++l)
-    level_ptr_[l + 1] += level_ptr_[l];
-  level_cols_.resize(n);
-  {
-    std::vector<std::size_t> cursor(level_ptr_.begin(), level_ptr_.end() - 1);
-    for (std::size_t j = 0; j < n; ++j) level_cols_[cursor[height[j]]++] = j;
-  }
-
-  // Column view of the permuted input (lower CSC): rows ascend within each
-  // column because the CSR sweep visits rows in order.
-  ac_ptr_.assign(n + 1, 0);
-  for (std::size_t r = 0; r < n; ++r)
-    for (std::size_t p = ap_ptr_[r]; p < ap_ptr_[r + 1]; ++p)
-      ++ac_ptr_[ap_cols_[p] + 1];
-  for (std::size_t j = 0; j < n; ++j) ac_ptr_[j + 1] += ac_ptr_[j];
-  ac_rows_.resize(ap_cols_.size());
-  ac_src_.resize(ap_cols_.size());
-  {
-    std::vector<std::size_t> cursor(ac_ptr_.begin(), ac_ptr_.end() - 1);
-    for (std::size_t r = 0; r < n; ++r)
-      for (std::size_t p = ap_ptr_[r]; p < ap_ptr_[r + 1]; ++p) {
-        const std::size_t slot = cursor[ap_cols_[p]]++;
-        ac_rows_[slot] = r;
-        ac_src_[slot] = p;
-      }
-  }
-
-  // Row structure of L minus the diagonal: for row j, the update sources
-  // i < j with L(j, i) != 0 plus the offset of that entry inside column i,
-  // so the left-looking sweep starts its saxpy exactly at row j.
-  rl_ptr_.assign(n + 1, 0);
-  for (std::size_t j = 0; j < n; ++j)
-    for (std::size_t p = lp_[j] + 1; p < lp_[j + 1]; ++p)
-      ++rl_ptr_[li_[p] + 1];
-  for (std::size_t j = 0; j < n; ++j) rl_ptr_[j + 1] += rl_ptr_[j];
-  rl_col_.resize(li_.size() - n);
-  rl_off_.resize(li_.size() - n);
-  {
-    std::vector<std::size_t> cursor(rl_ptr_.begin(), rl_ptr_.end() - 1);
-    for (std::size_t j = 0; j < n; ++j)
-      for (std::size_t p = lp_[j] + 1; p < lp_[j + 1]; ++p) {
-        const std::size_t slot = cursor[li_[p]]++;
-        rl_col_[slot] = j;
-        rl_off_[slot] = p;
-      }
-  }
 }
 
 bool SparseCholesky::factor(const SymSparse& a, double shift) {
@@ -364,15 +288,6 @@ bool SparseCholesky::factor(const SymSparse& a, double shift) {
   factored_ = false;
   for (std::size_t k = 0; k < entry_map_.size(); ++k)
     ap_vals_[entry_map_[k]] = a.values[k];
-  const bool ok = threaded_ ? factor_threaded(shift) : factor_serial(shift);
-  if (ok) {
-    factored_ = true;
-    shift_ = shift;
-  }
-  return ok;
-}
-
-bool SparseCholesky::factor_serial(double shift) {
   for (std::size_t j = 0; j < n_; ++j) head_[j] = lp_[j];
 
   // Up-looking factorization (CSparse cs_chol over the fixed pattern): row
@@ -428,59 +343,8 @@ bool SparseCholesky::factor_serial(double shift) {
     SORA_DCHECK(li_[head_[k]] == k);
     lx_[head_[k]++] = std::sqrt(d);
   }
-  return true;
-}
-
-// Level-scheduled left-looking numeric factorization: for each elimination-
-// tree level (leaves upward), every column in the level factors on the
-// shared pool, with parallel_for's completion acting as the level barrier.
-// Column j is updated only by columns i with L(j, i) != 0 — elimination-tree
-// descendants of j, which sit at strictly lower height — so all of a
-// column's inputs are finalized before its level starts. Each column's
-// arithmetic is a fixed sequential order (sources in ascending i), hence the
-// factor does not depend on the thread count. Per-thread dense accumulators
-// rely on the every-column-clears-what-it-touched invariant (the touched set
-// is always a subset of column j's pattern in L).
-bool SparseCholesky::factor_threaded(double shift) {
-  std::atomic<bool> failed{false};
-  const auto column = [this, shift, &failed](std::size_t j, Vec& x) {
-    for (std::size_t p = ac_ptr_[j]; p < ac_ptr_[j + 1]; ++p)
-      x[ac_rows_[p]] = ap_vals_[ac_src_[p]];
-    x[j] += shift;
-    for (std::size_t q = rl_ptr_[j]; q < rl_ptr_[j + 1]; ++q) {
-      const std::size_t i = rl_col_[q];
-      const std::size_t p0 = rl_off_[q];  // li_[p0] == j inside column i
-      const double lji = lx_[p0];
-      for (std::size_t p = p0; p < lp_[i + 1]; ++p)
-        x[li_[p]] -= lx_[p] * lji;
-    }
-    const double d = x[j];
-    x[j] = 0.0;
-    if (!(d > 0.0) || !std::isfinite(d)) {
-      for (std::size_t p = lp_[j] + 1; p < lp_[j + 1]; ++p) x[li_[p]] = 0.0;
-      failed.store(true, std::memory_order_relaxed);
-      return;
-    }
-    const double ljj = std::sqrt(d);
-    lx_[lp_[j]] = ljj;
-    for (std::size_t p = lp_[j] + 1; p < lp_[j + 1]; ++p) {
-      const std::size_t r = li_[p];
-      lx_[p] = x[r] / ljj;
-      x[r] = 0.0;
-    }
-  };
-  for (std::size_t l = 0; l + 1 < level_ptr_.size(); ++l) {
-    util::parallel_for(
-        level_ptr_[l], level_ptr_[l + 1],
-        [this, &column, &failed](std::size_t k) {
-          if (failed.load(std::memory_order_relaxed)) return;
-          thread_local Vec x;
-          if (x.size() < n_) x.assign(n_, 0.0);
-          column(level_cols_[k], x);
-        },
-        8, util::ForSchedule::kGuided);
-    if (failed.load(std::memory_order_relaxed)) return false;
-  }
+  factored_ = true;
+  shift_ = shift;
   return true;
 }
 

@@ -17,16 +17,6 @@
 // nonzero pattern of L. factor() is an up-looking numeric factorization
 // over that fixed pattern (CSparse-style), so its cost is O(|L| row
 // lengths), with no per-step allocation or symbolic work.
-//
-// At or above a dimension threshold (threaded_min_dim) the numeric phase
-// switches to a level-scheduled left-looking column factorization over the
-// same pattern: columns at equal elimination-tree height have no mutual
-// dependencies (a column is updated only by tree descendants, which sit at
-// strictly lower height), so each level fans out across the shared thread
-// pool with a barrier between levels. Column arithmetic is a fixed
-// sequential order independent of thread count, and the path choice depends
-// only on the data — results are deterministic across machines and pool
-// sizes.
 #pragma once
 
 #include <cstdint>
@@ -109,17 +99,6 @@ class SparseCholesky {
   /// The diagonal shift applied by the last successful factor().
   double applied_shift() const { return shift_; }
 
-  /// Dimension at or above which factor() runs the level-scheduled parallel
-  /// numeric kernel (below it, the serial up-looking sweep — lower constant
-  /// factors — is used). Set BEFORE analyze(); tests lower it to exercise
-  /// the threaded path on small matrices. Deliberately a data-only switch,
-  /// never derived from the pool size, so path selection is identical on
-  /// every machine.
-  void set_threaded_min_dim(std::size_t n) { threaded_min_dim_ = n; }
-  std::size_t threaded_min_dim() const { return threaded_min_dim_; }
-  /// True when the analyzed pattern will take the threaded numeric kernel.
-  bool threaded() const { return threaded_; }
-
   /// Solve A x = b in place (handles the permutation internally). Requires
   /// a successful factor().
   void solve_in_place(Vec& x) const;
@@ -150,23 +129,6 @@ class SparseCholesky {
   std::vector<std::size_t> mark_;     // ereach visited stamps
   std::vector<std::size_t> stack_, pattern_;
   Vec xwork_;                         // dense accumulator row / permuted rhs
-
-  // Level-scheduled parallel numeric kernel (built by analyze() only when
-  // n >= threaded_min_dim_):
-  bool threaded_ = false;
-  std::size_t threaded_min_dim_ = 256;
-  bool factor_serial(double shift);
-  bool factor_threaded(double shift);
-  // Columns grouped by elimination-tree height: level_cols_[level_ptr_[l] ..
-  // level_ptr_[l+1]) may factor concurrently once levels < l are done.
-  std::vector<std::size_t> level_ptr_, level_cols_;
-  // Column view of the permuted input (lower CSC): for column j, the rows
-  // r >= j holding an entry, with its slot in ap_vals_.
-  std::vector<std::size_t> ac_ptr_, ac_rows_, ac_src_;
-  // Row structure of L minus the diagonal: for row j, the columns i < j with
-  // L(j, i) != 0 (the left-looking update sources) and the offset of the
-  // (j, i) entry inside column i of L.
-  std::vector<std::size_t> rl_ptr_, rl_col_, rl_off_;
 };
 
 }  // namespace sora::linalg

@@ -45,14 +45,13 @@ class BlockBarrier {
 
   /// Install the block's constraints G x <= h. The CSR STRUCTURE must stay
   /// fixed across the block's lifetime for the symbolic cache to pay off;
-  /// use mutable_values()/mutable_rhs() to patch values between solves.
+  /// use mutable_rhs() to patch right-hand sides between solves.
   /// Calling set_problem again drops warm-start state and the cache.
   void set_problem(linalg::SparseMatrix g, linalg::Vec h);
 
   const linalg::SparseMatrix& constraints() const { return g_; }
   const linalg::Vec& rhs() const { return h_; }
-  /// In-place value patching between solves (same sparsity / row count).
-  linalg::SparseMatrix& mutable_constraints() { return g_; }
+  /// In-place right-hand-side patching between solves (same row count).
   linalg::Vec& mutable_rhs() { return h_; }
 
   /// min_r (h - G v)_r : positive iff v is strictly interior.

@@ -91,9 +91,12 @@ struct IpmMetrics {
   obs::Histogram* cholesky_seconds;
   obs::Histogram* factor_seconds;
   obs::Histogram* solve_seconds;
+  obs::Histogram* assembly_seconds;
+  obs::Histogram* line_search_seconds;
   obs::Histogram* final_gap;
   obs::Counter* symbolic_builds;
   obs::Counter* symbolic_reuse;
+  obs::Gauge* factor_nonzeros;
 };
 
 const IpmMetrics& ipm_metrics() {
@@ -118,6 +121,14 @@ const IpmMetrics& ipm_metrics() {
         &reg.histogram("sora_ipm_solve_seconds", "seconds",
                        "Triangular-solve time per barrier solve",
                        obs::exponential_buckets(1e-6, 4.0, 14)),
+        &reg.histogram("sora_ipm_assembly_seconds", "seconds",
+                       "Gradient and Newton-matrix assembly time per barrier "
+                       "solve",
+                       obs::exponential_buckets(1e-6, 4.0, 14)),
+        &reg.histogram("sora_ipm_line_search_seconds", "seconds",
+                       "Step-to-boundary and backtracking line-search time "
+                       "per barrier solve",
+                       obs::exponential_buckets(1e-6, 4.0, 14)),
         &reg.histogram("sora_ipm_final_duality_gap", "gap",
                        "Duality gap bound m/t at barrier-solve exit",
                        obs::exponential_buckets(1e-10, 10.0, 12)),
@@ -126,6 +137,9 @@ const IpmMetrics& ipm_metrics() {
                      "structure)"),
         &reg.counter("sora_ipm_symbolic_reuse",
                      "Barrier solves that reused a cached symbolic analysis"),
+        &reg.gauge("sora_ipm_factor_nonzeros",
+                   "Stored nonzeros of the sparse Cholesky factor L at the "
+                   "latest symbolic analysis"),
     };
   }();
   return metrics;
@@ -137,10 +151,10 @@ std::uint64_t fnv64(std::uint64_t h, std::uint64_t v) {
 }
 
 // Structure pass shared by prepare_sparse_normal and the batch router: fill
-// c.obj_pattern / c.active_rows and compute the structure signature over the
-// problem shape, the objective's Hessian pattern, and the constraint pattern
-// restricted to ACTIVE rows (rows with any nonzero stored value). Returns
-// false when the sparse path is structurally unavailable for this problem.
+// c.obj_pattern and compute the structure signature over the problem shape,
+// the objective's Hessian pattern, and the constraint pattern (every row).
+// Returns false when the sparse path is structurally unavailable for this
+// problem.
 bool sparse_structure_signature(const ConvexObjective& objective,
                                 const SparseMatrix* g, std::size_t n,
                                 const IpmOptions& options, SparseNormalCache& c,
@@ -151,16 +165,6 @@ bool sparse_structure_signature(const ConvexObjective& objective,
 
   const auto& offsets = g->row_offsets();
   const auto& cols = g->col_indices();
-  const auto& vals = g->values();
-  c.active_rows.clear();
-  for (std::size_t r = 0; r < g->rows(); ++r) {
-    for (std::size_t k = offsets[r]; k < offsets[r + 1]; ++k)
-      if (vals[k] != 0.0) {
-        c.active_rows.push_back(r);
-        break;
-      }
-  }
-
   std::uint64_t sig = 1469598103934665603ULL;
   sig = fnv64(sig, n);
   sig = fnv64(sig, g->rows());
@@ -168,8 +172,8 @@ bool sparse_structure_signature(const ConvexObjective& objective,
     sig = fnv64(sig, t.row);
     sig = fnv64(sig, t.col);
   }
-  for (const std::size_t r : c.active_rows) {
-    sig = fnv64(sig, r);
+  for (std::size_t r = 0; r < g->rows(); ++r) {
+    sig = fnv64(sig, offsets[r + 1] - offsets[r]);
     for (std::size_t k = offsets[r]; k < offsets[r + 1]; ++k)
       sig = fnv64(sig, cols[k]);
   }
@@ -178,11 +182,8 @@ bool sparse_structure_signature(const ConvexObjective& objective,
 }
 
 // Decide dense vs sparse for this solve, (re)building the symbolic cache
-// when the structure signature changed. The P2 workspaces patch conditional
-// rows on and off by zeroing their values in a fixed CSR pattern, and
-// excluding the zeroed rows (see sparse_structure_signature) both keeps the
-// normal matrix sparse and re-triggers analysis exactly when the effective
-// structure moves.
+// when the structure signature changed (a new problem shape; the P2
+// workspaces keep one pattern for their lifetime).
 bool prepare_sparse_normal(const ConvexObjective& objective,
                            const SparseMatrix* g, std::size_t n,
                            const IpmOptions& options, SparseNormalCache& c) {
@@ -201,13 +202,13 @@ bool prepare_sparse_normal(const ConvexObjective& objective,
   // Build the lower-triangle pattern of t*H_f + G^T diag(w) G: the full
   // diagonal (so a structurally empty column still factors under the
   // regularization shift), the objective pattern, and one entry per pair of
-  // nonzero columns in each active constraint row.
+  // stored columns in each constraint row.
   std::vector<linalg::Triplet> trips;
   trips.reserve(n + c.obj_pattern.size());
   for (std::size_t j = 0; j < n; ++j) trips.push_back({j, j, 0.0});
   for (const linalg::Triplet& t : c.obj_pattern)
     trips.push_back({t.row, t.col, 0.0});
-  for (const std::size_t r : c.active_rows)
+  for (std::size_t r = 0; r < g->rows(); ++r)
     for (std::size_t k1 = offsets[r]; k1 < offsets[r + 1]; ++k1)
       for (std::size_t k2 = offsets[r]; k2 <= k1; ++k2)
         trips.push_back({cols[k1], cols[k2], 0.0});
@@ -234,7 +235,7 @@ bool prepare_sparse_normal(const ConvexObjective& objective,
   for (const linalg::Triplet& t : c.obj_pattern)
     c.obj_target.push_back(entry_of(t.row, t.col));
   c.pair_target.clear();
-  for (const std::size_t r : c.active_rows)
+  for (std::size_t r = 0; r < g->rows(); ++r)
     for (std::size_t k1 = offsets[r]; k1 < offsets[r + 1]; ++k1)
       for (std::size_t k2 = offsets[r]; k2 <= k1; ++k2)
         c.pair_target.push_back(entry_of(cols[k1], cols[k2]));
@@ -243,12 +244,14 @@ bool prepare_sparse_normal(const ConvexObjective& objective,
   c.obj_vals.resize(c.obj_pattern.size());
   c.use_sparse = true;
   ipm_metrics().symbolic_builds->inc();
+  ipm_metrics().factor_nonzeros->set(
+      static_cast<double>(c.chol.factor_nonzeros()));
   return true;
 }
 
 // Newton-system values for the sparse path: zero the pattern, scatter the
-// t-scaled objective Hessian, then w_r-weighted products of each active
-// constraint row's nonzero pairs, through the precomputed index maps.
+// t-scaled objective Hessian, then w_r-weighted products of each constraint
+// row's stored pairs, through the precomputed index maps.
 void assemble_sparse_normal(const ConvexObjective& objective,
                             const SparseMatrix& g, const Vec& x, double t,
                             const Vec& w, SparseNormalCache& c) {
@@ -259,7 +262,7 @@ void assemble_sparse_normal(const ConvexObjective& objective,
   const auto& offsets = g.row_offsets();
   const auto& vals = g.values();
   std::size_t pos = 0;
-  for (const std::size_t r : c.active_rows) {
+  for (std::size_t r = 0; r < g.rows(); ++r) {
     const double wr = w[r];
     for (std::size_t k1 = offsets[r]; k1 < offsets[r + 1]; ++k1) {
       const double wv = wr * vals[k1];
@@ -326,6 +329,8 @@ IpmResult solve_barrier_impl(const ConvexObjective& objective, const G& gm,
   std::size_t centerings = 0;
   double factor_seconds = 0.0;
   double solve_seconds = 0.0;
+  double assembly_seconds = 0.0;
+  double line_search_seconds = 0.0;
   // Last point where the Newton decrement certified convergence to the
   // central path, with its barrier multiplier. Dual recovery 1/(t*s) is only
   // trustworthy at such points; line-search stalls at extreme t would
@@ -340,46 +345,50 @@ IpmResult solve_barrier_impl(const ConvexObjective& objective, const G& gm,
     while (newton_budget > 0 &&
            steps_this_center < options.max_steps_per_center) {
       ++steps_this_center;
-      slacks_into(x, ws.s);
-      // Gradient of t f + phi: t grad f + G^T (1/s).
-      objective.gradient_into(x, ws.grad);
-      linalg::scale(ws.grad, t);
-      // Floor the slacks inside the derivative assembly: a slack driven to
-      // ~1e-14 would otherwise produce ~1e28 Hessian entries and destroy the
-      // factorization. The line search still treats the true slacks.
-      for (std::size_t i = 0; i < m; ++i)
-        ws.inv_s[i] = 1.0 / std::max(ws.s[i], options.slack_floor);
-      gm.multiply_transpose_into(ws.inv_s, ws.gt_inv_s);
-      for (std::size_t j = 0; j < n; ++j) ws.grad[j] += ws.gt_inv_s[j];
+      {
+        util::ScopedTimer timer(obs_on ? &assembly_seconds : nullptr);
+        slacks_into(x, ws.s);
+        // Gradient of t f + phi: t grad f + G^T (1/s).
+        objective.gradient_into(x, ws.grad);
+        linalg::scale(ws.grad, t);
+        // Floor the slacks inside the derivative assembly: a slack driven to
+        // ~1e-14 would otherwise produce ~1e28 Hessian entries and destroy
+        // the factorization. The line search still treats the true slacks.
+        for (std::size_t i = 0; i < m; ++i)
+          ws.inv_s[i] = 1.0 / std::max(ws.s[i], options.slack_floor);
+        gm.multiply_transpose_into(ws.inv_s, ws.gt_inv_s);
+        for (std::size_t j = 0; j < n; ++j) ws.grad[j] += ws.gt_inv_s[j];
 
-      // Hessian: t H_f + G^T diag(1/s^2) G.
-      for (std::size_t i = 0; i < m; ++i)
-        ws.hess_w[i] = ws.inv_s[i] * ws.inv_s[i];
-      if (use_sparse) {
-        assemble_sparse_normal(objective, *gm.csr(), x, t, ws.hess_w,
-                               ws.normal);
-        {
-          util::ScopedTimer timer(obs_on ? &factor_seconds : nullptr);
+        // Hessian: t H_f + G^T diag(1/s^2) G.
+        for (std::size_t i = 0; i < m; ++i)
+          ws.hess_w[i] = ws.inv_s[i] * ws.inv_s[i];
+        if (use_sparse) {
+          assemble_sparse_normal(objective, *gm.csr(), x, t, ws.hess_w,
+                                 ws.normal);
+        } else {
+          objective.hessian_into(x, ws.hess);
+          for (std::size_t r = 0; r < n; ++r) {
+            double* hrow = ws.hess.row_ptr(r);
+            for (std::size_t c = 0; c < n; ++c) hrow[c] *= t;
+          }
+          gm.add_AtDA(ws.hess_w, ws.hess);
+        }
+      }
+      {
+        util::ScopedTimer timer(obs_on ? &factor_seconds : nullptr);
+        if (use_sparse)
           ws.normal.chol.factor_regularized(ws.normal.normal, 1e-12, 1e16);
-        }
-        util::ScopedTimer timer(obs_on ? &solve_seconds : nullptr);
-        for (std::size_t j = 0; j < n; ++j) ws.dx[j] = -ws.grad[j];
-        ws.normal.chol.solve_in_place(ws.dx);
-      } else {
-        objective.hessian_into(x, ws.hess);
-        for (std::size_t r = 0; r < n; ++r) {
-          double* hrow = ws.hess.row_ptr(r);
-          for (std::size_t c = 0; c < n; ++c) hrow[c] *= t;
-        }
-        gm.add_AtDA(ws.hess_w, ws.hess);
-        {
-          util::ScopedTimer timer(obs_on ? &factor_seconds : nullptr);
+        else
           linalg::cholesky_factor_regularized_into(ws.hess, ws.chol, 1e-12,
                                                    1e16);
-        }
+      }
+      {
         util::ScopedTimer timer(obs_on ? &solve_seconds : nullptr);
         for (std::size_t j = 0; j < n; ++j) ws.dx[j] = -ws.grad[j];
-        linalg::cholesky_solve_in_place(ws.chol, ws.dx);
+        if (use_sparse)
+          ws.normal.chol.solve_in_place(ws.dx);
+        else
+          linalg::cholesky_solve_in_place(ws.chol, ws.dx);
       }
 
       const double decrement2 = -linalg::dot(ws.grad, ws.dx);  // lambda^2
@@ -393,9 +402,11 @@ IpmResult solve_barrier_impl(const ConvexObjective& objective, const G& gm,
       }
 
       // ---- Backtracking line search on t f + phi, keeping s > 0.
-      double step = 1.0;
+      bool moved = false;
       {
+        util::ScopedTimer timer(obs_on ? &line_search_seconds : nullptr);
         // First shrink until strictly feasible.
+        double step = 1.0;
         gm.multiply_into(ws.dx, ws.gdx);
         for (std::size_t i = 0; i < m; ++i) {
           if (ws.gdx[i] > 0.0) {
@@ -403,25 +414,24 @@ IpmResult solve_barrier_impl(const ConvexObjective& objective, const G& gm,
             if (0.99 * limit < step) step = 0.99 * limit;
           }
         }
-      }
-      const double f0 = t * objective.value(x) + barrier_value(ws.s);
-      const double slope = linalg::dot(ws.grad, ws.dx);  // negative
-      bool moved = false;
-      for (int ls = 0; ls < 60; ++ls) {
-        ws.x_try = x;
-        linalg::axpy(step, ws.dx, ws.x_try);
-        slacks_into(ws.x_try, ws.s_try);
-        if (min_slack(ws.s_try) > 0.0) {
-          const double f_try =
-              t * objective.value(ws.x_try) + barrier_value(ws.s_try);
-          if (f_try <= f0 + options.line_search_alpha * step * slope) {
-            x.swap(ws.x_try);
-            moved = true;
-            break;
+        const double f0 = t * objective.value(x) + barrier_value(ws.s);
+        const double slope = linalg::dot(ws.grad, ws.dx);  // negative
+        for (int ls = 0; ls < 60; ++ls) {
+          ws.x_try = x;
+          linalg::axpy(step, ws.dx, ws.x_try);
+          slacks_into(ws.x_try, ws.s_try);
+          if (min_slack(ws.s_try) > 0.0) {
+            const double f_try =
+                t * objective.value(ws.x_try) + barrier_value(ws.s_try);
+            if (f_try <= f0 + options.line_search_alpha * step * slope) {
+              x.swap(ws.x_try);
+              moved = true;
+              break;
+            }
           }
+          step *= options.line_search_beta;
+          ++backtracks_total;
         }
-        step *= options.line_search_beta;
-        ++backtracks_total;
       }
       if (!moved) {
         // Stuck: gradient/Hessian inconsistency at this scale. Treat the
@@ -459,6 +469,8 @@ IpmResult solve_barrier_impl(const ConvexObjective& objective, const G& gm,
     metrics.cholesky_seconds->observe(factor_seconds + solve_seconds);
     metrics.factor_seconds->observe(factor_seconds);
     metrics.solve_seconds->observe(solve_seconds);
+    metrics.assembly_seconds->observe(assembly_seconds);
+    metrics.line_search_seconds->observe(line_search_seconds);
     metrics.final_gap->observe(static_cast<double>(m) / t);
   }
 
@@ -531,6 +543,8 @@ struct DenseLane {
   std::size_t steps_this_center = 0;
   double factor_seconds = 0.0;
   double solve_seconds = 0.0;
+  double assembly_seconds = 0.0;
+  double line_search_seconds = 0.0;
   bool have_center = false;
   double centered_t = 0.0;
   bool entering_center = true;  // next step opens a new centering phase
@@ -578,6 +592,8 @@ void run_dense_lockstep(BarrierBatchItem** items, IpmScratch** scratches,
                                         lane.solve_seconds);
       metrics.factor_seconds->observe(lane.factor_seconds);
       metrics.solve_seconds->observe(lane.solve_seconds);
+      metrics.assembly_seconds->observe(lane.assembly_seconds);
+      metrics.line_search_seconds->observe(lane.line_search_seconds);
       metrics.final_gap->observe(static_cast<double>(lane.m) / lane.t);
     }
     it.result.x = lane.x;
@@ -690,21 +706,24 @@ void run_dense_lockstep(BarrierBatchItem** items, IpmScratch** scratches,
       }
       ++lane.steps_this_center;
       try {
-        slacks_into(*it.g, *it.h, lane.x, ws.s);
-        it.objective->gradient_into(lane.x, ws.grad);
-        linalg::scale(ws.grad, lane.t);
-        for (std::size_t i = 0; i < lane.m; ++i)
-          ws.inv_s[i] = 1.0 / std::max(ws.s[i], o.slack_floor);
-        it.g->multiply_transpose_into(ws.inv_s, ws.gt_inv_s);
-        for (std::size_t j = 0; j < n; ++j) ws.grad[j] += ws.gt_inv_s[j];
-        for (std::size_t i = 0; i < lane.m; ++i)
-          ws.hess_w[i] = ws.inv_s[i] * ws.inv_s[i];
-        it.objective->hessian_into(lane.x, ws.hess);
-        for (std::size_t r = 0; r < n; ++r) {
-          double* hrow = ws.hess.row_ptr(r);
-          for (std::size_t c = 0; c < n; ++c) hrow[c] *= lane.t;
+        {
+          util::ScopedTimer timer(obs_on ? &lane.assembly_seconds : nullptr);
+          slacks_into(*it.g, *it.h, lane.x, ws.s);
+          it.objective->gradient_into(lane.x, ws.grad);
+          linalg::scale(ws.grad, lane.t);
+          for (std::size_t i = 0; i < lane.m; ++i)
+            ws.inv_s[i] = 1.0 / std::max(ws.s[i], o.slack_floor);
+          it.g->multiply_transpose_into(ws.inv_s, ws.gt_inv_s);
+          for (std::size_t j = 0; j < n; ++j) ws.grad[j] += ws.gt_inv_s[j];
+          for (std::size_t i = 0; i < lane.m; ++i)
+            ws.hess_w[i] = ws.inv_s[i] * ws.inv_s[i];
+          it.objective->hessian_into(lane.x, ws.hess);
+          for (std::size_t r = 0; r < n; ++r) {
+            double* hrow = ws.hess.row_ptr(r);
+            for (std::size_t c = 0; c < n; ++c) hrow[c] *= lane.t;
+          }
+          it.g->add_AtDA(ws.hess_w, ws.hess);
         }
-        it.g->add_AtDA(ws.hess_w, ws.hess);
         lane.stepping = true;
         bool finite = true;
         for (const double v : ws.hess.data())
@@ -810,8 +829,11 @@ void run_dense_lockstep(BarrierBatchItem** items, IpmScratch** scratches,
           continue;
         }
 
-        double step = 1.0;
+        bool moved = false;
         {
+          util::ScopedTimer timer(obs_on ? &lane.line_search_seconds
+                                         : nullptr);
+          double step = 1.0;
           it.g->multiply_into(ws.dx, ws.gdx);
           for (std::size_t i = 0; i < lane.m; ++i) {
             if (ws.gdx[i] > 0.0) {
@@ -819,26 +841,25 @@ void run_dense_lockstep(BarrierBatchItem** items, IpmScratch** scratches,
               if (0.99 * limit < step) step = 0.99 * limit;
             }
           }
-        }
-        const double f0 =
-            lane.t * it.objective->value(lane.x) + barrier_value(ws.s);
-        const double slope = linalg::dot(ws.grad, ws.dx);
-        bool moved = false;
-        for (int ls = 0; ls < 60; ++ls) {
-          ws.x_try = lane.x;
-          linalg::axpy(step, ws.dx, ws.x_try);
-          slacks_into(*it.g, *it.h, ws.x_try, ws.s_try);
-          if (min_slack(ws.s_try) > 0.0) {
-            const double f_try = lane.t * it.objective->value(ws.x_try) +
-                                 barrier_value(ws.s_try);
-            if (f_try <= f0 + o.line_search_alpha * step * slope) {
-              lane.x.swap(ws.x_try);
-              moved = true;
-              break;
+          const double f0 =
+              lane.t * it.objective->value(lane.x) + barrier_value(ws.s);
+          const double slope = linalg::dot(ws.grad, ws.dx);
+          for (int ls = 0; ls < 60; ++ls) {
+            ws.x_try = lane.x;
+            linalg::axpy(step, ws.dx, ws.x_try);
+            slacks_into(*it.g, *it.h, ws.x_try, ws.s_try);
+            if (min_slack(ws.s_try) > 0.0) {
+              const double f_try = lane.t * it.objective->value(ws.x_try) +
+                                   barrier_value(ws.s_try);
+              if (f_try <= f0 + o.line_search_alpha * step * slope) {
+                lane.x.swap(ws.x_try);
+                moved = true;
+                break;
+              }
             }
+            step *= o.line_search_beta;
+            ++lane.backtracks_total;
           }
-          step *= o.line_search_beta;
-          ++lane.backtracks_total;
         }
         if (!moved) {
           lane_end_center(lane);

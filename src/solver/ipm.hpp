@@ -6,8 +6,11 @@
 //
 // This solves the paper's regularized subproblem P2(t): f is linear
 // allocation cost plus the relative-entropy reconfiguration terms, and G/h
-// collect the coverage, feasibility-transfer (3d)/(3e), capacity, and
-// nonnegativity constraints.
+// collect the coverage (3a)-(3c), capacity (1b)-(1d), and nonnegativity
+// constraints. The paper's transfer rows (3d)/(3e) are left out: with the
+// capacity rows present each one is a sum of rows G already holds
+// ((3d)_i = sum_e (3a)_e + sum_j (3c)_j + (1b)_i, and likewise for (3e)),
+// so G keeps one sparse pattern per instance (core/p2_subproblem.hpp).
 //
 // Classic primal barrier with Newton steps: minimize t f(x) - sum log(h-Gx),
 // backtracking line search that maintains strict feasibility, and outer
@@ -121,11 +124,10 @@ struct IpmResult {
 
 /// Symbolic-once cache for the sparse normal-equations path, owned by
 /// IpmScratch so it survives the per-slot P2 chain. The cache is keyed by a
-/// structure signature over the constraint pattern (restricted to rows with
-/// any nonzero value — patched-off conditional rows are excluded) and the
-/// objective's Hessian pattern; while the signature holds, every Newton step
-/// reuses the fill-reducing ordering, elimination tree, and pattern of L,
-/// and assembly scatters through precomputed index maps with no allocation.
+/// structure signature over the constraint pattern and the objective's
+/// Hessian pattern; while the signature holds, every Newton step reuses the
+/// fill-reducing ordering, elimination tree, and pattern of L, and assembly
+/// scatters through precomputed index maps with no allocation.
 struct SparseNormalCache {
   std::uint64_t signature = 0;
   bool valid = false;       // maps below match `signature`
@@ -135,8 +137,7 @@ struct SparseNormalCache {
   std::vector<linalg::Triplet> obj_pattern;  // objective Hessian pattern
   linalg::Vec obj_vals;                      // objective Hessian values
   std::vector<std::size_t> obj_target;   // obj entry k -> normal entry
-  std::vector<std::size_t> active_rows;  // G rows with any nonzero value
-  std::vector<std::size_t> pair_target;  // per active row, pairs k2 <= k1
+  std::vector<std::size_t> pair_target;  // per G row, pairs k2 <= k1
 };
 
 /// Reusable scratch buffers for solve_barrier. Passing the same instance to

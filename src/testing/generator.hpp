@@ -1,8 +1,9 @@
 // Seeded structured instance generator for property and differential tests.
 //
 // Each regime stresses a different corner of the paper's model: the smooth
-// and spiky workload families of Fig. 4, capacity-saturated instances that
-// activate the feasibility-transfer rows (3d)/(3e), zero-demand slots and
+// and spiky workload families of Fig. 4, capacity-saturated instances where
+// the feasibility-transfer rows (3d)/(3e) have positive right-hand sides
+// (and must hold through the capacity rows), zero-demand slots and
 // clouds (degenerate coverage rows), tier-1 clouds with no admissible edges
 // (the PR-1 empty-SLA-group guard), and degenerate prices (ties, zeros,
 // extreme spread). Every instance is a deterministic function of
@@ -26,7 +27,7 @@ namespace sora::testing {
 enum class Regime {
   kSmooth,             // wikipedia-like diurnal workload, roomy capacities
   kSpiky,              // worldcup-like flash crowds
-  kCapacitySaturated,  // margin close to 1: transfer rows (3d)/(3e) active
+  kCapacitySaturated,  // margin close to 1: transfer rows (3d)/(3e) bite
   kZeroDemand,         // zero demand entries and whole dead slots
   kEmptySlaGroups,     // tier-1 clouds with no admissible edges
   kDegeneratePrices,   // price ties, zeros, and extreme spread

@@ -163,7 +163,8 @@ InvariantReport check_p2_solution(const Instance& inst,
   }
 
   // (3d): when total demand exceeds C_i, the other clouds' x must absorb
-  // the excess — the Lemma-1 feasibility-transfer row.
+  // the excess — the Lemma-1 feasibility-transfer row, which P2 leaves out
+  // because (3a), (3c) and (1b) imply it.
   const Vec totals = core::tier2_totals(inst, a.x);
   const double grand_total = linalg::sum(totals);
   for (std::size_t i = 0; i < inst.num_tier2(); ++i) {
@@ -175,7 +176,7 @@ InvariantReport check_p2_solution(const Instance& inst,
   }
 
   // (3e): per edge e of cloud j, the other edges of j must be able to carry
-  // lambda_j - B_e.
+  // lambda_j - B_e (implied by (3b), (3c) and (1c)).
   for (std::size_t e = 0; e < E; ++e) {
     const std::size_t j = inst.edges[e].tier1;
     const double rhs = inputs.lambda(t, j) - inst.edge_capacity[e];

@@ -6,7 +6,9 @@
 //   * capacities (1b)/(1c) (+ (1d) with the tier-1 term)
 //   * P2 rows (3a)-(3c): x >= s, y >= s, per-cloud sum s >= lambda
 //   * feasibility transfer (3d)/(3e): the Lemma-1 rows that make the P2
-//     chain feasible for P1
+//     chain feasible for P1. P2 does not generate them (each is a sum of
+//     (3a)-(3c) and a capacity row), so these checks test that identity on
+//     every solved slot
 //   * nonnegativity (3f)
 //   * Theorem 1: total online cost <= r * offline P1 optimum, and the
 //     offline optimum is a true lower bound for every feasible trajectory.
@@ -49,8 +51,9 @@ InvariantReport check_trajectory(const cloudnet::Instance& inst,
                                  const core::Trajectory& traj,
                                  const InvariantOptions& options = {});
 
-/// P2(t) constraint satisfaction of one solution: (3a)-(3f) plus the
-/// transfer rows (3d)/(3e) and the capacity rows the solver keeps explicit.
+/// P2(t) constraint satisfaction of one solution: (3a)-(3f), the capacity
+/// rows the solver keeps explicit, and the transfer rows (3d)/(3e) they
+/// imply.
 InvariantReport check_p2_solution(const cloudnet::Instance& inst,
                                   const core::InputSeries& inputs,
                                   std::size_t t, const core::P2Solution& sol,

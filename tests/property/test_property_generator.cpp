@@ -70,8 +70,9 @@ TEST(PropertyGenerator, RegimesProduceTheirSignatures) {
   }
   EXPECT_TRUE(found_zero);
 
-  // Saturated regime: some feasibility-transfer row (3d) is active at some
-  // slot — total demand above a single cloud's capacity.
+  // Saturated regime: some feasibility-transfer row (3d) has a positive
+  // right-hand side at some slot — total demand above a single cloud's
+  // capacity.
   cfg.regime = Regime::kCapacitySaturated;
   bool found_active = false;
   for (std::uint64_t seed = 1; seed <= kSeedsPerRegime; ++seed) {

@@ -1,18 +1,22 @@
 // Sparse normal-equations property suite: with the density switch forced on
 // (sparse_min_dim = 1, sparse_max_density = 1), the symbolic-once sparse
 // Cholesky path must agree with the dense reference on real P2 solves
-// across all six generated regimes, reuse its symbolic analysis across a
-// multi-slot ROA run, and survive fault-injected runs through the
+// across all six generated regimes, analyse its pattern exactly once per
+// workspace across a multi-slot ROA run (also on the paper topology, where
+// the factor must stay sparse), and survive fault-injected runs through the
 // resilience chain.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "cloudnet/instance.hpp"
+#include "cloudnet/workload.hpp"
 #include "core/p2_subproblem.hpp"
 #include "core/roa.hpp"
 #include "obs/obs.hpp"
 #include "testing/fault_injection.hpp"
 #include "testing/generator.hpp"
+#include "util/rng.hpp"
 
 namespace sora::testing {
 namespace {
@@ -71,21 +75,59 @@ TEST(PropertySparseNormal, SymbolicCacheReusedAcrossSlots) {
   auto& builds = reg.counter("sora_ipm_symbolic_builds");
   auto& reuse = reg.counter("sora_ipm_symbolic_reuse");
 
-  GeneratorConfig cfg;
-  cfg.regime = Regime::kSmooth;
-  cfg.seed = 7;
-  const auto inst = generate_instance(cfg);
-  ASSERT_GE(inst.horizon, 2u) << "need a multi-slot chain for reuse";
+  for (const Regime regime : kAllRegimes) {
+    GeneratorConfig cfg;
+    cfg.regime = regime;
+    cfg.seed = 7;
+    SCOPED_TRACE(cfg.describe());
+    const auto inst = generate_instance(cfg);
+    ASSERT_GE(inst.horizon, 2u) << "need a multi-slot chain for reuse";
+
+    const auto builds0 = builds.value();
+    const auto reuse0 = reuse.value();
+    const core::RoaRun run = core::run_roa(inst, forced_sparse_options());
+    ASSERT_EQ(run.trajectory.horizon(), inst.horizon);
+    EXPECT_TRUE(run.healthy());
+    // One analysis for the workspace's fixed pattern, then every later slot
+    // of the chain hits the cache.
+    EXPECT_EQ(builds.value() - builds0, 1u);
+    EXPECT_GT(reuse.value(), reuse0);
+  }
+}
+
+TEST(PropertySparseNormal, PaperTopologyAnalysesOnceWithSparseFactor) {
+  // The Fig.-5 deployment (18 x 48 sites, k = 2, b = 10^3, the Wikipedia-like
+  // trace) over its first 24 hours. Dense transfer rows (3d) would make the
+  // x-block of the Newton matrix dense (nnz(L) ~5,100) and re-trigger the
+  // analysis whenever a conditional row switched on or off.
+  MetricsOn guard;
+  auto& reg = obs::Registry::global();
+  auto& builds = reg.counter("sora_ipm_symbolic_builds");
+  auto& factor_nonzeros = reg.gauge("sora_ipm_factor_nonzeros");
+
+  util::Rng rng(42);
+  cloudnet::InstanceConfig cfg;
+  cfg.num_tier2 = 18;
+  cfg.num_tier1 = 48;
+  cfg.sla_k = 2;
+  cfg.reconfig_weight = 1e3;
+  cfg.seed = 42;
+  const auto inst =
+      cloudnet::build_instance(cfg, cloudnet::wikipedia_like(120, rng));
+  core::RoaOptions options;
+  options.eps = options.eps_prime = 1e-2;
 
   const auto builds0 = builds.value();
-  const auto reuse0 = reuse.value();
-  const core::RoaRun run = core::run_roa(inst, forced_sparse_options());
-  ASSERT_EQ(run.trajectory.horizon(), inst.horizon);
-  EXPECT_TRUE(run.healthy());
-  // One analysis for the structure, then every later slot of the workspace
-  // chain hits the cache.
-  EXPECT_GT(builds.value(), builds0);
-  EXPECT_GT(reuse.value(), reuse0);
+  core::P2Workspace workspace(inst, options);
+  const core::InputSeries inputs = core::InputSeries::truth(inst);
+  core::Allocation prev = core::Allocation::zeros(inst.num_edges());
+  for (std::size_t t = 0; t < 24; ++t) {
+    const core::P2Solution sol = workspace.solve(inputs, t, prev);
+    ASSERT_TRUE(sol.outcome.ok()) << "t=" << t;
+    prev = sol.alloc;
+  }
+  EXPECT_EQ(builds.value() - builds0, 1u);
+  EXPECT_LE(factor_nonzeros.value(), 1300.0);
 }
 
 TEST(PropertySparseNormal, ForcedSparseSurvivesFaultInjection) {

@@ -245,105 +245,6 @@ TEST(SparseCholesky, FactorThrowsOnNonFiniteValues) {
   EXPECT_THROW(chol.factor_regularized(a, 1e-12, 1e16), util::CheckError);
 }
 
-// ---------------------------------------------------------------------------
-// Level-scheduled threaded numeric kernel. Forced onto small matrices via
-// set_threaded_min_dim(1) so the tests stay cheap; the path choice is a
-// data-only threshold, so forcing it here exercises exactly the code the
-// big Newton systems take.
-
-TEST(SparseCholeskyThreaded, ForcedThreadedKernelMatchesSerial) {
-  util::Rng rng(61);
-  for (const std::size_t n : {5u, 30u, 120u}) {
-    const SymSparse a = random_spd(n, 0.1, rng);
-
-    SparseCholesky serial;
-    serial.analyze(a);
-    ASSERT_FALSE(serial.threaded()) << "n=" << n;  // below the 256 default
-    ASSERT_TRUE(serial.factor(a));
-
-    SparseCholesky threaded;
-    threaded.set_threaded_min_dim(1);
-    threaded.analyze(a);
-    ASSERT_TRUE(threaded.threaded()) << "n=" << n;
-    ASSERT_TRUE(threaded.factor(a));
-    EXPECT_DOUBLE_EQ(threaded.applied_shift(), 0.0);
-
-    // Left-looking (threaded) and up-looking (serial) accumulate updates to
-    // an entry in different orders, so agreement is to rounding, not bits.
-    const Vec b = random_vec(n, rng);
-    const Vec xs = serial.solve(b);
-    const Vec xt = threaded.solve(b);
-    EXPECT_LT(max_abs_diff(xs, xt), 1e-8) << "n=" << n;
-  }
-}
-
-TEST(SparseCholeskyThreaded, RepeatFactorsAreBitwiseIdentical) {
-  // The threaded kernel must be deterministic run to run: per-column
-  // arithmetic is a fixed sequential order and levels are barriers, so the
-  // factor never depends on pool scheduling.
-  util::Rng rng(67);
-  const std::size_t n = 90;
-  const SymSparse a = random_spd(n, 0.12, rng);
-  SparseCholesky chol;
-  chol.set_threaded_min_dim(1);
-  chol.analyze(a);
-  ASSERT_TRUE(chol.threaded());
-
-  ASSERT_TRUE(chol.factor(a));
-  const Vec b = random_vec(n, rng);
-  const Vec x1 = chol.solve(b);
-  for (int round = 0; round < 3; ++round) {
-    ASSERT_TRUE(chol.factor(a)) << "round " << round;
-    const Vec x2 = chol.solve(b);
-    for (std::size_t i = 0; i < n; ++i)
-      EXPECT_EQ(x1[i], x2[i]) << "round " << round << " i=" << i;
-  }
-}
-
-TEST(SparseCholeskyThreaded, RefactorAndShiftEscalationWork) {
-  // Refactor with fresh values on the analyzed pattern, then the
-  // regularized escalation on a singular input — both through the threaded
-  // numeric path.
-  util::Rng rng(71);
-  SymSparse a = random_spd(40, 0.15, rng);
-  SparseCholesky chol;
-  chol.set_threaded_min_dim(1);
-  chol.analyze(a);
-  ASSERT_TRUE(chol.threaded());
-  ASSERT_TRUE(chol.factor(a));
-
-  Vec mass(40, 0.0);
-  for (std::size_t r = 0; r < 40; ++r)
-    for (std::size_t k = a.row_ptr[r]; k < a.row_ptr[r + 1]; ++k)
-      if (a.cols[k] != r) {
-        a.values[k] = rng.normal();
-        mass[r] += std::fabs(a.values[k]);
-        mass[a.cols[k]] += std::fabs(a.values[k]);
-      }
-  for (std::size_t r = 0; r < 40; ++r)
-    for (std::size_t k = a.row_ptr[r]; k < a.row_ptr[r + 1]; ++k)
-      if (a.cols[k] == r) a.values[k] = mass[r] + 1.0;
-  ASSERT_TRUE(chol.factor(a));
-  Matrix l(40, 40, 0.0);
-  cholesky_factor_regularized_into(a.to_dense(), l, 1e-12, 1e16);
-  const Vec b = random_vec(40, rng);
-  Vec xd = b;
-  cholesky_solve_in_place(l, xd);
-  EXPECT_LT(max_abs_diff(xd, chol.solve(b)), 1e-8);
-
-  const auto singular = SymSparse::from_lower_triplets(
-      3, {{0, 0, 4.0}, {1, 1, 0.0}, {2, 2, 9.0}});
-  SparseCholesky sing;
-  sing.set_threaded_min_dim(1);
-  sing.analyze(singular);
-  ASSERT_TRUE(sing.threaded());
-  EXPECT_FALSE(sing.factor(singular));
-  EXPECT_GT(sing.factor_regularized(singular, 1e-12, 1e16), 0.0);
-  const Vec x = sing.solve({4.0, 0.0, 9.0});
-  EXPECT_NEAR(x[0], 1.0, 1e-6);
-  EXPECT_NEAR(x[2], 1.0, 1e-6);
-}
-
 TEST(BlockedDenseCholesky, MatchesKnownSolutionPastTileWidth) {
   // n = 150 crosses two 64-wide panel boundaries, exercising the diagonal
   // block, the panel solve, and the trailing syrk update.
