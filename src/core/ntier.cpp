@@ -734,7 +734,6 @@ class NTierSlotSolver {
     for (std::size_t l = 0; l < inst_.num_links(); ++l)
       z[objective.yvar(l)] = z[objective.yvar(l)] * 1.01 + 1e-6;
 
-    const ResilienceOptions& res = options_.resilience;
     SolveOutcome outcome;
     std::size_t attempt = 0;
     solver::IpmResult result;
@@ -762,20 +761,18 @@ class NTierSlotSolver {
     };
 
     bool solved = barrier_attempt(options_.ipm, SolveBackend::kColdIpm);
-    if (!solved && !res.enabled)
+    if (!solved && !options_.resilience.enabled)
       SORA_CHECK_MSG(false, "n-tier P2 failed at t=" + std::to_string(t) +
                                 ": " + outcome.detail);
     if (!solved) {
       SORA_LOG_WARN << "ntier: P2 barrier failed at t=" << t << " ("
                     << outcome.detail << "); entering fallback chain";
-      if (res.allow_tightened) {
-        // Conservative restart: smaller barrier growth, bigger budgets.
-        solver::IpmOptions tight = options_.ipm;
-        tight.mu = 5.0;
-        tight.max_newton_steps *= 4;
-        tight.max_steps_per_center *= 2;
-        solved = barrier_attempt(tight, SolveBackend::kTightenedIpm);
-      }
+      // Conservative restart: smaller barrier growth, bigger budgets.
+      solver::IpmOptions tight = options_.ipm;
+      tight.mu = 5.0;
+      tight.max_newton_steps *= 4;
+      tight.max_steps_per_center *= 2;
+      solved = barrier_attempt(tight, SolveBackend::kTightenedIpm);
     }
 
     NTierAllocation a{Vec(inst_.num_nodes(), 0.0),
@@ -790,7 +787,7 @@ class NTierSlotSolver {
                         ? std::max(0.0, result.x[objective.yvar(l)])
                         : 0.0;
     }
-    if (!solved && res.allow_lp_fallback) {
+    if (!solved) {
       // One-shot LP on the same slot: linear prices plus the linear
       // reconfiguration surrogate over the identical routing polyhedron.
       bool window_ok = true;
@@ -808,7 +805,7 @@ class NTierSlotSolver {
         solved = true;
       }
     }
-    if (!solved && res.allow_degradation) {
+    if (!solved) {
       // Graceful degradation: hold x_{t-1} and repair coverage with the
       // cheapest additive push. Terminal stage, never fault-injected.
       ++attempt;
@@ -831,14 +828,9 @@ class NTierSlotSolver {
     }
     outcome.attempts = attempt;
     observe_outcome(outcome);
-    if (!solved) {
-      if (res.throw_on_exhaustion)
-        SORA_CHECK_MSG(false, "n-tier P2 fallback chain exhausted at t=" +
-                                  std::to_string(t) + ": " + outcome.detail);
-      SORA_LOG_ERROR << "ntier: fallback chain exhausted at t=" << t << " ("
-                     << outcome.detail << "); holding the previous decision";
-      a = prev;
-    }
+    if (!solved)
+      SORA_CHECK_MSG(false, "n-tier P2 fallback chain exhausted at t=" +
+                                std::to_string(t) + ": " + outcome.detail);
     if (outcome_out != nullptr) *outcome_out = outcome;
     return a;
   }

@@ -11,7 +11,6 @@
 #include "solver/block_solve.hpp"
 #include "util/check.hpp"
 #include "util/logging.hpp"
-#include "util/thread_pool.hpp"
 
 namespace sora::core {
 namespace {
@@ -51,12 +50,10 @@ const AdmmMetrics& admm_metrics() {
   return metrics;
 }
 
-// The per-SLA-group objective: block-local terms of P2 plus the method's
-// coupling surrogate on x — a quadratic pull toward `target` (ADMM: the
-// consensus point c - u; dual variant: a proximal center) and an extra
-// linear price (dual variant: nu_i + linearized tier-2 entropic). The
-// tier-2 aggregate entropic itself lives OUTSIDE the blocks, in the
-// consensus / dual update.
+// The per-SLA-group objective: block-local terms of P2 plus the ADMM
+// coupling surrogate on x, a quadratic pull toward `target` (the consensus
+// point c - u). The tier-2 aggregate entropic itself lives OUTSIDE the
+// blocks, in the consensus update.
 //
 // Local layout over the group's m edges: [x_k | y_k | s_k (| z_k)].
 class BlockObjective final : public solver::ConvexObjective {
@@ -66,7 +63,6 @@ class BlockObjective final : public solver::ConvexObjective {
       : with_z_(inst.has_tier1()), m_(edges.size()), edges_(std::move(edges)),
         eps_(eps), eps_prime_(eps_prime) {
     price_x_.assign(m_, 0.0);
-    extra_x_.assign(m_, 0.0);
     target_.assign(m_, 0.0);
     price_y_.assign(m_, 0.0);
     y_weight_.assign(m_, 0.0);
@@ -110,13 +106,12 @@ class BlockObjective final : public solver::ConvexObjective {
 
   void set_penalty(double penalty) { penalty_ = penalty; }
   Vec& mutable_target() { return target_; }
-  Vec& mutable_extra() { return extra_x_; }
 
   double value(const Vec& v) const override {
     double total = 0.0;
     for (std::size_t k = 0; k < m_; ++k) {
       const double d = v[x(k)] - target_[k];
-      total += (price_x_[k] + extra_x_[k]) * v[x(k)] +
+      total += price_x_[k] * v[x(k)] +
                0.5 * penalty_ * d * d + price_y_[k] * v[y(k)] +
                y_weight_[k] * entropic_value(v[y(k)], prev_y_[k], eps_prime_);
     }
@@ -139,7 +134,7 @@ class BlockObjective final : public solver::ConvexObjective {
 
   void gradient_into(const Vec& v, Vec& g) const override {
     for (std::size_t k = 0; k < m_; ++k) {
-      g[x(k)] = price_x_[k] + extra_x_[k] + penalty_ * (v[x(k)] - target_[k]);
+      g[x(k)] = price_x_[k] + penalty_ * (v[x(k)] - target_[k]);
       g[y(k)] = price_y_[k] + y_weight_[k] * entropic_gradient(
                                                  v[y(k)], prev_y_[k],
                                                  eps_prime_);
@@ -217,7 +212,7 @@ class BlockObjective final : public solver::ConvexObjective {
   double eps_, eps_prime_;
   double penalty_ = 0.0;
   double z_weight_ = 0.0, prev_zsum_ = 0.0;
-  Vec price_x_, extra_x_, target_, price_y_, y_weight_, prev_y_, price_z_;
+  Vec price_x_, target_, price_y_, y_weight_, prev_y_, price_z_;
 };
 
 // minimize w * entropic(S | prev, eps) + (q/2) (S - center)^2 over
@@ -315,13 +310,9 @@ struct P2DecomposedSolver::Impl {
   // edge count, and the per-slot previous aggregate.
   Vec cloud_weight, cloud_cap, prev_totals;
 
-  // Consensus ADMM state carried across slots (u also across rho rescales).
-  Vec consensus, u, x_cur, x_relaxed, c_prev;
+  // Consensus ADMM state (u is rescaled with every rho change).
+  Vec consensus, u, x_cur, c_prev;
   double rho_pen = 1.0;
-  bool have_state = false;
-
-  // Dual-decomposition state.
-  Vec nu, xhat;
 
   Impl(const Instance& inst_, const RoaOptions& options_)
       : inst(inst_), options(options_), with_z(inst_.has_tier1()),
@@ -351,11 +342,7 @@ struct P2DecomposedSolver::Impl {
     consensus.assign(E, 0.0);
     u.assign(E, 0.0);
     x_cur.assign(E, 0.0);
-    x_relaxed.assign(E, 0.0);
     c_prev.assign(E, 0.0);
-    nu.assign(inst.num_tier2(), 0.0);
-    xhat.assign(inst.num_tier2(), 0.0);
-    rho_pen = options.decomposition.rho;
   }
 
   // Block polyhedron over the local [x|y|s(|z)] layout: (3a)/(3b), the
@@ -457,12 +444,11 @@ struct P2DecomposedSolver::Impl {
     solver::BlockSolveOptions opts;
     opts.ipm = options.ipm;
     opts.warm_start = options.warm_start;
-    opts.warm_start_pull = options.warm_start_pull;
     return opts;
   }
 
-  // Shared tail of the sequential and batched paths: accounting, failure
-  // capture, and acceptance of one block's barrier result.
+  // Accounting, failure capture, and acceptance of one block's barrier
+  // result.
   void record_block_result(Block& b, const solver::IpmResult& result) {
     if (obs::metrics_enabled()) admm_metrics().block_solves->inc();
     b.newton_steps += result.newton_steps;
@@ -484,28 +470,13 @@ struct P2DecomposedSolver::Impl {
     b.ineq_dual = result.ineq_dual;
   }
 
-  // One barrier solve of block `b` with the current coupling surrogate
-  // already written into its objective. Never throws; failures are recorded
-  // in the block for the (serial) caller to inspect after the fan-out.
-  void solve_block(Block& b) {
-    try {
-      SORA_TRACE_SPAN("admm/block");
-      const solver::IpmResult result =
-          b.barrier.solve(*b.objective, b.anchor, block_solve_options());
-      record_block_result(b, result);
-    } catch (const std::exception& e) {
-      b.failed = true;
-      b.fail_detail = "block " + std::to_string(b.j) + ": " + e.what();
-    }
-  }
-
-  // Batched fan-out: stage every block via BlockBarrier::prepare, run the
-  // fleet through solve_barrier_batch — same-dimension dense Newton systems
-  // factor in lockstep across blocks, sparse blocks share one symbolic
-  // analysis per structure signature, chunks spread over the shared pool —
-  // then replay solve_block's result handling per block. Per-block results
-  // are bitwise identical to the sequential path.
-  void run_blocks_batched() {
+  // One round of block solves with the current coupling surrogate already
+  // written into each objective: stage every block via
+  // BlockBarrier::prepare, solve them all with one solve_barrier_batch call
+  // (same-dimension dense Newton systems factor in lockstep across blocks,
+  // chunks spread over the shared pool), then record each block's result.
+  // Never throws; returns false with the first failed block's detail.
+  bool run_blocks(std::string& detail) {
     SORA_TRACE_SPAN("admm/block_batch");
     const solver::BlockSolveOptions opts = block_solve_options();
     std::vector<solver::BarrierBatchItem> items;
@@ -539,33 +510,12 @@ struct P2DecomposedSolver::Impl {
       Block& b = *staged[i];
       const solver::BarrierBatchItem& item = items[i];
       if (!item.error.empty()) {
-        // The batch equivalent of solve_block's catch branch.
         b.failed = true;
         b.fail_detail = "block " + std::to_string(b.j) + ": " + item.error;
         continue;
       }
       b.barrier.commit(item.result);
       record_block_result(b, item.result);
-    }
-  }
-
-  // Fan the block solves out — batched through solve_barrier_batch by
-  // default, per-block on the pool (guided chunking: SLA groups vary a lot
-  // in size, so on-demand chunks keep the largest group from serializing the
-  // tail) when batching is off, strictly serial when max_parallel_blocks ==
-  // 1 and batching is off. The batched path is bitwise identical to the
-  // serial baseline, so it stays on even for determinism runs.
-  bool run_blocks(std::string& detail) {
-    if (options.decomposition.batch_block_solves && blocks.size() > 1) {
-      run_blocks_batched();
-    } else {
-      const auto body = [this](std::size_t bi) { solve_block(blocks[bi]); };
-      if (options.decomposition.max_parallel_blocks == 1) {
-        for (std::size_t bi = 0; bi < blocks.size(); ++bi) body(bi);
-      } else {
-        util::parallel_for(0, blocks.size(), body, 1,
-                           util::ForSchedule::kGuided);
-      }
     }
     for (const Block& b : blocks)
       if (b.failed) {
@@ -595,13 +545,13 @@ struct P2DecomposedSolver::Impl {
       if (ids.empty()) continue;
       const double n = static_cast<double>(ids.size());
       double a = 0.0;
-      for (const std::size_t e : ids) a += x_relaxed[e] + u[e];
+      for (const std::size_t e : ids) a += x_cur[e] + u[e];
       const double S =
           solve_aggregate_1d(cloud_weight[i], prev_totals[i], options.eps,
                              rho_pen / n, a, cloud_cap[i]);
       const double shift = (S - a) / n;
       for (const std::size_t e : ids)
-        consensus[e] = x_relaxed[e] + u[e] + shift;
+        consensus[e] = x_cur[e] + u[e] + shift;
     }
   }
 
@@ -609,15 +559,14 @@ struct P2DecomposedSolver::Impl {
   // Consensus ADMM main loop.
   bool solve_admm(DecomposedResult& out, std::string& detail) {
     const DecompositionOptions& dec = options.decomposition;
-    const double alpha = std::clamp(dec.relaxation, 1.0, 1.8);
     const double sqrt_e = std::sqrt(static_cast<double>(E));
 
     // Curvature-matched penalty: the coupling the consensus step carries is
     // the tier-2 entropic, whose per-edge curvature near the previous
     // aggregate is w_i * entropic_hessian(X_i). A rho on that scale keeps
-    // the x-update and the consensus prox equally stiff; starting at
-    // dec.rho = 1 instead costs dozens of factor-2 balancing steps per slot
-    // (and lets a mis-scaled warm start pin the iterates). Geometric mean
+    // the x-update and the consensus prox equally stiff; starting at rho = 1
+    // instead costs dozens of factor-2 balancing steps per slot (and lets a
+    // mis-scaled warm start pin the iterates). Geometric mean
     // across clouds, evaluated no lower than a quarter of capacity so the
     // zero-allocation first slot does not blow the estimate up.
     double log_sum = 0.0;
@@ -632,8 +581,7 @@ struct P2DecomposedSolver::Impl {
       }
     }
     rho_pen =
-        dec.rho *
-        (curv_n > 0 ? std::clamp(std::exp(log_sum / curv_n), 1e-4, 1e6) : 1.0);
+        curv_n > 0 ? std::clamp(std::exp(log_sum / curv_n), 1e-4, 1e6) : 1.0;
 
     double r_norm = 0.0, s_norm = 0.0;
     bool converged = false;
@@ -650,12 +598,13 @@ struct P2DecomposedSolver::Impl {
       if (!run_blocks(detail)) return false;
       gather_x();
 
+      // No over-relaxation: alpha > 1 sped up cold solves slightly but
+      // amplified the slot-to-slot perturbation of the consensus/dual state;
+      // on capacity-tight instances it slammed the aggregates into their
+      // bounds and wiped out the warm start (docs/SOLVERS.md).
       c_prev = consensus;
-      for (std::size_t e = 0; e < E; ++e)
-        x_relaxed[e] = alpha * x_cur[e] + (1.0 - alpha) * consensus[e];
       consensus_update();
-      for (std::size_t e = 0; e < E; ++e)
-        u[e] += x_relaxed[e] - consensus[e];
+      for (std::size_t e = 0; e < E; ++e) u[e] += x_cur[e] - consensus[e];
 
       r_norm = norm2_diff(x_cur, consensus);
       s_norm = rho_pen * norm2_diff(consensus, c_prev);
@@ -670,18 +619,16 @@ struct P2DecomposedSolver::Impl {
         break;
       }
 
-      if (dec.adaptive_rho) {
-        // Residual balancing (Boyd sec. 3.4.1) with a factor-5 trigger —
-        // the canonical factor 10 lets a mis-scaled rho pin near-boundary
-        // iterates for dozens of iterations before firing. The scaled duals
-        // u = y/rho must be rescaled with rho.
-        if (r_norm > 5.0 * s_norm && rho_pen < 1e8) {
-          rho_pen *= 2.0;
-          for (double& v : u) v *= 0.5;
-        } else if (s_norm > 5.0 * r_norm && rho_pen > 1e-8) {
-          rho_pen *= 0.5;
-          for (double& v : u) v *= 2.0;
-        }
+      // Residual balancing (Boyd sec. 3.4.1) with a factor-5 trigger — the
+      // canonical factor 10 lets a mis-scaled rho pin near-boundary iterates
+      // for dozens of iterations before firing. The scaled duals u = y/rho
+      // must be rescaled with rho.
+      if (r_norm > 5.0 * s_norm && rho_pen < 1e8) {
+        rho_pen *= 2.0;
+        for (double& v : u) v *= 0.5;
+      } else if (s_norm > 5.0 * r_norm && rho_pen > 1e-8) {
+        rho_pen *= 0.5;
+        for (double& v : u) v *= 2.0;
       }
     }
 
@@ -694,75 +641,6 @@ struct P2DecomposedSolver::Impl {
                ", s=" + std::to_string(s_norm) + ")";
       return false;
     }
-    return true;
-  }
-
-  // -------------------------------------------------------------------------
-  // Dual-decomposition variant: price the capacity rows with nu_i >= 0,
-  // linearize the tier-2 entropic around the smoothed aggregate estimate
-  // xhat_i, keep the blocks honest with a small proximal term, and take
-  // diminishing projected subgradient steps on nu.
-  bool solve_dual(DecomposedResult& out, std::string& detail) {
-    const DecompositionOptions& dec = options.decomposition;
-    if (!have_state) {
-      std::fill(nu.begin(), nu.end(), 0.0);
-      xhat = prev_totals;
-    }
-    const double beta = std::clamp(dec.dual_smoothing, 0.01, 1.0);
-    bool converged = false;
-    double drift = 0.0, viol = 0.0;
-    std::size_t iter = 0;
-    for (; iter < dec.max_iterations; ++iter) {
-      SORA_TRACE_SPAN("admm/iteration");
-      for (Block& b : blocks) {
-        BlockObjective& L = *b.objective;
-        L.set_penalty(dec.rho);
-        Vec& target = L.mutable_target();
-        Vec& extra = L.mutable_extra();
-        for (std::size_t k = 0; k < b.edges.size(); ++k) {
-          const std::size_t e = b.edges[k];
-          const std::size_t i = inst.edges[e].tier2;
-          target[k] = x_cur[e];
-          extra[k] = nu[i] + cloud_weight[i] * entropic_gradient(
-                                                   xhat[i], prev_totals[i],
-                                                   options.eps);
-        }
-      }
-      if (!run_blocks(detail)) return false;
-      gather_x();
-
-      const double step =
-          dec.dual_step / std::sqrt(static_cast<double>(iter + 1));
-      drift = 0.0;
-      viol = 0.0;
-      for (std::size_t i = 0; i < inst.num_tier2(); ++i) {
-        if (inst.edges_of_tier2[i].empty()) continue;
-        double total = 0.0;
-        for (const std::size_t e : inst.edges_of_tier2[i]) total += x_cur[e];
-        const double v = total - cloud_cap[i];
-        nu[i] = std::max(0.0, nu[i] + step * v);
-        viol = std::max(viol, v / std::max(1.0, cloud_cap[i]));
-        drift = std::max(drift, std::abs(total - xhat[i]) /
-                                    std::max(1.0, std::abs(total)));
-        xhat[i] = (1.0 - beta) * xhat[i] + beta * total;
-      }
-      if (viol <= dec.eps_rel && drift <= dec.eps_rel) {
-        ++iter;
-        converged = true;
-        break;
-      }
-    }
-
-    out.iterations = iter;
-    out.primal_residual = std::max(0.0, viol);
-    out.dual_residual = drift;
-    if (!converged) {
-      detail = "dual decomposition stalled after " + std::to_string(iter) +
-               " iterations (violation=" + std::to_string(viol) +
-               ", drift=" + std::to_string(drift) + ")";
-      return false;
-    }
-    have_state = true;
     return true;
   }
 
@@ -843,10 +721,7 @@ struct P2DecomposedSolver::Impl {
     obs::FlightRecord rec;
     rec.context = "p2_admm";
     rec.slot = t;
-    rec.backend = options.decomposition.method ==
-                          DecompositionOptions::Method::kConsensusAdmm
-                      ? "decomposed_admm"
-                      : "decomposed_dual";
+    rec.backend = "decomposed_admm";
     rec.status = status;
     rec.iterations = out.iterations;
     rec.detail = detail + " (primal " + std::to_string(out.primal_residual) +
@@ -877,7 +752,7 @@ struct P2DecomposedSolver::Impl {
       b.newton_steps = 0;
       b.failed = false;
     }
-    // Fresh consensus/dual state every slot (only the per-block barrier warm
+    // Fresh consensus state every slot (only the per-block barrier warm
     // starts carry over). Carrying the converged (c, u) pair across slots
     // looks like the natural ADMM warm start, but the slot change (demand,
     // prices, entropic centers) perturbs it into a near-stationary
@@ -897,11 +772,7 @@ struct P2DecomposedSolver::Impl {
       }
     }
 
-    const bool ok =
-        options.decomposition.method ==
-                DecompositionOptions::Method::kConsensusAdmm
-            ? solve_admm(out, detail)
-            : solve_dual(out, detail);
+    const bool ok = solve_admm(out, detail);
 
     out.newton_steps = 0;
     for (const Block& b : blocks) out.newton_steps += b.newton_steps;
@@ -914,8 +785,6 @@ struct P2DecomposedSolver::Impl {
     }
     if (!ok) {
       record_stall(t, out, detail, "stall");
-      // Broken trajectory: restart the consensus/dual state next slot.
-      have_state = false;
       return false;
     }
 
@@ -935,7 +804,6 @@ struct P2DecomposedSolver::Impl {
     if (!restore_feasibility(in, x, y, s, z, detail)) {
       if (obs::metrics_enabled()) admm_metrics().stalls->inc();
       record_stall(t, out, detail, "restore_infeasible");
-      have_state = false;
       return false;
     }
 
@@ -969,7 +837,6 @@ struct P2DecomposedSolver::Impl {
   }
 
   void reset_warm_start() {
-    have_state = false;
     for (Block& b : blocks) b.barrier.reset_warm_start();
   }
 };

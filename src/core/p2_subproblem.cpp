@@ -835,9 +835,7 @@ struct P2Workspace::Impl {
     if (options.warm_start && has_last) {
       // Slack is affine, so slack(blend) = (1-a) slack(last) + a
       // slack(anchor): escalating a trades proximity for interior margin.
-      const double pull =
-          std::clamp(options.warm_start_pull, 1e-4, 1.0);
-      for (const double a : {pull, 0.25, 0.5}) {
+      for (const double a : solver::kWarmStartBlends) {
         start.resize(layout.size());
         for (std::size_t k = 0; k < layout.size(); ++k)
           start[k] = (1.0 - a) * last_opt[k] + a * anchor[k];
@@ -1085,7 +1083,7 @@ struct P2Workspace::Impl {
     return true;
   }
 
-  // One decomposed (ADMM / dual) attempt: solve, let the fault hook
+  // One decomposed (ADMM) attempt: solve, let the fault hook
   // interfere, demote non-finite answers, and on success adopt the point
   // into the workspace (true-objective evaluation + monolithic warm-start
   // state) along with the block-recovered multipliers.
@@ -1109,11 +1107,7 @@ struct P2Workspace::Impl {
       fail += fail.empty() ? "non-finite solution" : " [non-finite solution]";
     }
     ++attempt;
-    const SolveBackend backend =
-        options.decomposition.method ==
-                DecompositionOptions::Method::kConsensusAdmm
-            ? SolveBackend::kDecomposedAdmm
-            : SolveBackend::kDecomposedDual;
+    const SolveBackend backend = SolveBackend::kDecomposedAdmm;
     outcome.backend = backend;
     outcome.status = status;
     if (status != solver::SolveStatus::kOptimal) {
@@ -1158,7 +1152,6 @@ struct P2Workspace::Impl {
       objective.begin_slot(in, prev);
     }
 
-    const ResilienceOptions& res = options.resilience;
     SolveOutcome outcome;
     std::size_t attempt = 0;
     solver::IpmResult result;
@@ -1233,7 +1226,7 @@ struct P2Workspace::Impl {
         barrier_attempt(start, ipm, warm ? SolveBackend::kWarmIpm
                                          : SolveBackend::kColdIpm);
 
-    if (!solved && !res.enabled)
+    if (!solved && !options.resilience.enabled)
       SORA_CHECK_MSG(false, "P2 barrier solve failed at t=" +
                                 std::to_string(in.slot) + ": " +
                                 outcome.detail);
@@ -1241,10 +1234,10 @@ struct P2Workspace::Impl {
     if (!solved) {
       SORA_LOG_WARN << "p2: barrier failed at t=" << in.slot << " ("
                     << outcome.detail << "); entering fallback chain";
-      if (res.allow_cold_restart && warm)
+      if (warm)
         solved = barrier_attempt(cold_start_point(), options.ipm,
                                  SolveBackend::kColdIpm);
-      if (!solved && res.allow_tightened) {
+      if (!solved) {
         // Conservative restart: smaller barrier growth, bigger budgets.
         solver::IpmOptions tight = options.ipm;
         tight.mu = 5.0;
@@ -1278,10 +1271,8 @@ struct P2Workspace::Impl {
       has_last = true;
     } else {
       util::ScopedTimer fallback_timer(&barrier_seconds);
-      if (res.allow_lp_fallback)
-        solved = solve_lp_surrogate(in, prev, out, outcome, attempt);
-      if (!solved && res.allow_degradation)
-        solved = hold_and_repair(in, prev, out, outcome, attempt);
+      solved = solve_lp_surrogate(in, prev, out, outcome, attempt) ||
+               hold_and_repair(in, prev, out, outcome, attempt);
     }
 
     outcome.attempts = attempt;
@@ -1289,18 +1280,12 @@ struct P2Workspace::Impl {
     observe_outcome(outcome);
 
     if (!solved) {
-      // Chain exhausted. Hold the previous decision so the caller still has
-      // a trajectory point, and either throw or let the outcome tell.
+      // Chain exhausted: the workspace keeps x_{t-1} as its next warm-start
+      // seed, and the slot fails loudly.
       fill_from_point_held(prev, out);
-      zero_duals(out);
-      out.outcome = outcome;
-      if (res.throw_on_exhaustion)
-        SORA_CHECK_MSG(false, "P2 fallback chain exhausted at t=" +
-                                  std::to_string(in.slot) + ": " +
-                                  outcome.detail);
-      SORA_LOG_ERROR << "p2: fallback chain exhausted at t=" << in.slot
-                     << " (" << outcome.detail
-                     << "); holding previous decision";
+      SORA_CHECK_MSG(false, "P2 fallback chain exhausted at t=" +
+                                std::to_string(in.slot) + ": " +
+                                outcome.detail);
     }
 
     out.timing.build_seconds = build_seconds;

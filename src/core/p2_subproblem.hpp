@@ -52,13 +52,10 @@ struct RoaOptions {
   bool use_sparse = true;
   // Warm-start each P2Workspace solve from the previous slot's optimum,
   // pulled into the strict interior by a convex combination with the
-  // even-split anchor. Ignored by the dense path and by the first solve of
-  // a fresh workspace (those cold-start).
+  // even-split anchor (weights solver::kWarmStartBlends). Ignored by the
+  // dense path and by the first solve of a fresh workspace (those
+  // cold-start).
   bool warm_start = true;
-  // Initial convex-combination weight toward the even-split anchor when
-  // pulling the previous optimum inside; escalated toward 1.0 (a pure cold
-  // start) until the blended point is strictly feasible.
-  double warm_start_pull = 0.05;
 
   // Fallback-chain configuration for the sparse pipeline: a failed barrier
   // solve walks cold restart -> tightened barrier -> simplex/PDHG on the

@@ -19,7 +19,6 @@ const char* to_string(SolveBackend backend) {
     case SolveBackend::kPdhg: return "pdhg";
     case SolveBackend::kHoldRepair: return "hold_repair";
     case SolveBackend::kDecomposedAdmm: return "decomposed_admm";
-    case SolveBackend::kDecomposedDual: return "decomposed_dual";
   }
   return "?";
 }

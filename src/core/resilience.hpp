@@ -4,7 +4,7 @@
 // Every per-slot solve (two-tier P2(t), the n-tier slot subproblem, and the
 // LP repairs) returns through a SolveOutcome that carries the final
 // SolveStatus, the backend that produced the decision, and how many backends
-// were tried. A failed primary solve walks a configurable fallback chain:
+// were tried. A failed primary solve walks a fixed fallback chain:
 //
 //   warm IPM -> cold IPM -> cold IPM with tightened barrier parameters
 //            -> simplex on the linear surrogate -> PDHG on the surrogate
@@ -48,11 +48,10 @@ enum class SolveBackend {
   kHoldRepair,    // graceful degradation: hold x_{t-1} + cheapest repair
   kDecomposedAdmm,  // block-decomposed consensus ADMM over per-SLA-group
                     // barrier solves (core/p2_decomposed)
-  kDecomposedDual,  // dual-decomposition variant behind the same interface
 };
 
 const char* to_string(SolveBackend backend);
-inline constexpr std::size_t kNumBackends = 8;
+inline constexpr std::size_t kNumBackends = 7;
 
 /// How one slot's solve ended: status, producing backend, chain depth.
 struct SolveOutcome {
@@ -68,16 +67,11 @@ struct SolveOutcome {
   bool fell_back() const { return attempts > 1 || degraded; }
 };
 
-/// Chain configuration, carried inside RoaOptions / NTierRoaOptions.
+/// Chain configuration, carried inside RoaOptions / NTierRoaOptions. When
+/// enabled, every stage of the chain runs in turn and an exhausted chain
+/// throws CheckError.
 struct ResilienceOptions {
-  bool enabled = true;            // false restores the fail-fast behaviour
-  bool allow_cold_restart = true;
-  bool allow_tightened = true;
-  bool allow_lp_fallback = true;  // simplex then PDHG on the surrogate
-  bool allow_degradation = true;  // hold x_{t-1} + cheapest feasible push
-  /// When the whole chain is exhausted: throw CheckError (true) or return
-  /// the failed outcome to the caller (false).
-  bool throw_on_exhaustion = true;
+  bool enabled = true;  // false restores the fail-fast behaviour
 };
 
 /// Per-slot health record aggregated into RoaRun (and the n-tier runs).

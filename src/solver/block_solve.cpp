@@ -34,8 +34,7 @@ bool BlockBarrier::prepare(const linalg::Vec& anchor,
   if (options.warm_start && has_last_) {
     // Slack is affine in the blend factor, so pulling toward the interior
     // anchor monotonically recovers margin; escalate until strict.
-    const double pull = std::clamp(options.warm_start_pull, 1e-4, 1.0);
-    for (const double a : {pull, 0.25, 0.5}) {
+    for (const double a : kWarmStartBlends) {
       start_.resize(anchor.size());
       for (std::size_t k = 0; k < anchor.size(); ++k)
         start_[k] = (1.0 - a) * last_opt_[k] + a * anchor[k];
@@ -70,17 +69,6 @@ void BlockBarrier::commit(const IpmResult& result) {
     last_opt_ = result.x;
     has_last_ = true;
   }
-}
-
-IpmResult BlockBarrier::solve(const ConvexObjective& objective,
-                              const linalg::Vec& anchor,
-                              const BlockSolveOptions& options) {
-  IpmOptions ipm;
-  IpmResult failed;
-  if (!prepare(anchor, options, ipm, failed)) return failed;
-  IpmResult result = solve_barrier(objective, g_, h_, start_, ipm, &scratch_);
-  commit(result);
-  return result;
 }
 
 }  // namespace sora::solver

@@ -1,5 +1,4 @@
-// Re-entrant per-block barrier solves for decomposed (ADMM / dual
-// decomposition) pipelines.
+// Per-block barrier state for the decomposed (consensus ADMM) P2.
 //
 // A BlockBarrier bundles everything one block of a decomposed problem needs
 // to solve its subproblem repeatedly — across ADMM iterations within a slot
@@ -7,15 +6,15 @@
 //
 //   * the block's CSR constraint matrix and rhs (structure fixed once, values
 //     patchable between solves);
-//   * an IpmScratch whose SparseNormalCache keeps the symbolic Cholesky
-//     analysis alive for the block's fixed sparsity pattern;
+//   * an IpmScratch that keeps the Newton buffers (and, for a block large
+//     enough for the sparse path, the symbolic Cholesky analysis) alive;
 //   * warm-start state (the previous block optimum) with the same
-//     pull-to-interior blend escalation the monolithic P2 workspace uses.
+//     pull-to-interior blend escalation (kWarmStartBlends) the monolithic P2
+//     workspace uses.
 //
-// solve_barrier itself is re-entrant for distinct IpmScratch instances (its
-// only shared state is atomic metrics), so distinct BlockBarrier objects may
-// run concurrently on a thread pool. One BlockBarrier must not be used from
-// two threads at once.
+// A round of block solves is prepare() per block, one solve_barrier_batch
+// call over all of them, and commit() per block. One BlockBarrier must not
+// be used from two threads at once.
 #pragma once
 
 #include <cstddef>
@@ -28,10 +27,6 @@ namespace sora::solver {
 struct BlockSolveOptions {
   IpmOptions ipm;
   bool warm_start = true;
-  /// Blend factor pulling the previous optimum toward the strictly interior
-  /// anchor (escalated through {pull, 0.25, 0.5} until the blend clears the
-  /// interior margin, matching core/p2_subproblem).
-  double warm_start_pull = 0.05;
 };
 
 class BlockBarrier {
@@ -57,29 +52,19 @@ class BlockBarrier {
   /// min_r (h - G v)_r : positive iff v is strictly interior.
   double min_slack(const linalg::Vec& v);
 
-  /// Solve min f(x) s.t. G x <= h, warm-starting from the previous optimum
-  /// when available (blended toward `anchor` until strictly interior).
-  /// `anchor` must itself be strictly interior; if neither the blend nor the
-  /// anchor clears the margin the result reports kNumericalError without
-  /// invoking the IPM. On success the optimum is retained as the next
-  /// warm-start seed.
-  IpmResult solve(const ConvexObjective& objective, const linalg::Vec& anchor,
-                  const BlockSolveOptions& options);
-
-  /// Stage a solve without invoking the IPM: compute the warm/cold starting
-  /// point (same blend escalation as solve()) and the effective IpmOptions
-  /// (warm t0 boost). Returns false — with `failure` filled exactly the way
-  /// solve() would have reported it — when neither the blended warm start
-  /// nor the anchor is strictly interior. On true, batch callers feed
-  /// start()/scratch() to solve_barrier_batch and finish with commit();
-  /// solve() itself is prepare + solve_barrier + commit.
+  /// Stage a solve of min f(x) s.t. G x <= h: the starting point is the
+  /// previous optimum blended toward `anchor` until strictly interior, else
+  /// `anchor` itself, and `effective` gets the IpmOptions (warm t0 boost).
+  /// Returns false, with `failure` reporting kNumericalError, when neither
+  /// the blend nor the anchor is strictly interior. On true, feed
+  /// start()/scratch() to solve_barrier_batch and finish with commit().
   bool prepare(const linalg::Vec& anchor, const BlockSolveOptions& options,
                IpmOptions& effective, IpmResult& failure);
   /// Starting point staged by the last successful prepare().
   const linalg::Vec& start() const { return start_; }
   /// The block-private scratch (symbolic cache lives here across solves).
   IpmScratch* scratch() { return &scratch_; }
-  /// Retain a batch-run result as the next warm-start seed (solve()'s tail).
+  /// Retain a successful result as the next warm-start seed.
   void commit(const IpmResult& result);
 
   bool has_warm_start() const { return has_last_; }

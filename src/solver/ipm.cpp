@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 
 #include "linalg/batched_cholesky.hpp"
@@ -13,7 +12,6 @@
 #include "obs/obs.hpp"
 #include "solver/lp.hpp"
 #include "util/check.hpp"
-#include "util/logging.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
@@ -83,7 +81,7 @@ struct SparseG {
 
 // Handles resolved once (leaked registry gives stable addresses); the hot
 // loop only touches atomics. Non-template so every instantiation of
-// solve_barrier_impl shares one lookup.
+// BarrierState shares one lookup.
 struct IpmMetrics {
   obs::Histogram* newton_steps;
   obs::Histogram* backtracks;
@@ -150,15 +148,14 @@ std::uint64_t fnv64(std::uint64_t h, std::uint64_t v) {
   return h * 1099511628211ULL;
 }
 
-// Structure pass shared by prepare_sparse_normal and the batch router: fill
-// c.obj_pattern and compute the structure signature over the problem shape,
-// the objective's Hessian pattern, and the constraint pattern (every row).
-// Returns false when the sparse path is structurally unavailable for this
-// problem.
-bool sparse_structure_signature(const ConvexObjective& objective,
-                                const SparseMatrix* g, std::size_t n,
-                                const IpmOptions& options, SparseNormalCache& c,
-                                std::uint64_t& sig_out) {
+// Decide dense vs sparse for this solve, (re)building the symbolic cache
+// when the structure signature changed (a new problem shape; the P2
+// workspaces keep one pattern for their lifetime). The signature covers the
+// problem shape, the objective's Hessian pattern, and the constraint pattern
+// (every row).
+bool prepare_sparse_normal(const ConvexObjective& objective,
+                           const SparseMatrix* g, std::size_t n,
+                           const IpmOptions& options, SparseNormalCache& c) {
   if (g == nullptr || n < options.sparse_min_dim) return false;
   c.obj_pattern.clear();
   if (!objective.hessian_lower_structure(c.obj_pattern)) return false;
@@ -177,22 +174,6 @@ bool sparse_structure_signature(const ConvexObjective& objective,
     for (std::size_t k = offsets[r]; k < offsets[r + 1]; ++k)
       sig = fnv64(sig, cols[k]);
   }
-  sig_out = sig;
-  return true;
-}
-
-// Decide dense vs sparse for this solve, (re)building the symbolic cache
-// when the structure signature changed (a new problem shape; the P2
-// workspaces keep one pattern for their lifetime).
-bool prepare_sparse_normal(const ConvexObjective& objective,
-                           const SparseMatrix* g, std::size_t n,
-                           const IpmOptions& options, SparseNormalCache& c) {
-  std::uint64_t sig = 0;
-  if (!sparse_structure_signature(objective, g, n, options, c, sig))
-    return false;
-
-  const auto& offsets = g->row_offsets();
-  const auto& cols = g->col_indices();
 
   if (c.valid && sig == c.signature) {
     if (c.use_sparse) ipm_metrics().symbolic_reuse->inc();
@@ -272,61 +253,34 @@ void assemble_sparse_normal(const ConvexObjective& objective,
   }
 }
 
+// One barrier solve: its Newton state and the statements of one iteration.
+// solve_barrier drives a single state to the end; solve_barrier_batch drives
+// dense-path states of equal dimension in lockstep and factors their Newton
+// systems together. Either way a state runs the same statements in the same
+// order, so its result does not depend on which of the two runs it.
+//
+// A Newton step is begin_step() (centering bookkeeping and assembly), then
+// factor() and solve() (or the batched kernel, which leaves the step in
+// ws.dx), then finish_step() (decrement test and line search). Closing a
+// centering phase either advances t or finishes the solve.
 template <class G>
-IpmResult solve_barrier_impl(const ConvexObjective& objective, const G& gm,
-                             const Vec& h, const Vec& x0,
-                             const IpmOptions& options, IpmScratch& ws) {
-  const std::size_t n = x0.size();
-  const std::size_t m = gm.rows();
-  SORA_CHECK(gm.cols() == n && h.size() == m);
-
-  // Size the scratch buffers; no-ops when the caller reuses a scratch across
-  // same-shaped solves, which keeps the Newton loop allocation-free.
-  ws.s.resize(m);
-  ws.inv_s.resize(m);
-  ws.hess_w.resize(m);
-  ws.s_try.resize(m);
-  ws.gdx.resize(m);
-  ws.grad.resize(n);
-  ws.dx.resize(n);
-  ws.x_try.resize(n);
-  ws.gt_inv_s.resize(n);
-  // Dense vs sparse normal equations (docs/SOLVERS.md): the sparse branch
-  // skips the n x n dense buffers entirely.
-  const bool use_sparse =
-      prepare_sparse_normal(objective, gm.csr(), n, options, ws.normal);
-  if (!use_sparse) {
-    if (ws.hess.rows() != n || ws.hess.cols() != n)
-      ws.hess = Matrix(n, n, 0.0);
-    if (ws.chol.rows() != n || ws.chol.cols() != n)
-      ws.chol = Matrix(n, n, 0.0);
-  }
-
-  // Slacks s = h - Gx; all must stay strictly positive.
-  const auto slacks_into = [&](const Vec& point, Vec& s) {
-    gm.multiply_into(point, s);
-    for (std::size_t i = 0; i < m; ++i) s[i] = h[i] - s[i];
-  };
-
-  IpmResult result;
-  Vec x = x0;
-  slacks_into(x, ws.s);
-  if (min_slack(ws.s) <= 0.0) {
-    result.status = SolveStatus::kNumericalError;
-    result.detail = "starting point not strictly feasible (min slack " +
-                    std::to_string(min_slack(ws.s)) + ")";
-    result.x = x;
-    return result;
-  }
-
+struct BarrierState {
+  const ConvexObjective& objective;
+  const G gm;
+  const Vec& h;
+  const IpmOptions& options;
+  IpmScratch& ws;
+  const bool obs_on;
+  const std::size_t n;
+  const std::size_t m;
+  bool use_sparse = false;
+  Vec x;
   double t = options.t0;
   std::size_t newton_budget = options.max_newton_steps;
   std::size_t steps_used = 0;
-  // Capture the toggle once per solve: one relaxed load, and the per-step
-  // clock reads vanish entirely when metrics are off.
-  const bool obs_on = obs::metrics_enabled();
   std::size_t backtracks_total = 0;
   std::size_t centerings = 0;
+  std::size_t steps_this_center = 0;
   double factor_seconds = 0.0;
   double solve_seconds = 0.0;
   double assembly_seconds = 0.0;
@@ -337,158 +291,249 @@ IpmResult solve_barrier_impl(const ConvexObjective& objective, const G& gm,
   // otherwise poison the multipliers.
   bool have_center = false;
   double centered_t = 0.0;
+  bool entering_center = true;  // the next step opens a centering phase
+  bool done = false;
+  IpmResult result;
+  std::string error;  // batch only: what the solve threw
 
-  while (true) {
-    // ---- Center for the current t with damped Newton.
-    ++centerings;
-    std::size_t steps_this_center = 0;
-    while (newton_budget > 0 &&
-           steps_this_center < options.max_steps_per_center) {
-      ++steps_this_center;
-      {
-        util::ScopedTimer timer(obs_on ? &assembly_seconds : nullptr);
-        slacks_into(x, ws.s);
-        // Gradient of t f + phi: t grad f + G^T (1/s).
-        objective.gradient_into(x, ws.grad);
-        linalg::scale(ws.grad, t);
-        // Floor the slacks inside the derivative assembly: a slack driven to
-        // ~1e-14 would otherwise produce ~1e28 Hessian entries and destroy
-        // the factorization. The line search still treats the true slacks.
-        for (std::size_t i = 0; i < m; ++i)
-          ws.inv_s[i] = 1.0 / std::max(ws.s[i], options.slack_floor);
-        gm.multiply_transpose_into(ws.inv_s, ws.gt_inv_s);
-        for (std::size_t j = 0; j < n; ++j) ws.grad[j] += ws.gt_inv_s[j];
+  BarrierState(const ConvexObjective& objective_, G gm_, const Vec& h_,
+               const Vec& x0, const IpmOptions& options_, IpmScratch& ws_,
+               bool obs_on_)
+      : objective(objective_), gm(gm_), h(h_), options(options_), ws(ws_),
+        obs_on(obs_on_), n(x0.size()), m(gm_.rows()), x(x0) {
+    SORA_CHECK(gm.cols() == n && h.size() == m);
+    // Size the scratch buffers; no-ops when the caller reuses a scratch
+    // across same-shaped solves, which keeps the Newton loop allocation-free.
+    ws.s.resize(m);
+    ws.inv_s.resize(m);
+    ws.hess_w.resize(m);
+    ws.s_try.resize(m);
+    ws.gdx.resize(m);
+    ws.grad.resize(n);
+    ws.dx.resize(n);
+    ws.x_try.resize(n);
+    ws.gt_inv_s.resize(n);
+    // Dense vs sparse normal equations (docs/SOLVERS.md): the sparse branch
+    // skips the n x n dense buffers entirely.
+    use_sparse =
+        prepare_sparse_normal(objective, gm.csr(), n, options, ws.normal);
+    if (!use_sparse) {
+      if (ws.hess.rows() != n || ws.hess.cols() != n)
+        ws.hess = Matrix(n, n, 0.0);
+      if (ws.chol.rows() != n || ws.chol.cols() != n)
+        ws.chol = Matrix(n, n, 0.0);
+    }
+    slacks_into(x, ws.s);
+    if (min_slack(ws.s) <= 0.0) {
+      result.status = SolveStatus::kNumericalError;
+      result.detail = "starting point not strictly feasible (min slack " +
+                      std::to_string(min_slack(ws.s)) + ")";
+      result.x = x;
+      done = true;
+    }
+  }
 
-        // Hessian: t H_f + G^T diag(1/s^2) G.
-        for (std::size_t i = 0; i < m; ++i)
-          ws.hess_w[i] = ws.inv_s[i] * ws.inv_s[i];
-        if (use_sparse) {
-          assemble_sparse_normal(objective, *gm.csr(), x, t, ws.hess_w,
-                                 ws.normal);
-        } else {
-          objective.hessian_into(x, ws.hess);
-          for (std::size_t r = 0; r < n; ++r) {
-            double* hrow = ws.hess.row_ptr(r);
-            for (std::size_t c = 0; c < n; ++c) hrow[c] *= t;
-          }
-          gm.add_AtDA(ws.hess_w, ws.hess);
-        }
-      }
-      {
-        util::ScopedTimer timer(obs_on ? &factor_seconds : nullptr);
-        if (use_sparse)
-          ws.normal.chol.factor_regularized(ws.normal.normal, 1e-12, 1e16);
-        else
-          linalg::cholesky_factor_regularized_into(ws.hess, ws.chol, 1e-12,
-                                                   1e16);
-      }
-      {
-        util::ScopedTimer timer(obs_on ? &solve_seconds : nullptr);
-        for (std::size_t j = 0; j < n; ++j) ws.dx[j] = -ws.grad[j];
-        if (use_sparse)
-          ws.normal.chol.solve_in_place(ws.dx);
-        else
-          linalg::cholesky_solve_in_place(ws.chol, ws.dx);
-      }
+  // Slacks s = h - Gx; all must stay strictly positive.
+  void slacks_into(const Vec& point, Vec& s) const {
+    gm.multiply_into(point, s);
+    for (std::size_t i = 0; i < m; ++i) s[i] = h[i] - s[i];
+  }
 
-      const double decrement2 = -linalg::dot(ws.grad, ws.dx);  // lambda^2
-      --newton_budget;
-      ++steps_used;
-      if (decrement2 / 2.0 <= options.newton_tol) {
-        ws.centered_x = x;
-        have_center = true;
-        centered_t = t;
-        break;
-      }
+  // Open the next Newton step at x. Returns false, after closing the
+  // centering phase, when the phase's step cap or the total budget is hit;
+  // true once the gradient and Newton matrix are assembled.
+  bool begin_step() {
+    if (entering_center) {
+      ++centerings;
+      steps_this_center = 0;
+      entering_center = false;
+    }
+    if (newton_budget == 0 ||
+        steps_this_center >= options.max_steps_per_center) {
+      end_center();
+      return false;
+    }
+    ++steps_this_center;
+    util::ScopedTimer timer(obs_on ? &assembly_seconds : nullptr);
+    slacks_into(x, ws.s);
+    // Gradient of t f + phi: t grad f + G^T (1/s).
+    objective.gradient_into(x, ws.grad);
+    linalg::scale(ws.grad, t);
+    // Floor the slacks inside the derivative assembly: a slack driven to
+    // ~1e-14 would otherwise produce ~1e28 Hessian entries and destroy the
+    // factorization. The line search still treats the true slacks.
+    for (std::size_t i = 0; i < m; ++i)
+      ws.inv_s[i] = 1.0 / std::max(ws.s[i], options.slack_floor);
+    gm.multiply_transpose_into(ws.inv_s, ws.gt_inv_s);
+    for (std::size_t j = 0; j < n; ++j) ws.grad[j] += ws.gt_inv_s[j];
 
-      // ---- Backtracking line search on t f + phi, keeping s > 0.
-      bool moved = false;
-      {
-        util::ScopedTimer timer(obs_on ? &line_search_seconds : nullptr);
-        // First shrink until strictly feasible.
-        double step = 1.0;
-        gm.multiply_into(ws.dx, ws.gdx);
-        for (std::size_t i = 0; i < m; ++i) {
-          if (ws.gdx[i] > 0.0) {
-            const double limit = ws.s[i] / ws.gdx[i];
-            if (0.99 * limit < step) step = 0.99 * limit;
-          }
-        }
-        const double f0 = t * objective.value(x) + barrier_value(ws.s);
-        const double slope = linalg::dot(ws.grad, ws.dx);  // negative
-        for (int ls = 0; ls < 60; ++ls) {
-          ws.x_try = x;
-          linalg::axpy(step, ws.dx, ws.x_try);
-          slacks_into(ws.x_try, ws.s_try);
-          if (min_slack(ws.s_try) > 0.0) {
-            const double f_try =
-                t * objective.value(ws.x_try) + barrier_value(ws.s_try);
-            if (f_try <= f0 + options.line_search_alpha * step * slope) {
-              x.swap(ws.x_try);
-              moved = true;
-              break;
-            }
-          }
-          step *= options.line_search_beta;
-          ++backtracks_total;
-        }
+    // Hessian: t H_f + G^T diag(1/s^2) G.
+    for (std::size_t i = 0; i < m; ++i)
+      ws.hess_w[i] = ws.inv_s[i] * ws.inv_s[i];
+    if (use_sparse) {
+      assemble_sparse_normal(objective, *gm.csr(), x, t, ws.hess_w, ws.normal);
+    } else {
+      objective.hessian_into(x, ws.hess);
+      for (std::size_t r = 0; r < n; ++r) {
+        double* hrow = ws.hess.row_ptr(r);
+        for (std::size_t c = 0; c < n; ++c) hrow[c] *= t;
       }
-      if (!moved) {
-        // Stuck: gradient/Hessian inconsistency at this scale. Treat the
-        // current point as centered; the outer loop decides if the gap is
-        // acceptable.
-        break;
-      }
+      gm.add_AtDA(ws.hess_w, ws.hess);
+    }
+    return true;
+  }
+
+  // Regularized factor of the assembled Newton matrix: plain first, then
+  // growing diagonal shifts.
+  void factor() {
+    util::ScopedTimer timer(obs_on ? &factor_seconds : nullptr);
+    if (use_sparse)
+      ws.normal.chol.factor_regularized(ws.normal.normal, 1e-12, 1e16);
+    else
+      linalg::cholesky_factor_regularized_into(ws.hess, ws.chol, 1e-12, 1e16);
+  }
+
+  // Newton step dx = -(Newton matrix)^{-1} grad from factor()'s factor.
+  void solve() {
+    util::ScopedTimer timer(obs_on ? &solve_seconds : nullptr);
+    for (std::size_t j = 0; j < n; ++j) ws.dx[j] = -ws.grad[j];
+    if (use_sparse)
+      ws.normal.chol.solve_in_place(ws.dx);
+    else
+      linalg::cholesky_solve_in_place(ws.chol, ws.dx);
+  }
+
+  // Decrement test on ws.dx, then a backtracking line search on t f + phi
+  // that keeps s > 0.
+  void finish_step() {
+    const double decrement2 = -linalg::dot(ws.grad, ws.dx);  // lambda^2
+    --newton_budget;
+    ++steps_used;
+    if (decrement2 / 2.0 <= options.newton_tol) {
+      ws.centered_x = x;
+      have_center = true;
+      centered_t = t;
+      end_center();
+      return;
     }
 
-    if (options.log_progress) {
-      SORA_LOG_DEBUG << "ipm t=" << t << " gap<=" << (m / t)
-                     << " f=" << objective.value(x);
+    bool moved = false;
+    {
+      util::ScopedTimer timer(obs_on ? &line_search_seconds : nullptr);
+      // First shrink until strictly feasible.
+      double step = 1.0;
+      gm.multiply_into(ws.dx, ws.gdx);
+      for (std::size_t i = 0; i < m; ++i) {
+        if (ws.gdx[i] > 0.0) {
+          const double limit = ws.s[i] / ws.gdx[i];
+          if (0.99 * limit < step) step = 0.99 * limit;
+        }
+      }
+      const double f0 = t * objective.value(x) + barrier_value(ws.s);
+      const double slope = linalg::dot(ws.grad, ws.dx);  // negative
+      for (int ls = 0; ls < 60; ++ls) {
+        ws.x_try = x;
+        linalg::axpy(step, ws.dx, ws.x_try);
+        slacks_into(ws.x_try, ws.s_try);
+        if (min_slack(ws.s_try) > 0.0) {
+          const double f_try =
+              t * objective.value(ws.x_try) + barrier_value(ws.s_try);
+          if (f_try <= f0 + options.line_search_alpha * step * slope) {
+            x.swap(ws.x_try);
+            moved = true;
+            break;
+          }
+        }
+        step *= options.line_search_beta;
+        ++backtracks_total;
+      }
     }
+    // Stuck: gradient/Hessian inconsistency at this scale. Treat the
+    // current point as centered; end_center decides if the gap is
+    // acceptable.
+    if (!moved) end_center();
+  }
 
-    if (static_cast<double>(m) / t < options.tol) {
+  // Close a centering phase: stop at the target gap or an exhausted
+  // budget, else grow t.
+  void end_center() {
+    const double gap = static_cast<double>(m) / t;
+    if (gap < options.tol) {
       result.status = SolveStatus::kOptimal;
-      break;
+      finish();
+      return;
     }
     if (newton_budget == 0) {
-      const double gap = static_cast<double>(m) / t;
       result.status = gap < options.acceptable_gap
                           ? SolveStatus::kOptimal
                           : SolveStatus::kIterationLimit;
       result.detail = "newton budget exhausted at gap " + std::to_string(gap);
-      break;
+      finish();
+      return;
     }
     t *= options.mu;
+    entering_center = true;
   }
 
-  if (obs_on) {
-    const IpmMetrics& metrics = ipm_metrics();
-    metrics.newton_steps->observe(static_cast<double>(steps_used));
-    metrics.backtracks->observe(static_cast<double>(backtracks_total));
-    metrics.centerings->observe(static_cast<double>(centerings));
-    metrics.cholesky_seconds->observe(factor_seconds + solve_seconds);
-    metrics.factor_seconds->observe(factor_seconds);
-    metrics.solve_seconds->observe(solve_seconds);
-    metrics.assembly_seconds->observe(assembly_seconds);
-    metrics.line_search_seconds->observe(line_search_seconds);
-    metrics.final_gap->observe(static_cast<double>(m) / t);
+  void finish() {
+    if (obs_on) {
+      const IpmMetrics& metrics = ipm_metrics();
+      metrics.newton_steps->observe(static_cast<double>(steps_used));
+      metrics.backtracks->observe(static_cast<double>(backtracks_total));
+      metrics.centerings->observe(static_cast<double>(centerings));
+      metrics.cholesky_seconds->observe(factor_seconds + solve_seconds);
+      metrics.factor_seconds->observe(factor_seconds);
+      metrics.solve_seconds->observe(solve_seconds);
+      metrics.assembly_seconds->observe(assembly_seconds);
+      metrics.line_search_seconds->observe(line_search_seconds);
+      metrics.final_gap->observe(static_cast<double>(m) / t);
+    }
+    result.x = x;
+    result.objective = objective.value(x);
+    result.newton_steps = steps_used;
+    // Multipliers from the last certified center (fall back to the final
+    // point when no centering ever converged). The slack floor here matches
+    // the derivative assembly so near-active rows report consistent
+    // multipliers to the certificate machinery.
+    const Vec& dual_point = have_center ? ws.centered_x : x;
+    const double dual_t = have_center ? centered_t : t;
+    slacks_into(dual_point, ws.s);
+    result.ineq_dual.assign(m, 0.0);
+    for (std::size_t i = 0; i < m; ++i)
+      result.ineq_dual[i] =
+          1.0 / (dual_t * std::max(ws.s[i], options.slack_floor));
+    done = true;
   }
 
-  result.x = x;
-  result.objective = objective.value(x);
-  result.newton_steps = steps_used;
-  // Multipliers from the last certified center (fall back to the final
-  // point when no centering ever converged). The slack floor here matches
-  // the derivative assembly so near-active rows report consistent
-  // multipliers to the certificate machinery.
-  const Vec& dual_point = have_center ? ws.centered_x : x;
-  const double dual_t = have_center ? centered_t : t;
-  slacks_into(dual_point, ws.s);
-  result.ineq_dual.assign(m, 0.0);
-  for (std::size_t i = 0; i < m; ++i)
-    result.ineq_dual[i] =
-        1.0 / (dual_t * std::max(ws.s[i], options.slack_floor));
-  return result;
+  // What a caller's try/catch around a serial solve would record.
+  void fail(const std::exception& e) {
+    error = e.what();
+    result.status = SolveStatus::kNumericalError;
+    result.detail = error;
+    done = true;
+  }
+
+  // Serial execution: one Newton step after another until done.
+  void run() {
+    while (!done) {
+      if (!begin_step()) continue;
+      factor();
+      solve();
+      finish_step();
+    }
+  }
+};
+
+template <class G>
+IpmResult solve_serial(const ConvexObjective& objective, G gm, const Vec& h,
+                       const Vec& x0, const IpmOptions& options,
+                       IpmScratch* scratch) {
+  IpmScratch local;
+  BarrierState<G> state(objective, gm, h, x0, options,
+                        scratch != nullptr ? *scratch : local,
+                        obs::metrics_enabled());
+  state.run();
+  return std::move(state.result);
 }
 
 // ---------------------------------------------------------------------------
@@ -496,11 +541,12 @@ IpmResult solve_barrier_impl(const ConvexObjective& objective, const G& gm,
 // dense Newton factor+solve vectorized across same-dimension instances.
 // ---------------------------------------------------------------------------
 
+using BatchState = BarrierState<SparseG>;
+
 struct BatchMetrics {
   obs::Counter* solves;
   obs::Counter* lockstep_instances;
   obs::Counter* factor_fallbacks;
-  obs::Counter* symbolic_adopted;
   obs::Histogram* lockstep_width;
 };
 
@@ -515,9 +561,6 @@ const BatchMetrics& batch_metrics() {
         &reg.counter("sora_batch_factor_fallbacks_total",
                      "Lockstep factors escalated to the serial regularized "
                      "path (non-positive pivot or non-finite input)"),
-        &reg.counter("sora_batch_symbolic_adopted_total",
-                     "Sparse symbolic caches adopted from a same-signature "
-                     "donor instead of re-analysed"),
         &reg.histogram("sora_batch_lockstep_width", "instances",
                        "Active lanes per batched Newton factor round",
                        obs::exponential_buckets(1.0, 2.0, 10)),
@@ -526,230 +569,43 @@ const BatchMetrics& batch_metrics() {
   return metrics;
 }
 
-// One instance inside a dense lockstep group. The scalar fields mirror the
-// locals of solve_barrier_impl one for one; the state machine below replays
-// that function's exact statement order per lane, with only the Newton
-// factor+solve hoisted into the batched kernel.
-struct DenseLane {
-  BarrierBatchItem* item = nullptr;
-  IpmScratch* ws = nullptr;
-  Vec x;
-  std::size_t m = 0;
-  double t = 0.0;
-  std::size_t newton_budget = 0;
-  std::size_t steps_used = 0;
-  std::size_t backtracks_total = 0;
-  std::size_t centerings = 0;
-  std::size_t steps_this_center = 0;
-  double factor_seconds = 0.0;
-  double solve_seconds = 0.0;
-  double assembly_seconds = 0.0;
-  double line_search_seconds = 0.0;
-  bool have_center = false;
-  double centered_t = 0.0;
-  bool entering_center = true;  // next step opens a new centering phase
-  bool stepping = false;        // a Newton system was assembled this round
-  bool lane_serial = false;     // this step's factor took the serial path
-  bool done = false;
-};
-
-// Run one group of dense-path instances of common dimension n in lockstep.
-// Per-lane results are bitwise identical to serial solve_barrier: assembly,
-// line search, and the t-schedule are the serial statements per lane, and
-// the batched factor/solve mirrors the serial kernel bit for bit (lanes
-// whose plain factor fails re-run the serial regularized factor, which
-// itself retries shift 0 first — exactly the sequential semantics).
-void run_dense_lockstep(BarrierBatchItem** items, IpmScratch** scratches,
-                        std::size_t count, std::size_t n, bool obs_on) {
+// Lockstep execution: dense-path states of common dimension n advance one
+// Newton step per round. Every live state assembles its system, the batched
+// kernel factors and solves them all, then every state finishes its step. A
+// lane whose plain factor fails, or whose matrix is non-finite, takes its
+// own factor() for that round; that retries shift 0 first, exactly as the
+// serial run() does, so every lane's bits equal a serial solve.
+void run_lockstep(BatchState* const* lanes, std::size_t count, std::size_t n,
+                  bool obs_on) {
   linalg::BatchedDenseCholesky kernel;
   kernel.configure(n, count);
-  std::vector<DenseLane> lanes(count);
-
-  const auto slacks_into = [](const SparseMatrix& g, const Vec& h,
-                              const Vec& point, Vec& s) {
-    g.multiply_into(point, s);
-    for (std::size_t i = 0; i < s.size(); ++i) s[i] = h[i] - s[i];
-  };
-
-  const auto lane_fail = [](DenseLane& lane, const std::exception& e) {
-    lane.item->error = e.what();
-    lane.item->result.status = SolveStatus::kNumericalError;
-    lane.item->result.detail = e.what();
-    lane.done = true;
-  };
-
-  // Mirror of the serial epilogue: metrics, result fill, dual recovery from
-  // the last certified center.
-  const auto lane_finish = [&](DenseLane& lane) {
-    IpmScratch& ws = *lane.ws;
-    BarrierBatchItem& it = *lane.item;
-    if (obs_on) {
-      const IpmMetrics& metrics = ipm_metrics();
-      metrics.newton_steps->observe(static_cast<double>(lane.steps_used));
-      metrics.backtracks->observe(static_cast<double>(lane.backtracks_total));
-      metrics.centerings->observe(static_cast<double>(lane.centerings));
-      metrics.cholesky_seconds->observe(lane.factor_seconds +
-                                        lane.solve_seconds);
-      metrics.factor_seconds->observe(lane.factor_seconds);
-      metrics.solve_seconds->observe(lane.solve_seconds);
-      metrics.assembly_seconds->observe(lane.assembly_seconds);
-      metrics.line_search_seconds->observe(lane.line_search_seconds);
-      metrics.final_gap->observe(static_cast<double>(lane.m) / lane.t);
-    }
-    it.result.x = lane.x;
-    it.result.objective = it.objective->value(lane.x);
-    it.result.newton_steps = lane.steps_used;
-    const Vec& dual_point = lane.have_center ? ws.centered_x : lane.x;
-    const double dual_t = lane.have_center ? lane.centered_t : lane.t;
-    slacks_into(*it.g, *it.h, dual_point, ws.s);
-    it.result.ineq_dual.assign(lane.m, 0.0);
-    for (std::size_t i = 0; i < lane.m; ++i)
-      it.result.ineq_dual[i] =
-          1.0 / (dual_t * std::max(ws.s[i], it.options.slack_floor));
-    lane.done = true;
-  };
-
-  // Mirror of the serial code between the inner Newton loop's exit and the
-  // next `t *= mu`: progress log, stop checks, barrier advance.
-  const auto lane_end_center = [&](DenseLane& lane) {
-    BarrierBatchItem& it = *lane.item;
-    const IpmOptions& o = it.options;
-    if (o.log_progress) {
-      SORA_LOG_DEBUG << "ipm t=" << lane.t
-                     << " gap<=" << (static_cast<double>(lane.m) / lane.t)
-                     << " f=" << it.objective->value(lane.x);
-    }
-    if (static_cast<double>(lane.m) / lane.t < o.tol) {
-      it.result.status = SolveStatus::kOptimal;
-      lane_finish(lane);
-      return;
-    }
-    if (lane.newton_budget == 0) {
-      const double gap = static_cast<double>(lane.m) / lane.t;
-      it.result.status = gap < o.acceptable_gap ? SolveStatus::kOptimal
-                                                : SolveStatus::kIterationLimit;
-      it.result.detail =
-          "newton budget exhausted at gap " + std::to_string(gap);
-      lane_finish(lane);
-      return;
-    }
-    lane.t *= o.mu;
-    lane.entering_center = true;
-  };
-
-  // ---- Lane init: the serial preamble per instance.
-  for (std::size_t b = 0; b < count; ++b) {
-    DenseLane& lane = lanes[b];
-    lane.item = items[b];
-    lane.ws = scratches[b];
-    BarrierBatchItem& it = *lane.item;
-    IpmScratch& ws = *lane.ws;
-    try {
-      const std::size_t m = it.g->rows();
-      SORA_CHECK(it.g->cols() == n && it.h->size() == m);
-      lane.m = m;
-      ws.s.resize(m);
-      ws.inv_s.resize(m);
-      ws.hess_w.resize(m);
-      ws.s_try.resize(m);
-      ws.gdx.resize(m);
-      ws.grad.resize(n);
-      ws.dx.resize(n);
-      ws.x_try.resize(n);
-      ws.gt_inv_s.resize(n);
-      if (ws.hess.rows() != n || ws.hess.cols() != n)
-        ws.hess = Matrix(n, n, 0.0);
-      if (ws.chol.rows() != n || ws.chol.cols() != n)
-        ws.chol = Matrix(n, n, 0.0);
-      lane.x = *it.x0;
-      slacks_into(*it.g, *it.h, lane.x, ws.s);
-      if (min_slack(ws.s) <= 0.0) {
-        it.result.status = SolveStatus::kNumericalError;
-        it.result.detail = "starting point not strictly feasible (min slack " +
-                           std::to_string(min_slack(ws.s)) + ")";
-        it.result.x = lane.x;
-        lane.done = true;
-        continue;
-      }
-      lane.t = it.options.t0;
-      lane.newton_budget = it.options.max_newton_steps;
-    } catch (const std::exception& e) {
-      lane_fail(lane, e);
-    }
-  }
-
-  std::vector<char> active(count, 0);
-  while (true) {
-    bool any_live = false;
-    for (const DenseLane& lane : lanes) any_live |= !lane.done;
-    if (!any_live) break;
-
-    // ---- Phase A: per-lane Newton-system assembly (serial statements).
-    std::fill(active.begin(), active.end(), 0);
+  std::vector<char> stepping(count), active(count), serial(count);
+  const auto live = [](const BatchState* s) { return !s->done; };
+  while (std::any_of(lanes, lanes + count, live)) {
     for (std::size_t b = 0; b < count; ++b) {
-      DenseLane& lane = lanes[b];
-      if (lane.done) continue;
-      BarrierBatchItem& it = *lane.item;
-      const IpmOptions& o = it.options;
-      IpmScratch& ws = *lane.ws;
-      lane.stepping = false;
-      lane.lane_serial = false;
-      if (lane.entering_center) {
-        ++lane.centerings;
-        lane.steps_this_center = 0;
-        lane.entering_center = false;
-      }
-      if (!(lane.newton_budget > 0 &&
-            lane.steps_this_center < o.max_steps_per_center)) {
-        lane_end_center(lane);
-        continue;
-      }
-      ++lane.steps_this_center;
+      BatchState& s = *lanes[b];
+      stepping[b] = active[b] = serial[b] = 0;
+      if (s.done) continue;
       try {
-        {
-          util::ScopedTimer timer(obs_on ? &lane.assembly_seconds : nullptr);
-          slacks_into(*it.g, *it.h, lane.x, ws.s);
-          it.objective->gradient_into(lane.x, ws.grad);
-          linalg::scale(ws.grad, lane.t);
-          for (std::size_t i = 0; i < lane.m; ++i)
-            ws.inv_s[i] = 1.0 / std::max(ws.s[i], o.slack_floor);
-          it.g->multiply_transpose_into(ws.inv_s, ws.gt_inv_s);
-          for (std::size_t j = 0; j < n; ++j) ws.grad[j] += ws.gt_inv_s[j];
-          for (std::size_t i = 0; i < lane.m; ++i)
-            ws.hess_w[i] = ws.inv_s[i] * ws.inv_s[i];
-          it.objective->hessian_into(lane.x, ws.hess);
-          for (std::size_t r = 0; r < n; ++r) {
-            double* hrow = ws.hess.row_ptr(r);
-            for (std::size_t c = 0; c < n; ++c) hrow[c] *= lane.t;
-          }
-          it.g->add_AtDA(ws.hess_w, ws.hess);
-        }
-        lane.stepping = true;
-        bool finite = true;
-        for (const double v : ws.hess.data())
-          if (!std::isfinite(v)) {
-            finite = false;
-            break;
-          }
-        if (!finite) {
-          // The serial regularized factor raises the identical CheckError for
-          // non-finite input; route through it so the failure text matches.
-          util::ScopedTimer timer(obs_on ? &lane.factor_seconds : nullptr);
-          linalg::cholesky_factor_regularized_into(ws.hess, ws.chol, 1e-12,
-                                                   1e16);
-          lane.lane_serial = true;
-        } else {
-          kernel.pack(b, ws.hess);
+        if (!s.begin_step()) continue;
+        stepping[b] = 1;
+        const auto& a = s.ws.hess.data();
+        if (std::all_of(a.begin(), a.end(),
+                        [](double v) { return std::isfinite(v); })) {
+          kernel.pack(b, s.ws.hess);
           active[b] = 1;
+        } else {
+          // Raises the serial path's non-finite-input error.
+          s.factor();
+          serial[b] = 1;
         }
       } catch (const std::exception& e) {
-        lane_fail(lane, e);
+        s.fail(e);
       }
     }
 
-    // ---- Batched factor across the active lanes.
-    std::size_t width = 0;
-    for (const char a : active) width += a != 0 ? 1 : 0;
+    const auto width = static_cast<std::size_t>(
+        std::count(active.begin(), active.end(), 1));
     if (width > 0) {
       double secs = 0.0;
       {
@@ -758,34 +614,28 @@ void run_dense_lockstep(BarrierBatchItem** items, IpmScratch** scratches,
       }
       if (obs_on) {
         batch_metrics().lockstep_width->observe(static_cast<double>(width));
-        const double share = secs / static_cast<double>(width);
         for (std::size_t b = 0; b < count; ++b)
-          if (active[b] != 0) lanes[b].factor_seconds += share;
+          if (active[b] != 0)
+            lanes[b]->factor_seconds += secs / static_cast<double>(width);
       }
     }
 
-    // ---- Escalations + rhs staging for the batched triangular solve.
     std::size_t solve_width = 0;
     for (std::size_t b = 0; b < count; ++b) {
-      DenseLane& lane = lanes[b];
-      if (lane.done || !lane.stepping || active[b] == 0) continue;
-      IpmScratch& ws = *lane.ws;
+      if (active[b] == 0) continue;
+      BatchState& s = *lanes[b];
       if (kernel.ok(b)) {
-        for (std::size_t j = 0; j < n; ++j) ws.dx[j] = -ws.grad[j];
-        kernel.set_rhs(b, ws.dx);
+        for (std::size_t j = 0; j < n; ++j) s.ws.dx[j] = -s.ws.grad[j];
+        kernel.set_rhs(b, s.ws.dx);
         ++solve_width;
-      } else {
-        // Plain factor failed for this lane: the serial regularized factor
-        // replays the identical retry-then-escalate sequence (shift 0 first).
-        if (obs_on) batch_metrics().factor_fallbacks->inc();
-        try {
-          util::ScopedTimer timer(obs_on ? &lane.factor_seconds : nullptr);
-          linalg::cholesky_factor_regularized_into(ws.hess, ws.chol, 1e-12,
-                                                   1e16);
-          lane.lane_serial = true;
-        } catch (const std::exception& e) {
-          lane_fail(lane, e);
-        }
+        continue;
+      }
+      if (obs_on) batch_metrics().factor_fallbacks->inc();
+      try {
+        s.factor();
+        serial[b] = 1;
+      } catch (const std::exception& e) {
+        s.fail(e);
       }
     }
     if (solve_width > 0) {
@@ -794,79 +644,23 @@ void run_dense_lockstep(BarrierBatchItem** items, IpmScratch** scratches,
         util::ScopedTimer timer(obs_on ? &secs : nullptr);
         kernel.solve();
       }
-      if (obs_on) {
-        const double share = secs / static_cast<double>(solve_width);
+      if (obs_on)
         for (std::size_t b = 0; b < count; ++b)
-          if (active[b] != 0 && !lanes[b].done && !lanes[b].lane_serial)
-            lanes[b].solve_seconds += share;
-      }
+          if (active[b] != 0 && !lanes[b]->done && serial[b] == 0)
+            lanes[b]->solve_seconds += secs / static_cast<double>(solve_width);
     }
 
-    // ---- Phase B: decrement test, line search, and transitions per lane.
     for (std::size_t b = 0; b < count; ++b) {
-      DenseLane& lane = lanes[b];
-      if (lane.done || !lane.stepping) continue;
-      BarrierBatchItem& it = *lane.item;
-      const IpmOptions& o = it.options;
-      IpmScratch& ws = *lane.ws;
+      BatchState& s = *lanes[b];
+      if (s.done || stepping[b] == 0) continue;
       try {
-        if (lane.lane_serial) {
-          util::ScopedTimer timer(obs_on ? &lane.solve_seconds : nullptr);
-          for (std::size_t j = 0; j < n; ++j) ws.dx[j] = -ws.grad[j];
-          linalg::cholesky_solve_in_place(ws.chol, ws.dx);
-        } else {
-          kernel.get_rhs(b, ws.dx);
-        }
-
-        const double decrement2 = -linalg::dot(ws.grad, ws.dx);
-        --lane.newton_budget;
-        ++lane.steps_used;
-        if (decrement2 / 2.0 <= o.newton_tol) {
-          ws.centered_x = lane.x;
-          lane.have_center = true;
-          lane.centered_t = lane.t;
-          lane_end_center(lane);
-          continue;
-        }
-
-        bool moved = false;
-        {
-          util::ScopedTimer timer(obs_on ? &lane.line_search_seconds
-                                         : nullptr);
-          double step = 1.0;
-          it.g->multiply_into(ws.dx, ws.gdx);
-          for (std::size_t i = 0; i < lane.m; ++i) {
-            if (ws.gdx[i] > 0.0) {
-              const double limit = ws.s[i] / ws.gdx[i];
-              if (0.99 * limit < step) step = 0.99 * limit;
-            }
-          }
-          const double f0 =
-              lane.t * it.objective->value(lane.x) + barrier_value(ws.s);
-          const double slope = linalg::dot(ws.grad, ws.dx);
-          for (int ls = 0; ls < 60; ++ls) {
-            ws.x_try = lane.x;
-            linalg::axpy(step, ws.dx, ws.x_try);
-            slacks_into(*it.g, *it.h, ws.x_try, ws.s_try);
-            if (min_slack(ws.s_try) > 0.0) {
-              const double f_try = lane.t * it.objective->value(ws.x_try) +
-                                   barrier_value(ws.s_try);
-              if (f_try <= f0 + o.line_search_alpha * step * slope) {
-                lane.x.swap(ws.x_try);
-                moved = true;
-                break;
-              }
-            }
-            step *= o.line_search_beta;
-            ++lane.backtracks_total;
-          }
-        }
-        if (!moved) {
-          lane_end_center(lane);
-          continue;
-        }
+        if (serial[b] != 0)
+          s.solve();
+        else
+          kernel.get_rhs(b, s.ws.dx);
+        s.finish_step();
       } catch (const std::exception& e) {
-        lane_fail(lane, e);
+        s.fail(e);
       }
     }
   }
@@ -877,17 +671,13 @@ void run_dense_lockstep(BarrierBatchItem** items, IpmScratch** scratches,
 IpmResult solve_barrier(const ConvexObjective& objective, const Matrix& g,
                         const Vec& h, const Vec& x0, const IpmOptions& options,
                         IpmScratch* scratch) {
-  IpmScratch local;
-  return solve_barrier_impl(objective, DenseG{g}, h, x0, options,
-                            scratch != nullptr ? *scratch : local);
+  return solve_serial(objective, DenseG{g}, h, x0, options, scratch);
 }
 
 IpmResult solve_barrier(const ConvexObjective& objective,
                         const SparseMatrix& g, const Vec& h, const Vec& x0,
                         const IpmOptions& options, IpmScratch* scratch) {
-  IpmScratch local;
-  return solve_barrier_impl(objective, SparseG{g}, h, x0, options,
-                            scratch != nullptr ? *scratch : local);
+  return solve_serial(objective, SparseG{g}, h, x0, options, scratch);
 }
 
 void solve_barrier_batch(BarrierBatchItem* items, std::size_t count) {
@@ -895,25 +685,13 @@ void solve_barrier_batch(BarrierBatchItem* items, std::size_t count) {
   const bool obs_on = obs::metrics_enabled();
   if (obs_on) batch_metrics().solves->inc(count);
 
-  // Materialize a scratch per instance (owned when the caller passed none) so
-  // the router can probe the sparse-structure signature in place.
+  // Set up every instance's state (which settles its dense/sparse route and
+  // primes its symbolic cache), on a private scratch when the caller passed
+  // none; dense-path states group by dimension for lockstep.
   std::vector<std::unique_ptr<IpmScratch>> owned;
-  std::vector<IpmScratch*> ws(count, nullptr);
-  for (std::size_t i = 0; i < count; ++i) {
-    if (items[i].scratch != nullptr) {
-      ws[i] = items[i].scratch;
-    } else {
-      owned.push_back(std::make_unique<IpmScratch>());
-      ws[i] = owned.back().get();
-    }
-  }
-
-  // Route every instance. Sparse-path instances share one symbolic analysis
-  // per structure signature (the donor's cache is copied — analysis is
-  // structure-pure); dense-path instances group by dimension for lockstep.
-  std::vector<std::size_t> sparse_items;
-  std::unordered_map<std::uint64_t, std::size_t> donor_of;
-  std::map<std::size_t, std::vector<std::size_t>> dense_by_n;
+  std::vector<std::unique_ptr<BatchState>> states(count);
+  std::vector<BatchState*> sparse;
+  std::map<std::size_t, std::vector<BatchState*>> dense_by_n;
   for (std::size_t i = 0; i < count; ++i) {
     BarrierBatchItem& it = items[i];
     it.error.clear();
@@ -924,84 +702,62 @@ void solve_barrier_batch(BarrierBatchItem* items, std::size_t count) {
       it.result.detail = it.error;
       continue;
     }
-    const std::size_t n = it.x0->size();
-    bool use_sparse = false;
+    IpmScratch* ws = it.scratch;
+    if (ws == nullptr) {
+      owned.push_back(std::make_unique<IpmScratch>());
+      ws = owned.back().get();
+    }
     try {
-      std::uint64_t sig = 0;
-      SparseNormalCache& c = ws[i]->normal;
-      if (sparse_structure_signature(*it.objective, it.g, n, it.options, c,
-                                     sig)) {
-        if (c.valid && sig == c.signature) {
-          use_sparse = c.use_sparse;
-        } else if (const auto donor = donor_of.find(sig);
-                   donor != donor_of.end()) {
-          c = ws[donor->second]->normal;
-          if (obs_on) batch_metrics().symbolic_adopted->inc();
-          use_sparse = c.use_sparse;
-        } else {
-          use_sparse =
-              prepare_sparse_normal(*it.objective, it.g, n, it.options, c);
-          if (c.valid) donor_of.emplace(sig, i);
-        }
-      }
+      states[i] = std::make_unique<BatchState>(*it.objective, SparseG{*it.g},
+                                               *it.h, *it.x0, it.options, *ws,
+                                               obs_on);
     } catch (const std::exception& e) {
       it.error = e.what();
       it.result.detail = it.error;
       continue;
     }
-    if (use_sparse)
-      sparse_items.push_back(i);
+    BatchState* s = states[i].get();
+    if (s->use_sparse)
+      sparse.push_back(s);
     else
-      dense_by_n[n].push_back(i);
+      dense_by_n[s->n].push_back(s);
   }
 
-  // One task per sparse instance (the serial solver reuses the primed cache)
-  // plus one per dense lockstep chunk; everything fans out over the shared
-  // pool. Chunking bounds the SoA arena and gives the pool units to balance;
-  // per-instance results are bitwise independent of the chunking.
+  // One task per sparse instance (run serially) plus one per dense
+  // lockstep chunk; everything fans out over the shared pool. Chunking
+  // bounds the SoA arena and gives the pool units to balance; per-instance
+  // results are bitwise independent of the chunking.
   constexpr std::size_t kMaxLanes = 64;
   std::vector<std::function<void()>> tasks;
-  for (const std::size_t i : sparse_items) {
-    tasks.push_back([&items, &ws, i] {
-      BarrierBatchItem& it = items[i];
+  for (BatchState* s : sparse) {
+    tasks.push_back([s] {
       try {
-        it.result = solve_barrier(*it.objective, *it.g, *it.h, *it.x0,
-                                  it.options, ws[i]);
+        s->run();
       } catch (const std::exception& e) {
-        it.error = e.what();
-        it.result.status = SolveStatus::kNumericalError;
-        it.result.detail = it.error;
+        s->fail(e);
       }
     });
   }
-  std::vector<std::vector<std::size_t>> chunks;
-  for (auto& [n, idxs] : dense_by_n) {
-    for (std::size_t at = 0; at < idxs.size(); at += kMaxLanes) {
-      const std::size_t len = std::min(kMaxLanes, idxs.size() - at);
-      chunks.emplace_back(idxs.begin() + static_cast<std::ptrdiff_t>(at),
-                          idxs.begin() + static_cast<std::ptrdiff_t>(at + len));
+  for (const auto& [n, group] : dense_by_n) {
+    for (std::size_t at = 0; at < group.size(); at += kMaxLanes) {
+      const std::size_t len = std::min(kMaxLanes, group.size() - at);
+      tasks.push_back([lanes = group.data() + at, len, n, obs_on] {
+        if (obs_on)
+          batch_metrics().lockstep_instances->inc(
+              static_cast<std::uint64_t>(len));
+        run_lockstep(lanes, len, n, obs_on);
+      });
     }
-  }
-  for (const auto& chunk : chunks) {
-    tasks.push_back([&items, &ws, &chunk, obs_on] {
-      std::vector<BarrierBatchItem*> group;
-      std::vector<IpmScratch*> group_ws;
-      group.reserve(chunk.size());
-      group_ws.reserve(chunk.size());
-      for (const std::size_t i : chunk) {
-        group.push_back(&items[i]);
-        group_ws.push_back(ws[i]);
-      }
-      if (obs_on)
-        batch_metrics().lockstep_instances->inc(
-            static_cast<std::uint64_t>(group.size()));
-      run_dense_lockstep(group.data(), group_ws.data(), group.size(),
-                         group.front()->x0->size(), obs_on);
-    });
   }
   util::parallel_for(
       0, tasks.size(), [&tasks](std::size_t k) { tasks[k](); }, 1,
       util::ForSchedule::kGuided);
+
+  for (std::size_t i = 0; i < count; ++i) {
+    if (!states[i]) continue;
+    items[i].result = std::move(states[i]->result);
+    items[i].error = std::move(states[i]->error);
+  }
 }
 
 }  // namespace sora::solver

@@ -24,6 +24,11 @@
 //   * CSR SparseMatrix — fast path; the Newton system G^T diag(w) G is
 //     accumulated row by row over nonzeros only, and an IpmScratch keeps the
 //     inner Newton loop free of heap allocation across repeated solves.
+//
+// ipm.cpp holds one Newton iteration, kept in a per-solve state. Two entry
+// points run it: solve_barrier takes one state to the end, and
+// solve_barrier_batch advances many states in lockstep with only their dense
+// factor+solve batched, so both return the same bits.
 #pragma once
 
 #include <cstdint>
@@ -108,8 +113,14 @@ struct IpmOptions {
   // Tests force the sparse path by dropping sparse_min_dim to 1.
   std::size_t sparse_min_dim = 48;
   double sparse_max_density = 0.45;
-  bool log_progress = false;
 };
+
+/// Warm-start blend weights toward a strictly interior anchor, tried in
+/// order: the previous optimum v is pulled to (1 - a) v + a * anchor until
+/// the blend is strictly interior. Slack is affine in a, so a larger weight
+/// only trades proximity for interior margin. Shared by the P2 workspace
+/// (core/p2_subproblem) and the decomposed blocks (solver/block_solve).
+inline constexpr double kWarmStartBlends[] = {0.05, 0.25, 0.5};
 
 struct IpmResult {
   SolveStatus status = SolveStatus::kNumericalError;
@@ -188,9 +199,8 @@ struct BarrierBatchItem {
 ///     mirrors the serial one; a lane whose plain factor fails drops to the
 ///     serial regularized factor for that step, exactly as the serial path
 ///     escalates;
-///   * sparse-path instances run the serial solver, but instances sharing a
-///     constraint-structure signature perform ONE symbolic analysis and the
-///     rest adopt the donor's cache (analysis is structure-pure);
+///   * sparse-path instances run the serial loop, each on its own scratch
+///     and symbolic cache;
 ///   * instances are distributed over util::ThreadPool::shared(); results do
 ///     not depend on thread count or batch composition.
 void solve_barrier_batch(BarrierBatchItem* items, std::size_t count);

@@ -1,7 +1,7 @@
 // Unit tests for the block-decomposed P2 path (core/p2_decomposed):
-// selection heuristic, forced-ADMM and dual-decomposition agreement with the
-// monolithic sparse pipeline, bitwise serial-vs-pooled determinism, and the
-// demotion paths (stall, injected fault) into the monolithic chain.
+// selection heuristic, forced-ADMM agreement with the monolithic sparse
+// pipeline, bitwise determinism of the block fan-out under any thread count,
+// and the demotion paths (stall, injected fault) into the monolithic chain.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -16,6 +16,7 @@
 #include "testing/generator.hpp"
 #include "testing/invariants.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace sora::core {
 namespace {
@@ -74,11 +75,9 @@ void expect_trajectories_agree(const Instance& inst, const RoaRun& mono,
   }
 }
 
-RoaOptions forced_options(DecompositionOptions::Method method =
-                              DecompositionOptions::Method::kConsensusAdmm) {
+RoaOptions forced_options() {
   RoaOptions opt;
   opt.decomposition.mode = DecompositionOptions::Mode::kForce;
-  opt.decomposition.method = method;
   return opt;
 }
 
@@ -145,117 +144,52 @@ TEST(P2Decomposed, ForcedAdmmWithTier1Term) {
   EXPECT_TRUE(report.ok()) << report.summary();
 }
 
-TEST(P2Decomposed, DualDecompositionMatchesMonolithic) {
-  const Instance inst = make_instance(4, 10, 2, 2, 67);
-  const RoaRun mono = run_roa(inst, RoaOptions{});
-  const RoaRun dec = run_roa(
-      inst, forced_options(DecompositionOptions::Method::kDualDecomposition));
-
-  for (const SlotHealth& h : dec.slot_health) {
-    EXPECT_EQ(h.backend, SolveBackend::kDecomposedDual) << "slot " << h.slot;
-  }
-  // Subgradient steps converge slower than ADMM: looser tolerances.
-  expect_trajectories_agree(inst, mono, dec, 1e-2, 5e-2);
-
-  const auto report =
-      testing::check_trajectory(inst, dec.trajectory, {});
-  EXPECT_TRUE(report.ok()) << report.summary();
-}
-
 // ---------------------------------------------------------------------------
-// Determinism: serial block loop vs pooled fan-out must agree bitwise —
-// blocks only ever write their own slots and all reductions run serially.
+// Determinism: the block fan-out must not change a bit with the thread
+// count. 130 blocks of one dimension make three lockstep chunks (64, 64, 2)
+// per round. On the test thread they spread over the shared pool; inside a
+// task on a private pool the nested fan-out runs them one after another.
 
 TEST(P2Decomposed, SerialAndPooledBitwiseIdentical) {
-  const Instance inst = make_instance(4, 12, 2, 3, 91);
+  if (util::ThreadPool::shared().thread_count() < 2)
+    GTEST_SKIP() << "the shared pool has one thread, so both runs would be "
+                    "inline; run with SORA_THREADS >= 2";
+  testing::ScaledTopologyConfig cfg;
+  cfg.num_tier2 = 20;
+  cfg.num_tier1 = 130;
+  cfg.sla_k = 2;
+  cfg.horizon = 2;
+  cfg.seed = 6;
+  const Instance inst = testing::generate_scaled_instance(cfg);
 
-  RoaOptions serial = forced_options();
-  serial.decomposition.max_parallel_blocks = 1;
-  RoaOptions pooled = forced_options();
-  pooled.decomposition.max_parallel_blocks = 0;
-
-  const RoaRun a = run_roa(inst, serial);
-  const RoaRun b = run_roa(inst, pooled);
-
-  ASSERT_EQ(a.trajectory.horizon(), b.trajectory.horizon());
-  for (std::size_t t = 0; t < a.trajectory.horizon(); ++t) {
-    for (std::size_t e = 0; e < inst.num_edges(); ++e) {
-      EXPECT_EQ(a.trajectory.slots[t].x[e], b.trajectory.slots[t].x[e])
-          << "x_" << e << " at slot " << t;
-      EXPECT_EQ(a.trajectory.slots[t].y[e], b.trajectory.slots[t].y[e])
-          << "y_" << e << " at slot " << t;
-    }
+  const RoaRun pooled = run_roa(inst, forced_options());
+  RoaRun inline_run;
+  {
+    util::ThreadPool pool(2);
+    util::TaskGroup group(pool);
+    group.run([&] { inline_run = run_roa(inst, forced_options()); });
+    group.wait();
   }
-  EXPECT_EQ(a.cost.total(), b.cost.total());
-}
 
-// The batched per-block Newton kernel (solver::solve_barrier_batch) must be
-// bitwise invisible: with identical options apart from the switch, every
-// slot of every regime comes out bit-for-bit the same as the sequential
-// per-block path. Checked across all six generator regimes so degenerate
-// structures (dead blocks, saturated capacities, price ties) hit the
-// lockstep escalation paths too.
-
-TEST(P2Decomposed, BatchedBlockSolvesBitwiseMatchSequentialAcrossRegimes) {
-  for (const testing::Regime regime : testing::kAllRegimes) {
-    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
-      testing::GeneratorConfig cfg;
-      cfg.regime = regime;
-      cfg.seed = seed;
-      SCOPED_TRACE(cfg.describe());
-      const Instance inst = testing::generate_instance(cfg);
-
-      RoaOptions batched = forced_options();
-      batched.decomposition.batch_block_solves = true;
-      RoaOptions sequential = forced_options();
-      sequential.decomposition.batch_block_solves = false;
-
-      const RoaRun a = run_roa(inst, batched);
-      const RoaRun b = run_roa(inst, sequential);
-
-      ASSERT_EQ(a.trajectory.horizon(), b.trajectory.horizon());
-      for (std::size_t t = 0; t < a.trajectory.horizon(); ++t) {
-        for (std::size_t e = 0; e < inst.num_edges(); ++e) {
-          EXPECT_EQ(a.trajectory.slots[t].x[e], b.trajectory.slots[t].x[e])
-              << "x_" << e << " at slot " << t;
-          EXPECT_EQ(a.trajectory.slots[t].y[e], b.trajectory.slots[t].y[e])
-              << "y_" << e << " at slot " << t;
-        }
-      }
-      EXPECT_EQ(a.cost.total(), b.cost.total());
-      ASSERT_EQ(a.slot_health.size(), b.slot_health.size());
-      for (std::size_t t = 0; t < a.slot_health.size(); ++t) {
-        EXPECT_EQ(a.slot_health[t].backend, b.slot_health[t].backend)
-            << "slot " << t;
-        EXPECT_EQ(a.slot_health[t].attempts, b.slot_health[t].attempts)
-            << "slot " << t;
-      }
-    }
+  ASSERT_EQ(pooled.trajectory.horizon(), inline_run.trajectory.horizon());
+  for (std::size_t t = 0; t < pooled.trajectory.horizon(); ++t) {
+    const Allocation& a = pooled.trajectory.slots[t];
+    const Allocation& b = inline_run.trajectory.slots[t];
+    EXPECT_EQ(a.x, b.x) << "x at slot " << t;
+    EXPECT_EQ(a.y, b.y) << "y at slot " << t;
+    EXPECT_EQ(a.z, b.z) << "z at slot " << t;
   }
-}
-
-TEST(P2Decomposed, BatchedComposesWithSerialDeterminismBaseline) {
-  // batch_block_solves is documented to compose with the
-  // max_parallel_blocks == 1 bitwise baseline: all four combinations of
-  // {batched, serial-loop} must agree exactly.
-  const Instance inst = make_instance(4, 12, 2, 2, 91);
-
-  RoaOptions opts[4];
-  for (int k = 0; k < 4; ++k) {
-    opts[k] = forced_options();
-    opts[k].decomposition.batch_block_solves = (k & 1) != 0;
-    opts[k].decomposition.max_parallel_blocks = (k & 2) != 0 ? 1 : 0;
-  }
-  const RoaRun ref = run_roa(inst, opts[0]);
-  for (int k = 1; k < 4; ++k) {
-    SCOPED_TRACE(k);
-    const RoaRun run = run_roa(inst, opts[k]);
-    ASSERT_EQ(run.trajectory.horizon(), ref.trajectory.horizon());
-    for (std::size_t t = 0; t < ref.trajectory.horizon(); ++t)
-      for (std::size_t e = 0; e < inst.num_edges(); ++e)
-        EXPECT_EQ(run.trajectory.slots[t].x[e], ref.trajectory.slots[t].x[e])
-            << "x_" << e << " at slot " << t;
-    EXPECT_EQ(run.cost.total(), ref.cost.total());
+  EXPECT_EQ(pooled.cost.total(), inline_run.cost.total());
+  ASSERT_EQ(pooled.slot_health.size(), inline_run.slot_health.size());
+  for (std::size_t t = 0; t < pooled.slot_health.size(); ++t) {
+    const SlotHealth& a = pooled.slot_health[t];
+    const SlotHealth& b = inline_run.slot_health[t];
+    EXPECT_EQ(a.backend, SolveBackend::kDecomposedAdmm) << "slot " << t;
+    EXPECT_EQ(a.backend, b.backend) << "slot " << t;
+    EXPECT_EQ(a.status, b.status) << "slot " << t;
+    EXPECT_EQ(a.attempts, b.attempts) << "slot " << t;
+    EXPECT_EQ(a.degraded, b.degraded) << "slot " << t;
+    EXPECT_EQ(a.repair_cost_delta, b.repair_cost_delta) << "slot " << t;
   }
 }
 
@@ -309,18 +243,16 @@ TEST(P2Decomposed, InjectedFaultFallsBackOnThatSlotOnly) {
 }
 
 TEST(P2Decomposed, BatchedSolvesDemoteThroughFallbackChain) {
-  // With the batched kernel explicitly on, an injected block fault must
-  // still walk the slot down the resilience chain — batching stages and
-  // commits per-block results but never changes the failure routing.
+  // An injected fault on the batched block round must still walk the slot
+  // down the resilience chain — the batch stages and commits per-block
+  // results but never changes the failure routing.
   const Instance inst = make_instance(4, 10, 2, 3, 37);
 
   set_fault_hook([](std::size_t slot, std::size_t attempt) {
     return (slot == 2 && attempt == 0) ? FaultKind::kIterationLimit
                                        : FaultKind::kNone;
   });
-  RoaOptions opt = forced_options();
-  opt.decomposition.batch_block_solves = true;
-  const RoaRun dec = run_roa(inst, opt);
+  const RoaRun dec = run_roa(inst, forced_options());
   set_fault_hook({});
 
   ASSERT_EQ(dec.slot_health.size(), inst.horizon);
