@@ -84,8 +84,8 @@ void BM_P2Subproblem(benchmark::State& state) {
 }
 BENCHMARK(BM_P2Subproblem)->Arg(1)->Arg(2)->Arg(4);
 
-// ---- P2 solver pipeline: dense reference vs CSR path vs CSR + warm start,
-// on the reference (Fig. 5) P2 instance. sla_k is the range argument.
+// ---- P2 solver pipeline: cold vs warm-started workspace solves on the
+// reference (Fig. 5) P2 instance. sla_k is the range argument.
 
 core::Instance reference_p2_instance(std::size_t sla_k) {
   eval::EvalScale scale;  // reduced
@@ -94,20 +94,6 @@ core::Instance reference_p2_instance(std::size_t sla_k) {
   sc.sla_k = sla_k;
   return eval::build_eval_instance(sc, scale);
 }
-
-void BM_P2SolveDenseCold(benchmark::State& state) {
-  const auto inst =
-      reference_p2_instance(static_cast<std::size_t>(state.range(0)));
-  core::RoaOptions opts;
-  opts.use_sparse = false;
-  const auto prev = core::Allocation::zeros(inst.num_edges());
-  for (auto _ : state) {
-    const auto sol =
-        core::solve_p2(inst, core::InputSeries::truth(inst), 1, prev, opts);
-    benchmark::DoNotOptimize(sol.objective);
-  }
-}
-BENCHMARK(BM_P2SolveDenseCold)->Arg(1)->Arg(2)->Arg(4);
 
 void BM_P2SolveSparseCold(benchmark::State& state) {
   const auto inst =
@@ -140,19 +126,7 @@ void BM_P2SolveSparseWarm(benchmark::State& state) {
 BENCHMARK(BM_P2SolveSparseWarm)->Arg(1)->Arg(2)->Arg(4);
 
 // ---- End-to-end ROA on the Fig. 5 scenario (Wikipedia-like workload,
-// b = 10^3, k = 1, reduced scale): the dense cold-start baseline against the
-// default sparse warm-started pipeline.
-
-void BM_RunRoaFig5DenseCold(benchmark::State& state) {
-  const auto inst = reference_p2_instance(1);
-  core::RoaOptions opts;
-  opts.use_sparse = false;
-  for (auto _ : state) {
-    const auto run = core::run_roa(inst, opts);
-    benchmark::DoNotOptimize(run.cost);
-  }
-}
-BENCHMARK(BM_RunRoaFig5DenseCold)->Unit(benchmark::kMillisecond);
+// b = 10^3, k = 1, reduced scale) through the default warm-started pipeline.
 
 void BM_RunRoaFig5SparseWarm(benchmark::State& state) {
   const auto inst = reference_p2_instance(1);

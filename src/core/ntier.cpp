@@ -656,16 +656,6 @@ class NTierSlotSolver {
  public:
   NTierSlotSolver(const NTierInstance& inst, const NTierRoaOptions& options)
       : inst_(inst), options_(options), fidx_(inst) {
-    if (options_.decomposition.mode == DecompositionOptions::Mode::kForce) {
-      // The n-tier slot problem couples commodities through the shared
-      // per-node x_v and per-link y_l resource variables themselves, not
-      // just through capacity rows, so the per-SLA-group block split of the
-      // two-tier P2 does not exist here. Honour the request by saying why
-      // it cannot be honoured, then solve monolithically.
-      SORA_LOG_WARN << "ntier: decomposition forced but the slot problem "
-                       "couples blocks through shared resource variables; "
-                       "routing monolithic by structure";
-    }
     build_constraints();
   }
 
@@ -754,9 +744,8 @@ class NTierSlotSolver {
       outcome.backend = backend;
       outcome.status = result.status;
       if (!result.ok())
-        note(std::string(to_string(backend)) + ": " +
-             (result.detail.empty() ? solver::to_string(result.status)
-                                    : result.detail));
+        append_failure(outcome.detail, to_string(backend), result.status,
+                       result.detail);
       return result.ok();
     };
 
@@ -767,12 +756,8 @@ class NTierSlotSolver {
     if (!solved) {
       SORA_LOG_WARN << "ntier: P2 barrier failed at t=" << t << " ("
                     << outcome.detail << "); entering fallback chain";
-      // Conservative restart: smaller barrier growth, bigger budgets.
-      solver::IpmOptions tight = options_.ipm;
-      tight.mu = 5.0;
-      tight.max_newton_steps *= 4;
-      tight.max_steps_per_center *= 2;
-      solved = barrier_attempt(tight, SolveBackend::kTightenedIpm);
+      solved = barrier_attempt(tightened_ipm_options(options_.ipm),
+                               SolveBackend::kTightenedIpm);
     }
 
     NTierAllocation a{Vec(inst_.num_nodes(), 0.0),
@@ -821,9 +806,8 @@ class NTierSlotSolver {
         outcome.repair_cost_delta = rep.repair_cost_delta;
       } else {
         outcome.status = rep.status;
-        note("hold_repair: " + (rep.detail.empty()
-                                    ? std::string(solver::to_string(rep.status))
-                                    : rep.detail));
+        append_failure(outcome.detail, to_string(SolveBackend::kHoldRepair),
+                       rep.status, rep.detail);
       }
     }
     outcome.attempts = attempt;

@@ -28,7 +28,6 @@
 #include <string>
 #include <vector>
 
-#include "core/p2_decomposed.hpp"
 #include "core/resilience.hpp"
 #include "linalg/vector_ops.hpp"
 #include "solver/ipm.hpp"
@@ -105,13 +104,6 @@ struct NTierRoaOptions {
   // parameters -> one-shot LP -> hold + repair). resilience.enabled = false
   // restores the fail-fast behaviour.
   ResilienceOptions resilience;
-  // Accepted for option-surface parity with the two-tier RoaOptions, but
-  // the n-tier slot problem is NOT block-decomposable the way P2(t) is:
-  // commodities share the per-node x_v and per-link y_l resource variables
-  // directly (not just through capacity rows), so there is no per-SLA-group
-  // split with a low-dimensional consensus. kForce logs once and routes
-  // monolithic by structure; kAuto/kOff are no-ops here.
-  DecompositionOptions decomposition;
   // Slot-SLO accounting (obs/slo.hpp); default budget from
   // SORA_SLOT_BUDGET_MS, zero budget = quantiles only.
   obs::SlotSloOptions slo;

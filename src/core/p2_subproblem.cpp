@@ -74,9 +74,9 @@ Layout layout_for(const Instance& inst) {
 
 // The even-split start inflated by small margins: s covers demand strictly,
 // x, y (and z) strictly dominate s, capacities keep 25% headroom by
-// provisioning. Shared by the dense and sparse paths. Tier-1 clouds with no
-// admissible edges are skipped — dividing by |I_j| = 0 would poison the
-// whole vector with NaN; positive demand there is structurally infeasible.
+// provisioning. Tier-1 clouds with no admissible edges are skipped —
+// dividing by |I_j| = 0 would poison the whole vector with NaN; positive
+// demand there is structurally infeasible.
 void even_split_start_into(const Instance& inst, const SlotInputs& in,
                            const Layout& layout, Vec& v) {
   v.assign(layout.size(), 0.0);
@@ -99,382 +99,12 @@ void even_split_start_into(const Instance& inst, const SlotInputs& in,
   }
 }
 
-// The smooth convex P2 objective (dense reference implementation).
-class P2Objective : public solver::ConvexObjective {
- public:
-  P2Objective(const Instance& inst, const SlotInputs& in,
-              const Allocation& prev, const RoaOptions& options)
-      : inst_(inst), layout_(layout_for(inst)), options_(options) {
-    const std::size_t num_i = inst.num_tier2();
-    prev_totals_ = tier2_totals(inst, prev.x);
-    prev_y_ = prev.y;
-    x_weight_.resize(num_i);
-    for (std::size_t i = 0; i < num_i; ++i) {
-      const double eta =
-          regularizer_eta(inst.tier2_capacity[i], options.eps);
-      x_weight_[i] = eta > 0.0 ? inst.tier2_reconfig[i] / eta : 0.0;
-    }
-    y_weight_.resize(layout_.num_edges);
-    for (std::size_t e = 0; e < layout_.num_edges; ++e) {
-      const double eta =
-          regularizer_eta(inst.edge_capacity[e], options.eps_prime);
-      y_weight_[e] = eta > 0.0 ? inst.edge_reconfig[e] / eta : 0.0;
-    }
-    // Linear allocation prices.
-    price_x_.resize(layout_.num_edges);
-    price_y_.resize(layout_.num_edges);
-    for (std::size_t e = 0; e < layout_.num_edges; ++e) {
-      price_x_[e] = in.price(inst.edges[e].tier2);
-      price_y_[e] = inst.edge_price[e];
-    }
-    // Tier-1 (F_1) term: entropic on the per-tier-1 aggregates Z_j.
-    if (layout_.with_z) {
-      prev_t1_totals_ = tier1_totals(inst, prev.z);
-      z_weight_.resize(inst.num_tier1());
-      for (std::size_t j = 0; j < inst.num_tier1(); ++j) {
-        const double eta =
-            regularizer_eta(inst.tier1_capacity[j], options.eps);
-        z_weight_[j] = eta > 0.0 ? inst.tier1_reconfig[j] / eta : 0.0;
-      }
-      price_z_.resize(layout_.num_edges);
-      for (std::size_t e = 0; e < layout_.num_edges; ++e)
-        price_z_[e] = in.t1_price(inst.edges[e].tier1);
-    }
-  }
-
-  double value(const Vec& v) const override {
-    double total = 0.0;
-    for (std::size_t e = 0; e < layout_.num_edges; ++e) {
-      total += price_x_[e] * v[layout_.x(e)];
-      total += price_y_[e] * v[layout_.y(e)];
-    }
-    const Vec totals = x_totals(v);
-    for (std::size_t i = 0; i < totals.size(); ++i)
-      total += x_weight_[i] *
-               entropic_value(totals[i], prev_totals_[i], options_.eps);
-    for (std::size_t e = 0; e < layout_.num_edges; ++e)
-      total += y_weight_[e] * entropic_value(v[layout_.y(e)], prev_y_[e],
-                                             options_.eps_prime);
-    if (layout_.with_z) {
-      for (std::size_t e = 0; e < layout_.num_edges; ++e)
-        total += price_z_[e] * v[layout_.z(e)];
-      const Vec t1 = z_totals(v);
-      for (std::size_t j = 0; j < t1.size(); ++j)
-        total += z_weight_[j] *
-                 entropic_value(t1[j], prev_t1_totals_[j], options_.eps);
-    }
-    return total;
-  }
-
-  Vec gradient(const Vec& v) const override {
-    Vec g(layout_.size(), 0.0);
-    const Vec totals = x_totals(v);
-    for (std::size_t e = 0; e < layout_.num_edges; ++e) {
-      const std::size_t i = inst_.edges[e].tier2;
-      g[layout_.x(e)] =
-          price_x_[e] + x_weight_[i] * entropic_gradient(
-                                           totals[i], prev_totals_[i],
-                                           options_.eps);
-      g[layout_.y(e)] =
-          price_y_[e] + y_weight_[e] * entropic_gradient(
-                                           v[layout_.y(e)], prev_y_[e],
-                                           options_.eps_prime);
-      // s does not appear in the objective.
-    }
-    if (layout_.with_z) {
-      const Vec t1 = z_totals(v);
-      for (std::size_t e = 0; e < layout_.num_edges; ++e) {
-        const std::size_t j = inst_.edges[e].tier1;
-        g[layout_.z(e)] =
-            price_z_[e] + z_weight_[j] * entropic_gradient(
-                                             t1[j], prev_t1_totals_[j],
-                                             options_.eps);
-      }
-    }
-    return g;
-  }
-
-  Matrix hessian(const Vec& v) const override {
-    Matrix h(layout_.size(), layout_.size(), 0.0);
-    const Vec totals = x_totals(v);
-    // x-block: (b_i/eta_i)/(X_i+eps) on every pair of edges sharing tier-2 i.
-    for (std::size_t i = 0; i < inst_.num_tier2(); ++i) {
-      const double curvature =
-          x_weight_[i] * entropic_hessian(totals[i], options_.eps);
-      const auto& ids = inst_.edges_of_tier2[i];
-      for (const std::size_t e1 : ids)
-        for (const std::size_t e2 : ids)
-          h(layout_.x(e1), layout_.x(e2)) = curvature;
-    }
-    // y-block: diagonal.
-    for (std::size_t e = 0; e < layout_.num_edges; ++e)
-      h(layout_.y(e), layout_.y(e)) =
-          y_weight_[e] * entropic_hessian(v[layout_.y(e)], options_.eps_prime);
-    // z-block: like x but grouped by tier-1 cloud.
-    if (layout_.with_z) {
-      const Vec t1 = z_totals(v);
-      for (std::size_t j = 0; j < inst_.num_tier1(); ++j) {
-        const double curvature =
-            z_weight_[j] * entropic_hessian(t1[j], options_.eps);
-        const auto& ids = inst_.edges_of_tier1[j];
-        for (const std::size_t e1 : ids)
-          for (const std::size_t e2 : ids)
-            h(layout_.z(e1), layout_.z(e2)) = curvature;
-      }
-    }
-    return h;
-  }
-
- private:
-  Vec x_totals(const Vec& v) const {
-    Vec totals(inst_.num_tier2(), 0.0);
-    for (std::size_t e = 0; e < layout_.num_edges; ++e)
-      totals[inst_.edges[e].tier2] += v[layout_.x(e)];
-    return totals;
-  }
-
-  Vec z_totals(const Vec& v) const {
-    Vec totals(inst_.num_tier1(), 0.0);
-    for (std::size_t e = 0; e < layout_.num_edges; ++e)
-      totals[inst_.edges[e].tier1] += v[layout_.z(e)];
-    return totals;
-  }
-
-  const Instance& inst_;
-  Layout layout_;
-  RoaOptions options_;
-  Vec prev_totals_, prev_y_, prev_t1_totals_;
-  Vec x_weight_, y_weight_, z_weight_;
-  Vec price_x_, price_y_, price_z_;
-};
-
-// Constraint polyhedron G v <= h for P2(t), with the rows of the paper's
-// named constraints tracked for dual recovery (kNoRow where a row was not
-// generated: an edgeless zero-demand cloud's (3c), or z >= s without z).
-inline constexpr std::size_t kNoRow = static_cast<std::size_t>(-1);
-
-struct P2Constraints {
-  Matrix g;
-  Vec h;
-  std::vector<std::size_t> rho_row;    // per edge, (3a)
-  std::vector<std::size_t> phi_row;    // per edge, (3b)
-  std::vector<std::size_t> gamma_row;  // per tier-1, (3c)
-  std::vector<std::size_t> sigma_row;  // per edge, z >= s
-};
-
-P2Constraints build_constraints(const Instance& inst, const SlotInputs& in) {
-  const Layout layout = layout_for(inst);
-  const std::size_t E = layout.num_edges;
-  const std::size_t I = inst.num_tier2();
-  const std::size_t J = inst.num_tier1();
-
-  // Rows: 2E (3a,3b) + J (3c) + nonneg 3E + capacity I + E.
-  std::vector<std::pair<std::vector<std::pair<std::size_t, double>>, double>>
-      rows;
-  auto add_row = [&rows](std::vector<std::pair<std::size_t, double>> terms,
-                         double rhs) {
-    rows.push_back({std::move(terms), rhs});
-    return rows.size() - 1;
-  };
-
-  P2Constraints out;
-  out.rho_row.assign(E, kNoRow);
-  out.phi_row.assign(E, kNoRow);
-  out.gamma_row.assign(J, kNoRow);
-  out.sigma_row.assign(E, kNoRow);
-
-  for (std::size_t e = 0; e < E; ++e) {
-    out.rho_row[e] =
-        add_row({{layout.s(e), 1.0}, {layout.x(e), -1.0}}, 0.0);  // (3a)
-    out.phi_row[e] =
-        add_row({{layout.s(e), 1.0}, {layout.y(e), -1.0}}, 0.0);  // (3b)
-  }
-  for (std::size_t j = 0; j < J; ++j) {  // (3c): -sum s <= -lambda
-    std::vector<std::pair<std::size_t, double>> terms;
-    for (const std::size_t e : inst.edges_of_tier1[j])
-      terms.push_back({layout.s(e), -1.0});
-    // An edgeless tier-1 cloud with zero demand yields the vacuous row
-    // 0 <= 0, which has no strict interior — skip it. (With positive demand
-    // the empty row is kept: it correctly renders the problem infeasible.)
-    if (terms.empty() && in.lambda(j) <= 0.0) continue;
-    out.gamma_row[j] = add_row(std::move(terms), -in.lambda(j));
-  }
-  // Nonnegativity (3f) + capacities (1b)/(1c).
-  for (std::size_t e = 0; e < E; ++e) {
-    add_row({{layout.x(e), -1.0}}, 0.0);
-    add_row({{layout.y(e), -1.0}}, 0.0);
-    add_row({{layout.s(e), -1.0}}, 0.0);
-    add_row({{layout.y(e), 1.0}}, inst.edge_capacity[e]);
-  }
-  for (std::size_t i = 0; i < I; ++i) {
-    std::vector<std::pair<std::size_t, double>> terms;
-    for (const std::size_t e : inst.edges_of_tier2[i])
-      terms.push_back({layout.x(e), 1.0});
-    if (!terms.empty()) add_row(std::move(terms), inst.tier2_capacity[i]);
-  }
-  // Tier-1 term (F_1): s <= z, z >= 0, per-tier-1 capacity (1d).
-  if (layout.with_z) {
-    for (std::size_t e = 0; e < E; ++e) {
-      out.sigma_row[e] =
-          add_row({{layout.s(e), 1.0}, {layout.z(e), -1.0}}, 0.0);
-      add_row({{layout.z(e), -1.0}}, 0.0);
-    }
-    for (std::size_t j = 0; j < J; ++j) {
-      std::vector<std::pair<std::size_t, double>> terms;
-      for (const std::size_t e : inst.edges_of_tier1[j])
-        terms.push_back({layout.z(e), 1.0});
-      add_row(std::move(terms), inst.tier1_capacity[j]);
-    }
-  }
-
-  out.g = Matrix(rows.size(), layout.size(), 0.0);
-  out.h.assign(rows.size(), 0.0);
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    for (const auto& [col, coeff] : rows[r].first) out.g(r, col) += coeff;
-    out.h[r] = rows[r].second;
-  }
-  return out;
-}
-
-// Phase-I LP: maximize the margin m with G v + m <= h, 0 <= m <= 1.
-// Row coefficients are supplied by a callback so the dense and CSR paths
-// share the construction.
-template <typename RowTerms>
-Vec phase1_feasible_point(std::size_t num_rows, const Vec& h, std::size_t n,
-                          RowTerms row_terms) {
-  solver::LpBuilder b;
-  for (std::size_t j = 0; j < n; ++j) b.add_variable(-kInf, kInf, 0.0);
-  const std::size_t margin = b.add_variable(0.0, 1.0, -1.0, "margin");
-  for (std::size_t r = 0; r < num_rows; ++r) {
-    std::vector<solver::LinTerm> terms = row_terms(r);
-    terms.push_back({margin, 1.0});
-    b.add_le(terms, h[r]);
-  }
-  const auto sol = solver::solve_simplex(b.build());
-  SORA_CHECK_MSG(sol.ok(), "P2 phase-I LP failed");
-  SORA_CHECK_MSG(sol.x[margin] > 1e-9,
-                 "P2 subproblem has no strictly feasible point");
-  Vec v(sol.x.begin(), sol.x.begin() + static_cast<std::ptrdiff_t>(n));
-  return v;
-}
-
-Vec phase1_feasible_point(const Matrix& g, const Vec& h, std::size_t n) {
-  return phase1_feasible_point(
-      g.rows(), h, n, [&g, n](std::size_t r) {
-        std::vector<solver::LinTerm> terms;
-        for (std::size_t c = 0; c < n; ++c)
-          if (g(r, c) != 0.0) terms.push_back({c, g(r, c)});
-        return terms;
-      });
-}
-
-Vec phase1_feasible_point(const SparseMatrix& g, const Vec& h, std::size_t n) {
-  return phase1_feasible_point(
-      g.rows(), h, n, [&g](std::size_t r) {
-        std::vector<solver::LinTerm> terms;
-        const auto row = g.row(r);
-        for (std::size_t k = 0; k < row.size; ++k)
-          if (row.vals[k] != 0.0) terms.push_back({row.cols[k], row.vals[k]});
-        return terms;
-      });
-}
-
-// Shared extraction of the primal solution (clamped to the nonnegative
-// orthant) from a barrier result.
-void extract_primal(const Layout& layout, const solver::IpmResult& result,
-                    P2Solution& out) {
-  out.alloc = Allocation::zeros(layout.num_edges);
-  out.s.assign(layout.num_edges, 0.0);
-  for (std::size_t e = 0; e < layout.num_edges; ++e) {
-    out.alloc.x[e] = std::max(0.0, result.x[layout.x(e)]);
-    out.alloc.y[e] = std::max(0.0, result.x[layout.y(e)]);
-    if (layout.with_z) out.alloc.z[e] = std::max(0.0, result.x[layout.z(e)]);
-    out.s[e] = std::max(0.0, result.x[layout.s(e)]);
-  }
-  out.objective = result.objective;
-  out.newton_steps = result.newton_steps;
-}
-
-// Strictly feasible interior point for the slot polyhedron (shared by the
-// dense path and the public test hook).
-Vec strictly_feasible_point(const Instance& inst, const SlotInputs& in) {
-  const Layout layout = layout_for(inst);
-  Vec v;
-  even_split_start_into(inst, in, layout, v);
-
-  const P2Constraints cons = build_constraints(inst, in);
-  const Vec gx = cons.g.multiply(v);
-  double min_slack = kInf;
-  for (std::size_t r = 0; r < cons.h.size(); ++r)
-    min_slack = std::min(min_slack, cons.h[r] - gx[r]);
-  if (min_slack > 0.0) return v;
-
-  SORA_LOG_DEBUG << "p2: even-split start infeasible (slack " << min_slack
-                 << "); falling back to phase-I LP";
-  return phase1_feasible_point(cons.g, cons.h, layout.size());
-}
-
-// The dense reference path: rebuild constraints, cold-start, dense barrier.
-P2Solution solve_p2_dense(const Instance& inst, const SlotInputs& in,
-                          const Allocation& prev, const RoaOptions& options) {
-  SORA_CHECK(prev.x.size() == inst.num_edges());
-  const Layout layout = layout_for(inst);
-
-  double build_seconds = 0.0;
-  double barrier_seconds = 0.0;
-  std::optional<P2Objective> objective;
-  P2Constraints cons;
-  Vec start;
-  {
-    SORA_TRACE_SPAN("p2/build");
-    util::ScopedTimer build_timer(&build_seconds);
-    objective.emplace(inst, in, prev, options);
-    cons = build_constraints(inst, in);
-    start = strictly_feasible_point(inst, in);
-  }
-
-  solver::IpmResult result;
-  {
-    SORA_TRACE_SPAN("p2/barrier");
-    util::ScopedTimer solve_timer(&barrier_seconds);
-    result =
-        solver::solve_barrier(*objective, cons.g, cons.h, start, options.ipm);
-  }
-  SORA_CHECK_MSG(result.ok(), "P2 barrier solve failed at t=" +
-                                  std::to_string(in.slot) + ": " +
-                                  result.detail);
-
-  P2Solution out;
-  extract_primal(layout, result, out);
-  out.outcome.status = result.status;
-  out.outcome.backend = SolveBackend::kColdIpm;
-  out.outcome.attempts = 1;
-  out.timing.build_seconds = build_seconds;
-  out.timing.solve_seconds = barrier_seconds;
-  out.timing.newton_steps = result.newton_steps;
-  out.timing.warm_started = false;
-  observe_p2_timing(out.timing);
-
-  // Recover the named KKT multipliers for the certificate machinery.
-  const auto pick = [&result](const std::vector<std::size_t>& row_of,
-                              std::size_t count) {
-    Vec duals(count, 0.0);
-    for (std::size_t k = 0; k < count; ++k)
-      if (row_of[k] != kNoRow) duals[k] = result.ineq_dual[row_of[k]];
-    return duals;
-  };
-  out.rho = pick(cons.rho_row, layout.num_edges);
-  out.phi = pick(cons.phi_row, layout.num_edges);
-  out.gamma = pick(cons.gamma_row, inst.num_tier1());
-  out.sigma = pick(cons.sigma_row, layout.num_edges);
-  return out;
-}
-
 // The P2 objective with structure-once weights and per-slot state, plus
-// allocation-free gradient/Hessian evaluation for the sparse Newton loop.
-class SparseP2Objective final : public solver::ConvexObjective {
+// allocation-free gradient/Hessian evaluation for the Newton loop: dense
+// (hessian_into) and sparse lower-triangle (hessian_lower_values_into).
+class P2Objective final : public solver::ConvexObjective {
  public:
-  SparseP2Objective(const Instance& inst, const RoaOptions& options)
+  P2Objective(const Instance& inst, const RoaOptions& options)
       : inst_(inst), layout_(layout_for(inst)), options_(options) {
     const std::size_t E = layout_.num_edges;
     x_weight_.resize(inst.num_tier2());
@@ -692,59 +322,66 @@ class SparseP2Objective final : public solver::ConvexObjective {
   mutable Vec totals_, t1_totals_;
 };
 
-}  // namespace
+// G v <= h row by row into an LP whose first g.cols() variables are v. With
+// a margin column (phase-I) every row carries + margin; without one, a row
+// with no terms (an edgeless zero-demand cloud's padded (3c), 0 <= 1) is
+// dropped.
+void add_polyhedron_rows(const SparseMatrix& g, const Vec& h,
+                         std::optional<std::size_t> margin,
+                         solver::LpBuilder& b) {
+  for (std::size_t r = 0; r < g.rows(); ++r) {
+    std::vector<solver::LinTerm> terms;
+    const auto row = g.row(r);
+    for (std::size_t k = 0; k < row.size; ++k)
+      if (row.vals[k] != 0.0) terms.push_back({row.cols[k], row.vals[k]});
+    if (margin) terms.push_back({*margin, 1.0});
+    if (!terms.empty()) b.add_le(terms, h[r]);
+  }
+}
 
-// ---------------------------------------------------------------------------
-// P2Workspace: structure-once CSR constraints + warm-started sparse solves.
+// Phase-I LP: maximize the margin m with G v + m <= h, 0 <= m <= 1.
+Vec phase1_feasible_point(const SparseMatrix& g, const Vec& h) {
+  solver::LpBuilder b;
+  const std::size_t n = g.cols();
+  for (std::size_t j = 0; j < n; ++j) b.add_variable(-kInf, kInf, 0.0);
+  const std::size_t margin = b.add_variable(0.0, 1.0, -1.0, "margin");
+  add_polyhedron_rows(g, h, margin, b);
+  const auto sol = solver::solve_simplex(b.build());
+  SORA_CHECK_MSG(sol.ok(), "P2 phase-I LP failed");
+  SORA_CHECK_MSG(sol.x[margin] > 1e-9,
+                 "P2 subproblem has no strictly feasible point");
+  return Vec(sol.x.begin(), sol.x.begin() + static_cast<std::ptrdiff_t>(n));
+}
 
-struct P2Workspace::Impl {
+// The constraint polyhedron G v <= h of P2(t) in CSR form, with the rows of
+// the paper's named constraints tracked for dual recovery. G is fixed for
+// an instance; a slot only rewrites the coverage right-hand sides, so the
+// Newton pattern (and its symbolic analysis) never changes.
+struct P2Polyhedron {
   const Instance& inst;
-  RoaOptions options;
-  Layout layout;
-  SparseP2Objective objective;
-
-  // The CSR constraint matrix is fixed for the workspace's lifetime; a slot
-  // only rewrites the coverage right-hand sides, so the Newton pattern (and
-  // its symbolic analysis) never changes.
   SparseMatrix g;
   Vec h_static;  // slot-independent right-hand sides (coverage rows hold 0)
   Vec h;         // per-slot patched copy
   std::vector<std::size_t> rho_row, phi_row, gamma_row, sigma_row;
+  Vec slack_buf;
 
-  // Warm-start state: the packed [x|y|s|z] optimum of the previous solve.
-  Vec last_opt;
-  bool has_last = false;
-
-  // Preallocated buffers (reused across slots).
-  solver::IpmScratch scratch;
-  Vec start, anchor, slack_buf;
-
-  // Block-decomposed primary path (created only when selected); a stall
-  // falls through to the monolithic chain below.
-  std::unique_ptr<P2DecomposedSolver> decomposed;
-
-  Impl(const Instance& inst_, const RoaOptions& options_)
-      : inst(inst_), options(options_), layout(layout_for(inst_)),
-        objective(inst_, options_) {
-    build_pattern();
+  P2Polyhedron(const Instance& inst_, const Layout& layout) : inst(inst_) {
+    build_pattern(layout);
     h = h_static;
     slack_buf.assign(g.rows(), 0.0);
-    if (options.use_sparse &&
-        decomposition_selected(inst, options.decomposition))
-      decomposed = std::make_unique<P2DecomposedSolver>(inst, options);
   }
 
-  void build_pattern() {
+  void build_pattern(const Layout& layout) {
     const std::size_t E = layout.num_edges;
     const std::size_t I = inst.num_tier2();
     const std::size_t J = inst.num_tier1();
 
     std::vector<linalg::Triplet> trips;
     std::size_t r = 0;
-    rho_row.assign(E, kNoRow);
-    phi_row.assign(E, kNoRow);
-    gamma_row.assign(J, kNoRow);
-    sigma_row.assign(E, kNoRow);
+    rho_row.resize(E);
+    phi_row.resize(E);
+    gamma_row.resize(J);
+    if (layout.with_z) sigma_row.resize(E);
 
     for (std::size_t e = 0; e < E; ++e) {
       rho_row[e] = r;
@@ -828,6 +465,66 @@ struct P2Workspace::Impl {
     return m;
   }
 
+  // A strictly interior point of the patched polyhedron: `anchor` (the
+  // even split) when it is one, else the phase-I LP's.
+  void strict_point_into(const Vec& anchor, Vec& point) {
+    if (min_slack(anchor) > 0.0) {
+      point = anchor;
+      return;
+    }
+    SORA_LOG_DEBUG << "p2: even-split start infeasible; falling back to "
+                      "phase-I LP";
+    point = phase1_feasible_point(g, h);
+  }
+};
+
+// Unpack a barrier optimum into the solution, clamped to the nonnegative
+// orthant.
+void extract_primal(const Layout& layout, const solver::IpmResult& result,
+                    P2Solution& out) {
+  out.alloc = Allocation::zeros(layout.num_edges);
+  out.s.assign(layout.num_edges, 0.0);
+  for (std::size_t e = 0; e < layout.num_edges; ++e) {
+    out.alloc.x[e] = std::max(0.0, result.x[layout.x(e)]);
+    out.alloc.y[e] = std::max(0.0, result.x[layout.y(e)]);
+    if (layout.with_z) out.alloc.z[e] = std::max(0.0, result.x[layout.z(e)]);
+    out.s[e] = std::max(0.0, result.x[layout.s(e)]);
+  }
+  out.objective = result.objective;
+  out.newton_steps = result.newton_steps;
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// P2Workspace: structure-once CSR constraints + warm-started solves.
+
+struct P2Workspace::Impl {
+  const Instance& inst;
+  RoaOptions options;
+  Layout layout;
+  P2Objective objective;
+  P2Polyhedron poly;
+
+  // Warm-start state: the packed [x|y|s|z] optimum of the previous solve.
+  Vec last_opt;
+  bool has_last = false;
+
+  // Preallocated buffers (reused across slots).
+  solver::IpmScratch scratch;
+  Vec start, anchor;
+
+  // Block-decomposed primary path (created only when selected); a stall
+  // falls through to the monolithic chain below.
+  std::unique_ptr<P2DecomposedSolver> decomposed;
+
+  Impl(const Instance& inst_, const RoaOptions& options_)
+      : inst(inst_), options(options_), layout(layout_for(inst_)),
+        objective(inst_, options_), poly(inst_, layout) {
+    if (decomposition_selected(inst, options.decomposition))
+      decomposed = std::make_unique<P2DecomposedSolver>(inst, options);
+  }
+
   // Choose the starting point: the previous optimum pulled into the strict
   // interior when warm starting, else the even-split anchor, else phase-I.
   bool compute_start(const SlotInputs& in) {
@@ -839,27 +536,17 @@ struct P2Workspace::Impl {
         start.resize(layout.size());
         for (std::size_t k = 0; k < layout.size(); ++k)
           start[k] = (1.0 - a) * last_opt[k] + a * anchor[k];
-        if (min_slack(start) > 1e-9) return true;
+        if (poly.min_slack(start) > 1e-9) return true;
       }
     }
-    if (min_slack(anchor) > 0.0) {
-      start = anchor;
-      return false;
-    }
-    SORA_LOG_DEBUG << "p2: even-split start infeasible; falling back to "
-                      "phase-I LP";
-    start = phase1_feasible_point(g, h, layout.size());
+    poly.strict_point_into(anchor, start);
     return false;
   }
 
-  // A cold start for a fallback attempt: the even-split anchor when it is
-  // strictly interior, else phase-I. `anchor` was filled by compute_start.
+  // A cold start for a fallback attempt. `anchor` was filled by
+  // compute_start.
   const Vec& cold_start_point() {
-    if (min_slack(anchor) > 0.0) {
-      start = anchor;
-    } else {
-      start = phase1_feasible_point(g, h, layout.size());
-    }
+    poly.strict_point_into(anchor, start);
     return start;
   }
 
@@ -934,16 +621,9 @@ struct P2Workspace::Impl {
         b.add_ge(terms, -prev_z_totals[j]);
       }
     }
-    // The patched CSR polyhedron, row by row. Empty gamma rows (inert
-    // 0 <= 1) were validated by even_split_start_into — skip them.
-    for (std::size_t r = 0; r < g.rows(); ++r) {
-      std::vector<solver::LinTerm> terms;
-      const auto row = g.row(r);
-      for (std::size_t k = 0; k < row.size; ++k)
-        if (row.vals[k] != 0.0) terms.push_back({row.cols[k], row.vals[k]});
-      if (terms.empty()) continue;
-      b.add_le(terms, h[r]);
-    }
+    // The patched CSR polyhedron. Empty gamma rows (inert 0 <= 1) were
+    // validated by even_split_start_into and are dropped.
+    add_polyhedron_rows(poly.g, poly.h, std::nullopt, b);
 
     SolveOutcome lp_outcome;
     const solver::LpSolution sol = solve_lp_with_fallback(
@@ -968,12 +648,16 @@ struct P2Workspace::Impl {
   // Graceful degradation: hold x_{t-1} and, when coverage (3c) is short,
   // push the cheapest additive repair (dx, dy, ds[, dz] >= 0) that keeps
   // (3a)/(3b) and the capacities (1b)-(1d). Never fault-injected: this is
-  // the terminal stage of the chain.
+  // the terminal stage of the chain. A failed repair still adopts x_{t-1}
+  // verbatim (the next warm-start seed; coverage may be short, which the
+  // !ok() status reports) before returning false.
   bool hold_and_repair(const SlotInputs& in, const Allocation& prev,
                        P2Solution& out, SolveOutcome& outcome,
                        std::size_t& attempt) {
     const std::size_t E = layout.num_edges;
     ++attempt;
+    // x_{t-1} clamped to the nonnegative orthant, with s as large as
+    // (3a)/(3b) (and z >= s) allow.
     Vec held(layout.size(), 0.0);
     for (std::size_t e = 0; e < E; ++e) {
       held[layout.x(e)] = std::max(0.0, prev.x[e]);
@@ -1055,13 +739,13 @@ struct P2Workspace::Impl {
           solve_lp_with_fallback(b.build(), solver::LpSolveOptions{},
                                  &lp_outcome, kNoFaultSlot);
       if (!sol.ok()) {
-        if (!outcome.detail.empty()) outcome.detail += "; ";
-        outcome.detail += std::string("hold_repair: ") +
-                          (lp_outcome.detail.empty()
-                               ? solver::to_string(sol.status)
-                               : lp_outcome.detail);
+        append_failure(outcome.detail, to_string(SolveBackend::kHoldRepair),
+                       sol.status, lp_outcome.detail);
         outcome.status = sol.status;
         outcome.backend = SolveBackend::kHoldRepair;
+        fill_from_point(held, out);
+        zero_duals(out);
+        out.newton_steps = 0;
         return false;
       }
       for (std::size_t e = 0; e < E; ++e) {
@@ -1111,11 +795,7 @@ struct P2Workspace::Impl {
     outcome.backend = backend;
     outcome.status = status;
     if (status != solver::SolveStatus::kOptimal) {
-      if (!outcome.detail.empty()) outcome.detail += "; ";
-      // Status name first: the anomaly classifier keys on these tokens.
-      outcome.detail += std::string(to_string(backend)) + ": " +
-                        solver::to_string(status) +
-                        (fail.empty() ? "" : " (" + fail + ")");
+      append_failure(outcome.detail, to_string(backend), status, fail);
       return false;
     }
     fill_from_point(dres.packed, out);
@@ -1135,12 +815,6 @@ struct P2Workspace::Impl {
     SORA_CHECK(!layout.with_z || (in.tier1_price != nullptr &&
                                   in.tier1_price->size() == inst.num_tier1()));
 
-    if (!options.use_sparse) {
-      // The dense reference path (always cold-started, fail-fast: it is the
-      // cross-validation oracle, so masking its failures would be a bug).
-      return solve_p2_dense(inst, in, prev, options);
-    }
-
     double build_seconds = 0.0;
     double barrier_seconds = 0.0;
     bool warm = false;
@@ -1148,7 +822,7 @@ struct P2Workspace::Impl {
     {
       SORA_TRACE_SPAN("p2/build");
       util::ScopedTimer build_timer(&build_seconds);
-      patch_slot(in);
+      poly.patch_slot(in);
       objective.begin_slot(in, prev);
     }
 
@@ -1188,7 +862,7 @@ struct P2Workspace::Impl {
         // Near-optimal starts waste outer iterations re-centering at small
         // t: jump the barrier multiplier so the first center is already
         // within a modest gap of the warm point.
-        ipm.t0 = std::max(ipm.t0, static_cast<double>(g.rows()) / 1e-2);
+        ipm.t0 = std::max(ipm.t0, static_cast<double>(poly.g.rows()) / 1e-2);
       }
     }
 
@@ -1200,7 +874,8 @@ struct P2Workspace::Impl {
       {
         SORA_TRACE_SPAN("p2/barrier");
         util::ScopedTimer solve_timer(&barrier_seconds);
-        result = solver::solve_barrier(objective, g, h, x0, o, &scratch);
+        result =
+            solver::solve_barrier(objective, poly.g, poly.h, x0, o, &scratch);
       }
       apply_fault(consult_fault_hook(in.slot, attempt), result.status,
                   result.x);
@@ -1212,13 +887,9 @@ struct P2Workspace::Impl {
       ++attempt;
       outcome.backend = backend;
       outcome.status = result.status;
-      if (!result.ok()) {
-        if (!outcome.detail.empty()) outcome.detail += "; ";
-        outcome.detail += std::string(to_string(backend)) + ": " +
-                          solver::to_string(result.status) +
-                          (result.detail.empty() ? ""
-                                                 : " (" + result.detail + ")");
-      }
+      if (!result.ok())
+        append_failure(outcome.detail, to_string(backend), result.status,
+                       result.detail);
       return result.ok();
     };
 
@@ -1237,15 +908,10 @@ struct P2Workspace::Impl {
       if (warm)
         solved = barrier_attempt(cold_start_point(), options.ipm,
                                  SolveBackend::kColdIpm);
-      if (!solved) {
-        // Conservative restart: smaller barrier growth, bigger budgets.
-        solver::IpmOptions tight = options.ipm;
-        tight.mu = 5.0;
-        tight.max_newton_steps *= 4;
-        tight.max_steps_per_center *= 2;
-        solved = barrier_attempt(cold_start_point(), tight,
+      if (!solved)
+        solved = barrier_attempt(cold_start_point(),
+                                 tightened_ipm_options(options.ipm),
                                  SolveBackend::kTightenedIpm);
-      }
     }
 
     if (solved) {
@@ -1259,13 +925,13 @@ struct P2Workspace::Impl {
       out.sigma.assign(E, 0.0);
       out.gamma.assign(inst.num_tier1(), 0.0);
       for (std::size_t e = 0; e < E; ++e) {
-        out.rho[e] = result.ineq_dual[rho_row[e]];
-        out.phi[e] = result.ineq_dual[phi_row[e]];
-        if (layout.with_z) out.sigma[e] = result.ineq_dual[sigma_row[e]];
+        out.rho[e] = result.ineq_dual[poly.rho_row[e]];
+        out.phi[e] = result.ineq_dual[poly.phi_row[e]];
+        if (layout.with_z) out.sigma[e] = result.ineq_dual[poly.sigma_row[e]];
       }
       for (std::size_t j = 0; j < inst.num_tier1(); ++j)
         if (!inst.edges_of_tier1[j].empty())
-          out.gamma[j] = result.ineq_dual[gamma_row[j]];
+          out.gamma[j] = result.ineq_dual[poly.gamma_row[j]];
 
       last_opt = result.x;
       has_last = true;
@@ -1279,14 +945,12 @@ struct P2Workspace::Impl {
     out.outcome = outcome;
     observe_outcome(outcome);
 
-    if (!solved) {
-      // Chain exhausted: the workspace keeps x_{t-1} as its next warm-start
-      // seed, and the slot fails loudly.
-      fill_from_point_held(prev, out);
+    // Chain exhausted: hold_and_repair left x_{t-1} as the next warm-start
+    // seed, and the slot fails loudly.
+    if (!solved)
       SORA_CHECK_MSG(false, "P2 fallback chain exhausted at t=" +
                                 std::to_string(in.slot) + ": " +
                                 outcome.detail);
-    }
 
     out.timing.build_seconds = build_seconds;
     out.timing.solve_seconds = barrier_seconds;
@@ -1311,7 +975,7 @@ struct P2Workspace::Impl {
     {
       SORA_TRACE_SPAN("p2/build");
       util::ScopedTimer build_timer(&build_seconds);
-      patch_slot(in);
+      poly.patch_slot(in);
       objective.begin_slot(in, prev);
     }
     bool solved;
@@ -1320,12 +984,9 @@ struct P2Workspace::Impl {
       util::ScopedTimer repair_timer(&repair_seconds);
       solved = hold_and_repair(in, prev, out, outcome, attempt);
     }
-    if (!solved) {
-      fill_from_point_held(prev, out);
-      zero_duals(out);
+    if (!solved)
       SORA_LOG_ERROR << "p2: degrade repair failed at t=" << in.slot << " ("
                      << outcome.detail << "); holding previous decision";
-    }
     outcome.attempts = attempt;
     out.outcome = outcome;
     observe_outcome(outcome);
@@ -1335,22 +996,6 @@ struct P2Workspace::Impl {
     out.timing.warm_started = false;
     observe_p2_timing(out.timing);
     return out;
-  }
-
-  // Exhaustion path: hold x_{t-1} verbatim (coverage may be short — the
-  // outcome's !ok() status reports that honestly).
-  void fill_from_point_held(const Allocation& prev, P2Solution& out) {
-    Vec held(layout.size(), 0.0);
-    for (std::size_t e = 0; e < layout.num_edges; ++e) {
-      held[layout.x(e)] = std::max(0.0, prev.x[e]);
-      held[layout.y(e)] = std::max(0.0, prev.y[e]);
-      if (layout.with_z) held[layout.z(e)] = std::max(0.0, prev.z[e]);
-      double s = std::min(held[layout.x(e)], held[layout.y(e)]);
-      if (layout.with_z) s = std::min(s, held[layout.z(e)]);
-      held[layout.s(e)] = s;
-    }
-    fill_from_point(held, out);
-    out.newton_steps = 0;
   }
 };
 
@@ -1402,16 +1047,28 @@ const RoaOptions& P2Workspace::options() const { return impl_->options; }
 
 Vec p2_strictly_feasible_point(const Instance& inst, const InputSeries& inputs,
                                std::size_t t) {
-  return strictly_feasible_point(inst, SlotInputs::at(inst, inputs, t));
+  const SlotInputs in = SlotInputs::at(inst, inputs, t);
+  const Layout layout = layout_for(inst);
+  P2Polyhedron poly(inst, layout);
+  poly.patch_slot(in);
+  Vec anchor, point;
+  even_split_start_into(inst, in, layout, anchor);
+  poly.strict_point_into(anchor, point);
+  return point;
+}
+
+std::unique_ptr<solver::ConvexObjective> make_p2_objective(
+    const Instance& inst, const RoaOptions& options, const SlotInputs& in,
+    const Allocation& prev) {
+  auto objective = std::make_unique<P2Objective>(inst, options);
+  objective->begin_slot(in, prev);
+  return objective;
 }
 
 P2Solution solve_p2(const Instance& inst, const InputSeries& inputs,
                     std::size_t t, const Allocation& prev,
                     const RoaOptions& options) {
   SORA_CHECK(t < inst.horizon);
-  if (!options.use_sparse)
-    return solve_p2_dense(inst, SlotInputs::at(inst, inputs, t), prev,
-                          options);
   P2Workspace workspace(inst, options);
   return workspace.solve(inputs, t, prev);
 }

@@ -18,17 +18,14 @@
 // so they constrain nothing, while each (3d) row would couple every x
 // outside cloud i and make the Newton system dense.
 //
-// Two solver pipelines:
-//
-//   * P2Workspace (default): the constraint matrix is built ONCE per
-//     Instance as a CSR matrix with row bookkeeping; each slot only patches
-//     the coverage right-hand sides, warm-starts from the previous slot's
-//     optimum pulled into the strict interior, and runs the sparse barrier
-//     IPM with preallocated scratch (zero heap allocation in the Newton
-//     loop).
-//   * the dense reference path (RoaOptions::use_sparse = false): rebuilds
-//     dense constraints every slot and cold-starts from the even-split
-//     point (phase-I LP fallback) — kept for cross-validation.
+// One model, one pipeline: P2Workspace builds the CSR constraint matrix
+// ONCE per Instance with row bookkeeping; each slot only patches the
+// coverage right-hand sides, warm-starts from the previous slot's optimum
+// pulled into the strict interior (else the even split, else a phase-I LP),
+// and runs the barrier IPM with preallocated scratch (zero heap allocation
+// in the Newton loop). The tests' cross-validation reference is a
+// configuration of the same workspace (testing::reference_roa_options():
+// cold, fail-fast, IPM pinned to its dense Newton path), not a second model.
 #pragma once
 
 #include <memory>
@@ -46,28 +43,23 @@ struct RoaOptions {
   double eps_prime = 1e-2;  // the paper's epsilon' (edges)
   solver::IpmOptions ipm;   // inner solver controls
 
-  // Use the CSR sparse barrier path (structure-once constraints, sparse
-  // Newton assembly). The dense path remains as the reference
-  // implementation, covered by the sparse-vs-dense equivalence tests.
-  bool use_sparse = true;
   // Warm-start each P2Workspace solve from the previous slot's optimum,
   // pulled into the strict interior by a convex combination with the
-  // even-split anchor (weights solver::kWarmStartBlends). Ignored by the
-  // dense path and by the first solve of a fresh workspace (those
-  // cold-start).
+  // even-split anchor (weights solver::kWarmStartBlends). The first solve
+  // of a fresh workspace cold-starts.
   bool warm_start = true;
 
-  // Fallback-chain configuration for the sparse pipeline: a failed barrier
-  // solve walks cold restart -> tightened barrier -> simplex/PDHG on the
-  // linear surrogate -> hold x_{t-1} + cheapest coverage repair instead of
-  // aborting. The dense reference path stays fail-fast.
+  // Fallback-chain configuration: a failed barrier solve walks cold
+  // restart -> tightened barrier -> simplex/PDHG on the linear surrogate ->
+  // hold x_{t-1} + cheapest coverage repair instead of aborting.
+  // resilience.enabled = false makes the first failure throw (the tests'
+  // fail-fast reference configuration).
   ResilienceOptions resilience;
 
   // Block-decomposed primary path (core/p2_decomposed): when selected
-  // (kAuto size heuristic or kForce), each sparse-pipeline slot first runs
-  // the per-SLA-group decomposed solve; a stall demotes to the monolithic
-  // barrier and the rest of the fallback chain. kOff and the dense
-  // reference path never decompose.
+  // (kAuto size heuristic or kForce), each slot first runs the
+  // per-SLA-group decomposed solve; a stall demotes to the monolithic
+  // barrier and the rest of the fallback chain. kOff never decomposes.
   DecompositionOptions decomposition;
 
   // Slot-SLO accounting (obs/slo.hpp): per-slot latency quantiles and
@@ -112,8 +104,7 @@ struct P2Solution {
 /// Reusable per-instance solver state for the P2(t) chain: the CSR
 /// constraint pattern, objective weight vectors, IPM scratch buffers, and
 /// the previous optimum for warm starting. Create one per Instance and call
-/// solve() slot by slot; with use_sparse = false it falls through to the
-/// dense reference path (always cold-started).
+/// solve() slot by slot.
 class P2Workspace {
  public:
   P2Workspace(const Instance& inst, const RoaOptions& options = {});
@@ -159,17 +150,25 @@ class P2Workspace {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Solve P2(t) given the previous slot's decision. Routes through a fresh
-/// P2Workspace (sparse, cold-started) by default; the dense reference path
-/// when options.use_sparse is false. Throws CheckError when the instance is
+/// Solve P2(t) given the previous slot's decision through a fresh
+/// (cold-started) P2Workspace. Throws CheckError when the instance is
 /// infeasible at slot t.
 P2Solution solve_p2(const Instance& inst, const InputSeries& inputs,
                     std::size_t t, const Allocation& prev,
                     const RoaOptions& options = {});
 
 /// A strictly feasible (x, y, s) for P2(t)'s constraint polyhedron, packed
-/// as [x | y | s]. Exposed for tests.
+/// as [x | y | s] (the workspace's rows; even split, else phase-I). Exposed
+/// for tests.
 Vec p2_strictly_feasible_point(const Instance& inst, const InputSeries& inputs,
                                std::size_t t);
+
+/// The P2(t) objective the workspace minimizes at slot `in` after decision
+/// `prev`, over the packed [x | y | s (| z)] layout: value, gradient, and
+/// the Hessian in dense and sparse lower-triangle form. Exposed for tests;
+/// `inst` must outlive the returned object.
+std::unique_ptr<solver::ConvexObjective> make_p2_objective(
+    const Instance& inst, const RoaOptions& options, const SlotInputs& in,
+    const Allocation& prev);
 
 }  // namespace sora::core

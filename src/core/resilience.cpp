@@ -138,6 +138,21 @@ bool all_finite(const linalg::Vec& x) {
   return true;
 }
 
+void append_failure(std::string& trail, const std::string& stage,
+                    solver::SolveStatus status, const std::string& detail) {
+  if (!trail.empty()) trail += "; ";
+  trail += stage + ": " + solver::to_string(status);
+  if (!detail.empty()) trail += " (" + detail + ")";
+}
+
+solver::IpmOptions tightened_ipm_options(const solver::IpmOptions& base) {
+  solver::IpmOptions tight = base;
+  tight.mu = 5.0;
+  tight.max_newton_steps *= 4;
+  tight.max_steps_per_center *= 2;
+  return tight;
+}
+
 // ---------------------------------------------------------------------------
 // LP fallback.
 
@@ -190,27 +205,18 @@ solver::LpSolution solve_lp_with_fallback(const solver::LpModel& model,
     return sol;
   };
 
-  // Trail entries always lead with the status name: the anomaly classifier
-  // (classify_anomaly) and post-mortem grepping key on tokens like
-  // "iteration_limit", which the backends' own detail strings (KKT gaps,
-  // step diagnostics) don't carry.
-  const auto describe = [&](const solver::LpSolution& s) {
-    std::string d = to_string(s.status);
-    if (!s.detail.empty()) d += " (" + s.detail + ")";
-    return d;
-  };
   std::size_t attempt = attempt_base;
   solver::LpSolution sol = attempt_one(first, attempt++);
   std::string trail;
   if (!sol.ok()) {
-    trail = std::string(method_name(first)) + ": " + describe(sol);
+    append_failure(trail, method_name(first), sol.status, sol.detail);
     SORA_LOG_WARN << "lp fallback: primary " << method_name(first)
                   << " failed (" << to_string(sol.status)
                   << "), retrying with " << method_name(second)
                   << (second == first ? " (boosted budget)" : "");
     sol = attempt_one(second, attempt++);
     if (!sol.ok())
-      trail += std::string("; ") + method_name(second) + ": " + describe(sol);
+      append_failure(trail, method_name(second), sol.status, sol.detail);
   }
 
   if (outcome != nullptr) {

@@ -30,6 +30,7 @@
 #include "linalg/vector_ops.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/slo.hpp"
+#include "solver/ipm.hpp"
 #include "solver/lp.hpp"
 #include "solver/lp_solve.hpp"
 #include "solver/solution.hpp"
@@ -122,6 +123,19 @@ void apply_fault(FaultKind kind, solver::SolveStatus& status, linalg::Vec& x);
 /// True when every entry of x is finite. Non-finite "optimal" solutions are
 /// demoted to kNumericalError by the chain.
 bool all_finite(const linalg::Vec& x);
+
+/// Append one failed stage to a fallback trail ("; "-separated) as
+/// "stage: status" or "stage: status (detail)". Every chain writes its trail
+/// through this: the status name leads because classify_anomaly and
+/// post-mortem grepping key on tokens like "iteration_limit", which the
+/// solvers' own details (KKT gaps, budget diagnostics) do not carry.
+void append_failure(std::string& trail, const std::string& stage,
+                    solver::SolveStatus status, const std::string& detail);
+
+/// The tightened-barrier rung's parameters: `base` with slower barrier
+/// growth (mu 5) and larger budgets (4x Newton steps, 2x steps per
+/// centering).
+solver::IpmOptions tightened_ipm_options(const solver::IpmOptions& base);
 
 /// Solve `model` with the configured LP method, then retry the other backend
 /// (simplex <-> PDHG, with a boosted iteration budget) on failure. Never

@@ -115,10 +115,13 @@ struct FlightRecorder::Impl {
   std::string last_incident;
 };
 
-FlightRecorder::FlightRecorder(std::size_t capacity) : impl_(new Impl) {
+FlightRecorder::FlightRecorder(std::size_t capacity)
+    : impl_(std::make_unique<Impl>()) {
   impl_->capacity = capacity == 0 ? 1 : capacity;
   impl_->ring.reserve(impl_->capacity);
 }
+
+FlightRecorder::~FlightRecorder() = default;
 
 FlightRecorder& FlightRecorder::global() {
   static FlightRecorder* recorder = new FlightRecorder;  // leaked

@@ -22,6 +22,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -67,6 +68,7 @@ class FlightRecorder {
   static constexpr std::size_t kDefaultMaxIncidents = 16;
 
   explicit FlightRecorder(std::size_t capacity = kDefaultCapacity);
+  ~FlightRecorder();
 
   /// The process-wide recorder (leaked, like Registry::global()).
   static FlightRecorder& global();
@@ -101,7 +103,7 @@ class FlightRecorder {
  private:
   struct Impl;
   Impl& impl() const { return *impl_; }
-  Impl* impl_;  // leaked with the recorder; keeps global() destruction-safe
+  std::unique_ptr<Impl> impl_;
 };
 
 /// Incident report body: {"incident": <trigger>, "ring": [<records>...]}.

@@ -20,10 +20,15 @@
 // fallback).
 //
 // Two constraint-matrix representations share one implementation:
-//   * dense Matrix — reference path, O(m n^2) Newton assembly;
-//   * CSR SparseMatrix — fast path; the Newton system G^T diag(w) G is
-//     accumulated row by row over nonzeros only, and an IpmScratch keeps the
-//     inner Newton loop free of heap allocation across repeated solves.
+//   * CSR SparseMatrix — what every caller uses; the Newton system
+//     G^T diag(w) G is accumulated row by row over nonzeros only, and an
+//     IpmScratch keeps the inner Newton loop free of heap allocation across
+//     repeated solves;
+//   * dense Matrix — O(m n^2) Newton assembly, kept as the tests' reference
+//     for the CSR assembly (BarrierIpm.SparseMatchesDenseOverload).
+// Independently of G's form, the Newton matrix is factored densely below
+// IpmOptions::sparse_min_dim and by the sparse Cholesky above it; the P2
+// tests' reference configuration pins the dense factor at every size.
 //
 // ipm.cpp holds one Newton iteration, kept in a per-solve state. Two entry
 // points run it: solve_barrier takes one state to the end, and
@@ -162,7 +167,7 @@ struct IpmScratch {
 };
 
 /// x0 must satisfy G x0 < h strictly (checked). G is dense: rows are
-/// constraints. Reference path.
+/// constraints. Only tests call it, as the reference for the CSR overload.
 IpmResult solve_barrier(const ConvexObjective& objective,
                         const linalg::Matrix& g, const linalg::Vec& h,
                         const linalg::Vec& x0, const IpmOptions& options = {},

@@ -1,6 +1,7 @@
 #include "testing/differential.hpp"
 
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "core/cost.hpp"
@@ -25,16 +26,12 @@ struct Backend {
 };
 
 std::vector<Backend> roa_backends(const DiffOptions& diff) {
-  RoaOptions dense;
-  dense.use_sparse = false;
-  RoaOptions sparse_cold;
-  sparse_cold.warm_start = false;
-  RoaOptions sparse_warm;
-  for (RoaOptions* o : {&dense, &sparse_cold, &sparse_warm})
-    o->ipm.tol = diff.ipm_tol;
-  return {{"dense", dense},
-          {"sparse-cold", sparse_cold},
-          {"sparse-warm", sparse_warm}};
+  RoaOptions reference = reference_roa_options();
+  RoaOptions cold;
+  cold.warm_start = false;
+  RoaOptions warm;
+  for (RoaOptions* o : {&reference, &cold, &warm}) o->ipm.tol = diff.ipm_tol;
+  return {{"reference", reference}, {"cold", cold}, {"warm", warm}};
 }
 
 class Recorder {
@@ -75,6 +72,15 @@ class Recorder {
 
 }  // namespace
 
+RoaOptions reference_roa_options() {
+  RoaOptions options;
+  options.warm_start = false;
+  options.resilience.enabled = false;
+  options.decomposition.mode = core::DecompositionOptions::Mode::kOff;
+  options.ipm.sparse_min_dim = std::numeric_limits<std::size_t>::max();
+  return options;
+}
+
 std::string DiffReport::summary() const {
   std::ostringstream os;
   for (const auto& m : mismatches) {
@@ -104,7 +110,7 @@ DiffReport differential_roa(const Instance& inst, const std::string& label,
     }
   }
 
-  // Pairwise agreement, always against the dense reference (index 0).
+  // Pairwise agreement, always against the reference (index 0).
   for (std::size_t k = 1; k < runs.size(); ++k) {
     const std::string pair =
         std::string(backends[0].name) + "-vs-" + backends[k].name;
@@ -150,14 +156,14 @@ DiffReport differential_roa(const Instance& inst, const std::string& label,
         agg_a[inst.edges[e].tier2] += a.x[e];
         agg_b[inst.edges[e].tier2] += b.x[e];
       }
-      rec.require("dense-vs-decomposed X@t" + std::to_string(t),
+      rec.require("reference-vs-decomposed X@t" + std::to_string(t),
                   max_abs_diff(agg_a, agg_b), options.decomposed_primal_tol);
-      rec.require("dense-vs-decomposed y@t" + std::to_string(t),
+      rec.require("reference-vs-decomposed y@t" + std::to_string(t),
                   max_abs_diff(a.y, b.y), options.decomposed_primal_tol);
     }
     const double ca = runs[0].cost.total();
     const double cb = dec.cost.total();
-    rec.require("dense-vs-decomposed cost",
+    rec.require("reference-vs-decomposed cost",
                 std::fabs(ca - cb) / (1.0 + std::fabs(ca)),
                 options.decomposed_cost_tol);
   }

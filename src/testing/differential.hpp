@@ -1,11 +1,13 @@
 // Differential oracle: one instance, every backend, asserted agreement.
 //
 // Two comparison planes:
-//   * differential_roa — the regularized online chain through the dense
-//     reference IPM, the sparse CSR workspace cold-started, and the sparse
-//     workspace warm-started. All three must produce the same trajectory to
-//     tolerance (they solve the same strictly convex subproblems), and each
-//     trajectory must pass the P1 invariant checker.
+//   * differential_roa — the regularized online chain through three
+//     configurations of the one P2 workspace: the reference configuration
+//     (reference_roa_options: cold, fail-fast, dense Newton path), the
+//     production configuration cold-started, and the production
+//     configuration warm-started. All three must produce the same
+//     trajectory to tolerance (they solve the same strictly convex
+//     subproblems), and each trajectory must pass the P1 invariant checker.
 //   * differential_lp — the P1 window LP through the simplex and PDHG
 //     backends (solver::cross_check): objective agreement plus primal
 //     feasibility of both answers.
@@ -19,9 +21,17 @@
 #include <vector>
 
 #include "cloudnet/instance.hpp"
+#include "core/p2_subproblem.hpp"
 #include "solver/lp_solve.hpp"
 
 namespace sora::testing {
+
+/// The tests' reference configuration of the one P2 model: every slot
+/// cold-started, the fallback chain off (a failed solve throws instead of
+/// being masked), no decomposition, and the IPM pinned to its dense Newton
+/// path (Hessian through hessian_into, dense Cholesky) at any size. The
+/// cross-checks compare production configurations against it.
+core::RoaOptions reference_roa_options();
 
 struct DiffOptions {
   // Inner-solver accuracy for the ROA backends. Tight, so all backends
@@ -38,10 +48,11 @@ struct DiffOptions {
   bool dump_on_failure = true;
 
   // Also run the block-decomposed backend (decomposition mode kForce) and
-  // compare it against the dense reference. The per-edge x split inside an
-  // SLA group is not unique on the optimal face (price ties), so the
-  // decomposed comparison uses total cost, the per-cloud aggregates X_i the
-  // objective actually sees, and the per-edge y (strictly convex per edge).
+  // compare it against the reference configuration. The per-edge x split
+  // inside an SLA group is not unique on the optimal face (price ties), so
+  // the decomposed comparison uses total cost, the per-cloud aggregates X_i
+  // the objective actually sees, and the per-edge y (strictly convex per
+  // edge).
   // ADMM stops at consensus-residual tolerances far looser than ipm_tol,
   // hence the separate tolerances.
   bool include_decomposed = false;
@@ -50,7 +61,7 @@ struct DiffOptions {
 };
 
 struct DiffMismatch {
-  std::string what;        // "dense-vs-sparse-warm x", "lp objective gap", ...
+  std::string what;        // "reference-vs-warm x@t0", "lp objective gap", ...
   double magnitude = 0.0;  // observed disagreement
   std::string repro_path;  // "" when dumping is disabled or failed
 };
@@ -62,8 +73,8 @@ struct DiffReport {
   std::string summary() const;
 };
 
-/// Compare the three ROA backends (dense / sparse-cold / sparse-warm) on
-/// `inst` and invariant-check each trajectory. `label` keys the repro dump.
+/// Compare the three ROA configurations (reference / cold / warm) on `inst`
+/// and invariant-check each trajectory. `label` keys the repro dump.
 DiffReport differential_roa(const cloudnet::Instance& inst,
                             const std::string& label,
                             const DiffOptions& options = {});

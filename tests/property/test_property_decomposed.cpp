@@ -1,8 +1,9 @@
 // Decomposed-backend property suite: the block-decomposed P2 path must
-// agree with the dense reference across all six generated regimes (via the
-// differential oracle's decomposed comparison plane), and must survive
-// injected faults by demoting into the monolithic chain — never by
-// aborting or producing an infeasible trajectory.
+// agree with the reference configuration of the monolithic workspace across
+// all six generated regimes (via the differential oracle's decomposed
+// comparison plane), and must survive injected faults by demoting into the
+// monolithic chain — never by aborting or producing an infeasible
+// trajectory.
 #include <gtest/gtest.h>
 
 #include <algorithm>

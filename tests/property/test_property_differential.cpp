@@ -1,7 +1,8 @@
-// Differential oracle over generated instances: the dense reference IPM,
-// the sparse cold-started workspace, and the sparse warm-started workspace
-// must agree on every ROA trajectory; simplex and PDHG must agree on the
-// P1 window LP. A forced mismatch must leave a loadable sora-repro file.
+// Differential oracle over generated instances: the P2 workspace in the
+// reference configuration (cold, fail-fast, dense Newton path), cold-started
+// and warm-started must agree on every ROA trajectory; simplex and PDHG must
+// agree on the P1 window LP. A forced mismatch must leave a loadable
+// sora-repro file.
 #include <gtest/gtest.h>
 
 #include <cstdio>

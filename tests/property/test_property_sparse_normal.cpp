@@ -1,10 +1,11 @@
 // Sparse normal-equations property suite: with the density switch forced on
 // (sparse_min_dim = 1, sparse_max_density = 1), the symbolic-once sparse
-// Cholesky path must agree with the dense reference on real P2 solves
-// across all six generated regimes, analyse its pattern exactly once per
-// workspace across a multi-slot ROA run (also on the paper topology, where
-// the factor must stay sparse), and survive fault-injected runs through the
-// resilience chain.
+// Cholesky path must agree with the reference configuration (the same P2
+// model on the dense Newton path) on real P2 solves across all six
+// generated regimes, analyse its pattern exactly once per workspace across
+// a multi-slot ROA run (also on the paper topology, where the factor must
+// stay sparse), and survive fault-injected runs through the resilience
+// chain.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,6 +15,7 @@
 #include "core/p2_subproblem.hpp"
 #include "core/roa.hpp"
 #include "obs/obs.hpp"
+#include "testing/differential.hpp"
 #include "testing/fault_injection.hpp"
 #include "testing/generator.hpp"
 #include "util/rng.hpp"
@@ -43,8 +45,7 @@ TEST(PropertySparseNormal, ForcedSparseMatchesDenseAcrossRegimes) {
       SCOPED_TRACE(cfg.describe());
       const auto inst = generate_instance(cfg);
 
-      core::RoaOptions dense_opts;
-      dense_opts.use_sparse = false;
+      core::RoaOptions dense_opts = reference_roa_options();
       dense_opts.ipm.tol = 1e-9;
       core::RoaOptions sparse_opts = forced_sparse_options();
       sparse_opts.ipm.tol = 1e-9;

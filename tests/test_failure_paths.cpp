@@ -11,6 +11,7 @@
 #include "core/p2_subproblem.hpp"
 #include "core/predictive.hpp"
 #include "core/roa.hpp"
+#include "testing/differential.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -57,8 +58,7 @@ TEST(FailurePaths, RunRoaSparseRejectsEdgelessCloudWithDemand) {
 
 TEST(FailurePaths, RunRoaDenseRejectsEdgelessCloudWithDemand) {
   const Instance inst = edgeless_cloud_instance();
-  RoaOptions options;
-  options.use_sparse = false;
+  const RoaOptions options = testing::reference_roa_options();
   expect_clear_failure([&] { run_roa(inst, options); }, kTwoTierNeedle);
 }
 

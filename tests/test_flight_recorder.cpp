@@ -1,6 +1,7 @@
 // Flight recorder: ring overwrite semantics, incident JSON round-trip,
-// anomaly determinism under seeded fault injection, and the P1 window-LP
-// iteration-limit regression (the incident the recorder exists to capture).
+// anomaly determinism under seeded fault injection, the P1 window-LP
+// iteration-limit regression (the incident the recorder exists to capture),
+// and the n-tier chain filing a Newton-budget fallback as iteration_limit.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -9,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "core/ntier.hpp"
 #include "core/p1_model.hpp"
 #include "core/resilience.hpp"
 #include "core/roa.hpp"
@@ -16,6 +18,7 @@
 #include "obs/json.hpp"
 #include "testing/fault_injection.hpp"
 #include "testing/generator.hpp"
+#include "util/rng.hpp"
 
 namespace sora {
 namespace {
@@ -206,6 +209,42 @@ TEST(FlightRecorderP1, WindowLpIterationLimitLeavesIncident) {
   EXPECT_EQ(doc.at("incident").at("anomaly").as_string(), "iteration_limit");
   std::remove(path.c_str());
   rec.set_incident_dir("");
+  rec.clear();
+}
+
+// An n-tier slot whose barrier runs out of Newton budget (cold and
+// tightened) is rescued by the slot LP. Its trail must lead each barrier
+// stage with the status, so the record is filed as an iteration limit, not
+// as a numerical error.
+TEST(FlightRecorderNTier, NewtonBudgetFallbackIsIterationLimit) {
+  core::NTierConfig config;
+  config.tier_sizes = {6, 4, 2};
+  util::Rng rng(3);
+  const core::NTierInstance inst =
+      core::build_ntier_instance(config, {1.0, 0.8, 0.6}, rng);
+  core::NTierRoaOptions options;
+  options.ipm.max_newton_steps = 1;
+  options.ipm.acceptable_gap = 1e-12;
+
+  FlightRecorder& rec = FlightRecorder::global();
+  rec.set_incident_dir("");
+  rec.clear();
+  const core::NTierTrajectory traj = core::run_ntier_roa(inst, options);
+  ASSERT_EQ(traj.slots.size(), inst.horizon);
+
+  std::size_t slots = 0;
+  for (const auto& r : rec.snapshot()) {
+    if (r.context != "ntier_slot") continue;
+    ++slots;
+    EXPECT_TRUE(r.fell_back);
+    EXPECT_EQ(r.anomaly, Anomaly::kIterationLimit) << r.detail;
+    EXPECT_EQ(r.detail.rfind("cold_ipm: iteration_limit (", 0), 0u)
+        << r.detail;
+    EXPECT_NE(r.detail.find("tightened_ipm: iteration_limit ("),
+              std::string::npos)
+        << r.detail;
+  }
+  EXPECT_EQ(slots, inst.horizon);
   rec.clear();
 }
 

@@ -1,8 +1,9 @@
 // Sparse-vs-dense equivalence for the barrier IPM and the P2 solver
 // pipeline: the CSR Newton-assembly kernels, the sparse solve_barrier
-// overload against the dense reference, the P2Workspace against the dense
-// cold-start path (primal, objective, and KKT multipliers), and the
-// empty-SLA-group guard in the even-split start.
+// overload against the dense-Matrix reference overload, the P2Workspace on
+// the sparse factor against the tests' reference configuration of the same
+// model on the dense Newton path (primal, objective, and KKT multipliers),
+// and the empty-SLA-group guard in the even-split start.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,6 +14,7 @@
 #include "linalg/matrix.hpp"
 #include "linalg/sparse.hpp"
 #include "solver/ipm.hpp"
+#include "testing/differential.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -195,25 +197,27 @@ TEST(BarrierIpm, SparseMatchesDenseOverload) {
     EXPECT_NEAR(rd.ineq_dual[i], rs.ineq_dual[i], 1e-6) << "row " << i;
 }
 
-// The P2 pipeline: sparse workspace vs dense reference on randomized
-// instances. At ipm.tol = 1e-9 both paths must agree on the primal, the
+// The P2 pipeline on randomized instances: the workspace forced onto the
+// sparse normal-equations factor (these n = 36 instances sit below the
+// default sparse_min_dim) vs the reference configuration on the dense
+// Newton path. At ipm.tol = 1e-9 both must agree on the primal, the
 // objective, and every named multiplier to 1e-6.
 void expect_p2_paths_agree(const Instance& inst, std::size_t t,
                            const Allocation& prev) {
-  RoaOptions dense_opts;
-  dense_opts.use_sparse = false;
+  RoaOptions dense_opts = testing::reference_roa_options();
   dense_opts.ipm.tol = 1e-9;
   RoaOptions sparse_opts;
   sparse_opts.ipm.tol = 1e-9;
+  sparse_opts.ipm.sparse_min_dim = 1;
+  sparse_opts.ipm.sparse_max_density = 1.0;
 
   const InputSeries inputs = InputSeries::truth(inst);
   const P2Solution a = solve_p2(inst, inputs, t, prev, dense_opts);
   const P2Solution b = solve_p2(inst, inputs, t, prev, sparse_opts);
 
-  // Duals are recovered as 1/(t s) at the final certified center; the sparse
-  // path pads an edgeless zero-demand cloud's (3c) row to an inert 0 <= 1
-  // that the dense path leaves out, so m (and the certified t) can differ
-  // and the large multipliers agree to relative (not absolute) precision.
+  // Duals are recovered as 1/(t s) at the final certified center, which the
+  // two factorizations reach through different rounding, so the large
+  // multipliers agree to relative (not absolute) precision.
   const auto dual_tol = [](double ref) { return 1e-6 + 1e-4 * std::abs(ref); };
   EXPECT_NEAR(a.objective, b.objective, 1e-6);
   for (std::size_t e = 0; e < inst.num_edges(); ++e) {

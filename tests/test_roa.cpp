@@ -1,7 +1,8 @@
 // Tests for the regularized subproblem P2(t) and the online algorithm ROA:
-// Lemma 1 (per-slot feasibility), the closed-form equivalence on separable
-// instances, Theorem 1's bound on small instances, and the geometric
-// follow-up/decay behaviour.
+// the P2 objective's derivative consistency, Lemma 1 (per-slot
+// feasibility), the closed-form equivalence on separable instances,
+// Theorem 1's bound on small instances, and the geometric follow-up/decay
+// behaviour.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,6 +14,7 @@
 #include "core/regularizer.hpp"
 #include "core/roa.hpp"
 #include "core/single_resource.hpp"
+#include "linalg/matrix.hpp"
 #include "util/rng.hpp"
 
 namespace sora::core {
@@ -46,6 +48,79 @@ TEST(P2, StrictlyFeasibleStartIsStrict) {
     for (const std::size_t e : inst.edges_of_tier1[j])
       covered += std::min(v[e], v[E + e]);  // min(x, y)
     EXPECT_GT(covered, inst.demand[0][j]);
+  }
+}
+
+// The barrier sees the P2 objective only through its derivatives, so each
+// one is checked against the next lower one: gradient_into against central
+// differences of value, hessian_into against central differences of
+// gradient_into, and the sparse lower-triangle values (the sparse factor's
+// assembly input) against hessian_into, entry by entry.
+TEST(P2, ObjectiveDerivativesAreConsistent) {
+  for (const bool tier1 : {false, true}) {
+    SCOPED_TRACE(tier1 ? "with the tier-1 term" : "without the tier-1 term");
+    util::Rng rng(29);
+    InstanceConfig cfg;
+    cfg.num_tier2 = 4;
+    cfg.num_tier1 = 6;
+    cfg.sla_k = 2;
+    cfg.reconfig_weight = 50.0;
+    cfg.seed = 29;
+    cfg.model_tier1 = tier1;
+    const Instance inst =
+        cloudnet::build_instance(cfg, cloudnet::wikipedia_like(3, rng));
+    ASSERT_EQ(inst.has_tier1(), tier1);
+    const std::size_t E = inst.num_edges();
+    const std::size_t n = (tier1 ? 4 : 3) * E;
+
+    Allocation prev = Allocation::zeros(E);
+    for (std::size_t e = 0; e < E; ++e) {
+      prev.x[e] = rng.uniform(0.5, 2.0);
+      prev.y[e] = rng.uniform(0.5, 2.0);
+      prev.z[e] = rng.uniform(0.5, 2.0);
+    }
+    const InputSeries inputs = InputSeries::truth(inst);
+    const auto f = make_p2_objective(inst, RoaOptions{},
+                                     SlotInputs::at(inst, inputs, 1), prev);
+    Vec v(n);
+    for (double& value : v) value = rng.uniform(0.2, 3.0);
+
+    constexpr double kStep = 1e-5;
+    const auto tol = [](double exact) {
+      return 1e-6 * (1.0 + std::abs(exact));
+    };
+    Vec grad(n), g_plus(n), g_minus(n);
+    linalg::Matrix hess(n, n, 0.0);
+    f->gradient_into(v, grad);
+    f->hessian_into(v, hess);
+    for (std::size_t k = 0; k < n; ++k) {
+      Vec plus = v, minus = v;
+      plus[k] += kStep;
+      minus[k] -= kStep;
+      const double slope = (f->value(plus) - f->value(minus)) / (2.0 * kStep);
+      EXPECT_NEAR(grad[k], slope, tol(grad[k])) << "gradient " << k;
+      f->gradient_into(plus, g_plus);
+      f->gradient_into(minus, g_minus);
+      for (std::size_t r = 0; r < n; ++r)
+        EXPECT_NEAR(hess(r, k), (g_plus[r] - g_minus[r]) / (2.0 * kStep),
+                    tol(hess(r, k)))
+            << "hessian (" << r << ", " << k << ")";
+    }
+
+    std::vector<linalg::Triplet> pattern;
+    ASSERT_TRUE(f->hessian_lower_structure(pattern));
+    Vec values(pattern.size());
+    f->hessian_lower_values_into(v, values);
+    linalg::Matrix from_lower(n, n, 0.0);
+    for (std::size_t k = 0; k < pattern.size(); ++k) {
+      from_lower(pattern[k].row, pattern[k].col) += values[k];
+      if (pattern[k].row != pattern[k].col)
+        from_lower(pattern[k].col, pattern[k].row) += values[k];
+    }
+    for (std::size_t r = 0; r < n; ++r)
+      for (std::size_t c = 0; c < n; ++c)
+        EXPECT_DOUBLE_EQ(from_lower(r, c), hess(r, c))
+            << "sparse lower values (" << r << ", " << c << ")";
   }
 }
 
