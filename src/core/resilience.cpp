@@ -208,8 +208,14 @@ solver::LpSolution solve_lp_with_fallback(const solver::LpModel& model,
   std::size_t attempt = attempt_base;
   solver::LpSolution sol = attempt_one(first, attempt++);
   std::string trail;
-  if (!sol.ok()) {
+  // An infeasibility verdict is an answer about the model, not a solver
+  // failure: the other backend cannot overturn it (PDHG cannot even detect
+  // infeasibility, so its retry would only burn the boosted budget).
+  const bool verdict = sol.status == solver::SolveStatus::kPrimalInfeasible ||
+                       sol.status == solver::SolveStatus::kDualInfeasible;
+  if (!sol.ok())
     append_failure(trail, method_name(first), sol.status, sol.detail);
+  if (!sol.ok() && !verdict) {
     SORA_LOG_WARN << "lp fallback: primary " << method_name(first)
                   << " failed (" << to_string(sol.status)
                   << "), retrying with " << method_name(second)

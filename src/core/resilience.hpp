@@ -138,10 +138,14 @@ void append_failure(std::string& trail, const std::string& stage,
 solver::IpmOptions tightened_ipm_options(const solver::IpmOptions& base);
 
 /// Solve `model` with the configured LP method, then retry the other backend
-/// (simplex <-> PDHG, with a boosted iteration budget) on failure. Never
-/// throws: the returned solution's status tells the story. When `outcome` is
-/// non-null it receives backend/attempt accounting. `slot`/`attempt_base`
-/// feed the fault-injection hook (pass kNoFaultSlot to bypass it).
+/// (simplex <-> PDHG, with a boosted iteration budget) on an iteration
+/// limit, a numerical error or a non-finite answer. A kPrimalInfeasible or
+/// kDualInfeasible verdict is returned after the first attempt: it is an
+/// answer about the model, and PDHG, which cannot detect infeasibility,
+/// could only exhaust its budget on it. Never throws: the returned
+/// solution's status tells the story. When `outcome` is non-null it
+/// receives backend/attempt accounting. `slot`/`attempt_base` feed the
+/// fault-injection hook (pass kNoFaultSlot to bypass it).
 inline constexpr std::size_t kNoFaultSlot = static_cast<std::size_t>(-1);
 solver::LpSolution solve_lp_with_fallback(const solver::LpModel& model,
                                           const solver::LpSolveOptions& lp,

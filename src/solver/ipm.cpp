@@ -434,6 +434,9 @@ struct BarrierState {
       for (int ls = 0; ls < 60; ++ls) {
         ws.x_try = x;
         linalg::axpy(step, ws.dx, ws.x_try);
+        // x + step dx rounds to x: no shorter step can move it either, and
+        // accepting the no-op would only repeat this step bit for bit.
+        if (ws.x_try == x) break;
         slacks_into(ws.x_try, ws.s_try);
         if (min_slack(ws.s_try) > 0.0) {
           const double f_try =
@@ -448,9 +451,9 @@ struct BarrierState {
         ++backtracks_total;
       }
     }
-    // Stuck: gradient/Hessian inconsistency at this scale. Treat the
-    // current point as centered; end_center decides if the gap is
-    // acceptable.
+    // Stuck (gradient/Hessian inconsistency at this scale) or the step no
+    // longer moves x at all. Treat the current point as centered without
+    // certifying it; end_center decides if the gap is acceptable.
     if (!moved) end_center();
   }
 

@@ -115,6 +115,40 @@ TEST(FaultHook, LpFallbackRetriesOtherBackend) {
   EXPECT_FALSE(outcome.detail.empty());
 }
 
+TEST(FaultHook, LpFallbackKeepsInfeasibilityVerdict) {
+  // A simplex infeasibility verdict ends the chain: PDHG cannot detect
+  // infeasibility, so a retry could only exhaust its boosted budget.
+  const auto expect_verdict = [](const solver::LpModel& model,
+                                 solver::SolveStatus verdict) {
+    core::SolveOutcome outcome;
+    const solver::LpSolution sol =
+        core::solve_lp_with_fallback(model, {}, &outcome, /*slot=*/0);
+    EXPECT_EQ(sol.status, verdict);
+    EXPECT_EQ(outcome.status, verdict);
+    EXPECT_EQ(outcome.attempts, 1u);
+    EXPECT_EQ(outcome.backend, core::SolveBackend::kSimplex);
+    const std::string head =
+        std::string("simplex: ") + solver::to_string(verdict);
+    EXPECT_EQ(outcome.detail.rfind(head, 0), 0u) << outcome.detail;
+    EXPECT_EQ(outcome.detail.find("; "), std::string::npos) << outcome.detail;
+  };
+  {
+    SCOPED_TRACE("x in [0, 1], x >= 2");
+    solver::LpBuilder builder;
+    const std::size_t x = builder.add_variable(0.0, 1.0, 1.0, "x");
+    builder.add_ge({{x, 1.0}}, 2.0, "floor");
+    expect_verdict(builder.build(), solver::SolveStatus::kPrimalInfeasible);
+  }
+  {
+    SCOPED_TRACE("min -x, x >= 2");
+    solver::LpBuilder builder;
+    const std::size_t x =
+        builder.add_variable(0.0, solver::kInf, -1.0, "x");
+    builder.add_ge({{x, 1.0}}, 2.0, "floor");
+    expect_verdict(builder.build(), solver::SolveStatus::kDualInfeasible);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Two-tier ROA under injected faults, all six regimes.
 

@@ -3,7 +3,8 @@
 // overload against the dense-Matrix reference overload, the P2Workspace on
 // the sparse factor against the tests' reference configuration of the same
 // model on the dense Newton path (primal, objective, and KKT multipliers),
-// and the empty-SLA-group guard in the even-split start.
+// the Newton-step counts on the reduced Fig.-5 instance, and the
+// empty-SLA-group guard in the even-split start.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,6 +12,7 @@
 #include "cloudnet/instance.hpp"
 #include "core/p2_subproblem.hpp"
 #include "core/roa.hpp"
+#include "eval/scenarios.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/sparse.hpp"
 #include "solver/ipm.hpp"
@@ -294,6 +296,37 @@ TEST(P2Pipeline, ResetWarmStartForcesColdSolve) {
   EXPECT_TRUE(ws.solve(inputs, 1, prev).timing.warm_started);
   ws.reset_warm_start();
   EXPECT_FALSE(ws.solve(inputs, 1, prev).timing.warm_started);
+}
+
+// Newton-step counts on the micro-benchmarks' P2 instance (reduced Fig. 5
+// scale, b = 10^3). Late in a solve x + step dx can round to x; the
+// line search then ends the centering instead of repeating the same no-op
+// step until the per-centering cap, so slot 1 needs at most 80 steps cold
+// and at most 30 when re-solved from its own optimum.
+TEST(P2Pipeline, NewtonStepsOnReducedFig5Instance) {
+  for (const std::size_t k : {1u, 2u, 4u}) {
+    SCOPED_TRACE("sla_k=" + std::to_string(k));
+    eval::Scenario sc;
+    sc.reconfig_weight = 1e3;
+    sc.sla_k = k;
+    const Instance inst = eval::build_eval_instance(sc, eval::EvalScale{});
+    const InputSeries inputs = InputSeries::truth(inst);
+    const Allocation zeros = Allocation::zeros(inst.num_edges());
+
+    RoaOptions cold_opts;
+    cold_opts.warm_start = false;
+    P2Workspace cold_ws(inst, cold_opts);
+    const P2Solution cold = cold_ws.solve(inputs, 1, zeros);
+    EXPECT_FALSE(cold.timing.warm_started);
+    EXPECT_LE(cold.timing.newton_steps, 80u);
+
+    P2Workspace warm_ws(inst, {});
+    const Allocation first = warm_ws.solve(inputs, 0, zeros).alloc;
+    warm_ws.solve(inputs, 1, first);
+    const P2Solution again = warm_ws.solve(inputs, 1, first);
+    EXPECT_TRUE(again.timing.warm_started);
+    EXPECT_LE(again.timing.newton_steps, 30u);
+  }
 }
 
 // A tier-1 cloud with no admissible edges used to poison the even-split
