@@ -235,103 +235,6 @@ void BM_CholeskySparse(benchmark::State& state) {
 }
 BENCHMARK(BM_CholeskySparse)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
 
-// ---- Batched per-block barrier solves: a fleet of same-dimension dense
-// Newton systems (the decomposed P2's per-block subproblems, ~12 variables
-// each) through solver::solve_barrier_batch vs one serial solve_barrier per
-// block. The range argument is the fleet size (number of ADMM blocks).
-
-struct BlockQuadratic final : solver::ConvexObjective {
-  linalg::Vec target;
-  explicit BlockQuadratic(linalg::Vec t) : target(std::move(t)) {}
-  double value(const linalg::Vec& x) const override {
-    double v = 0.0;
-    for (std::size_t i = 0; i < x.size(); ++i) {
-      const double d = x[i] - target[i];
-      v += 0.5 * d * d;
-    }
-    return v;
-  }
-  linalg::Vec gradient(const linalg::Vec& x) const override {
-    linalg::Vec g(x.size());
-    for (std::size_t i = 0; i < x.size(); ++i) g[i] = x[i] - target[i];
-    return g;
-  }
-  linalg::Matrix hessian(const linalg::Vec& x) const override {
-    return linalg::Matrix::identity(x.size());
-  }
-};
-
-struct BlockFleet {
-  std::vector<BlockQuadratic> objectives;
-  std::vector<linalg::SparseMatrix> constraints;
-  std::vector<linalg::Vec> rhs;
-  linalg::Vec x0;
-};
-
-BlockFleet make_block_fleet(std::size_t blocks, std::size_t n,
-                            std::uint64_t seed) {
-  util::Rng rng(seed);
-  BlockFleet fleet;
-  // Shared constraint shape (box + one coupling row), distinct values and
-  // targets per block — the decomposed P2's fan-out in miniature.
-  for (std::size_t b = 0; b < blocks; ++b) {
-    linalg::Vec target(n);
-    for (auto& v : target) v = rng.uniform(0.2, 1.8);
-    fleet.objectives.emplace_back(std::move(target));
-    linalg::Matrix g(2 * n + 1, n, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-      g(i, i) = 1.0;
-      g(n + i, i) = -1.0;
-      g(2 * n, i) = rng.uniform(0.5, 1.5);
-    }
-    fleet.constraints.push_back(linalg::SparseMatrix::from_dense(g));
-    linalg::Vec h(2 * n + 1, 2.0);
-    for (std::size_t i = 0; i < n; ++i) h[n + i] = 0.0;  // x >= 0
-    h[2 * n] = static_cast<double>(n);                   // coupling slack
-    fleet.rhs.push_back(std::move(h));
-  }
-  fleet.x0.assign(n, 0.5);
-  return fleet;
-}
-
-void BM_BatchedBlockSolveSequential(benchmark::State& state) {
-  const std::size_t blocks = static_cast<std::size_t>(state.range(0));
-  const auto fleet = make_block_fleet(blocks, 12, 29);
-  std::vector<solver::IpmScratch> scratch(blocks);
-  for (auto _ : state) {
-    double obj = 0.0;
-    for (std::size_t b = 0; b < blocks; ++b) {
-      const auto r =
-          solver::solve_barrier(fleet.objectives[b], fleet.constraints[b],
-                                fleet.rhs[b], fleet.x0, {}, &scratch[b]);
-      obj += r.objective;
-    }
-    benchmark::DoNotOptimize(obj);
-  }
-}
-BENCHMARK(BM_BatchedBlockSolveSequential)->Arg(18)->Arg(64)->Arg(200);
-
-void BM_BatchedBlockSolveBatched(benchmark::State& state) {
-  const std::size_t blocks = static_cast<std::size_t>(state.range(0));
-  const auto fleet = make_block_fleet(blocks, 12, 29);
-  std::vector<solver::IpmScratch> scratch(blocks);
-  std::vector<solver::BarrierBatchItem> items(blocks);
-  for (auto _ : state) {
-    for (std::size_t b = 0; b < blocks; ++b) {
-      items[b].objective = &fleet.objectives[b];
-      items[b].g = &fleet.constraints[b];
-      items[b].h = &fleet.rhs[b];
-      items[b].x0 = &fleet.x0;
-      items[b].scratch = &scratch[b];
-    }
-    solver::solve_barrier_batch(items.data(), items.size());
-    double obj = 0.0;
-    for (const auto& item : items) obj += item.result.objective;
-    benchmark::DoNotOptimize(obj);
-  }
-}
-BENCHMARK(BM_BatchedBlockSolveBatched)->Arg(18)->Arg(64)->Arg(200);
-
 // G with ~8 nonzeros per constraint row, m = 2n rows — the shape of the P2
 // constraint blocks. Both kernels accumulate G^T diag(w) G into a dense
 // (symmetric-seeded) Hessian buffer.
@@ -374,14 +277,13 @@ BENCHMARK(BM_AtDA_sparse)->Arg(64)->Arg(128)->Arg(256);
 // ---- Per-slot latency distribution across the online horizon. The slotted
 // loop cares about tail latency, not the mean: one slow slot delays every
 // decision behind it. Reports p50/p99 over all slots solved during the
-// benchmark for the monolithic chain, the block-decomposed path, and the
-// fault-demoted fallback (every slot's first attempt forced to fail, so the
-// timed path is demote + monolithic recovery).
+// benchmark for the P2 chain and for the fault-demoted fallback (every
+// slot's first barrier attempt forced to fail, so the timed path is the
+// failed attempt plus the chain's recovery).
 
 cloudnet::Instance slot_latency_instance() {
-  // Exactly at the kAuto thresholds (512 edges / 256 blocks): the smallest
-  // topology where the decomposed path would self-select, and the largest
-  // where a full monolithic + fallback sweep stays benchmarkable.
+  // 512 edges over 256 tier-1 sites: the largest topology where a full
+  // fallback sweep stays benchmarkable.
   testing::ScaledTopologyConfig cfg;
   cfg.num_tier2 = 32;
   cfg.num_tier1 = 256;
@@ -414,48 +316,31 @@ void run_slot_latency(benchmark::State& state, const cloudnet::Instance& inst,
 }
 
 void BM_SlotLatencyMonolithic(benchmark::State& state) {
-  const auto inst = slot_latency_instance();
-  core::RoaOptions opts;
-  opts.decomposition.mode = core::DecompositionOptions::Mode::kOff;
-  run_slot_latency(state, inst, opts);
+  run_slot_latency(state, slot_latency_instance(), core::RoaOptions{});
 }
 BENCHMARK(BM_SlotLatencyMonolithic)->Unit(benchmark::kMillisecond);
 
-void BM_SlotLatencyDecomposed(benchmark::State& state) {
-  const auto inst = slot_latency_instance();
-  core::RoaOptions opts;
-  opts.decomposition.mode = core::DecompositionOptions::Mode::kForce;
-  run_slot_latency(state, inst, opts);
-}
-BENCHMARK(BM_SlotLatencyDecomposed)->Unit(benchmark::kMillisecond);
-
 void BM_SlotLatencyFallback(benchmark::State& state) {
-  const auto inst = slot_latency_instance();
-  core::RoaOptions opts;
-  opts.decomposition.mode = core::DecompositionOptions::Mode::kForce;
   testing::FaultPlan plan;
-  plan.fault_rate = 1.0;  // every slot: decomposed attempt fails, demote
+  plan.fault_rate = 1.0;  // every slot: the first barrier attempt fails
   plan.forced_attempts = 1;
   plan.mix_kinds = false;
   testing::FaultInjector injector(plan);
-  run_slot_latency(state, inst, opts);
+  run_slot_latency(state, slot_latency_instance(), core::RoaOptions{});
 }
 BENCHMARK(BM_SlotLatencyFallback)->Unit(benchmark::kMillisecond);
 
-// The paper-scale acceptance point: the decomposed path on the full
-// 200x2000 scaled topology (6000 edges, 2000 blocks). One iteration solves
-// two slots (cold + warm). Heavy by construction — excluded from the CI
-// bench-smoke filter; run via bench/run_benchmarks.sh for the committed
-// BENCH_solver.json.
-void BM_SlotLatencyScaledDecomposed(benchmark::State& state) {
+// The full 200x2000 scaled topology (6000 edges, 18,000 variables). One
+// iteration solves two slots (cold + warm). Heavy by construction —
+// excluded from the CI bench-smoke filter; run via bench/run_benchmarks.sh
+// for the committed BENCH_solver.json.
+void BM_SlotLatencyScaledMonolithic(benchmark::State& state) {
   testing::ScaledTopologyConfig cfg;  // 200 x 2000 / k3 defaults
   cfg.horizon = 2;
-  const auto inst = testing::generate_scaled_instance(cfg);
-  core::RoaOptions opts;
-  opts.decomposition.mode = core::DecompositionOptions::Mode::kForce;
-  run_slot_latency(state, inst, opts);
+  run_slot_latency(state, testing::generate_scaled_instance(cfg),
+                   core::RoaOptions{});
 }
-BENCHMARK(BM_SlotLatencyScaledDecomposed)
+BENCHMARK(BM_SlotLatencyScaledMonolithic)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
 

@@ -20,6 +20,10 @@ using linalg::Matrix;
 using linalg::SparseMatrix;
 using solver::kInf;
 
+// Warm-start blend weights, tried in order: the previous optimum v is
+// pulled to (1 - a) v + a * anchor until the blend is strictly interior.
+constexpr double kWarmStartBlends[] = {0.05, 0.25, 0.5};
+
 // Handles resolved once; see Registry docs for the naming scheme.
 struct P2Metrics {
   obs::Histogram* build_seconds;
@@ -514,16 +518,9 @@ struct P2Workspace::Impl {
   solver::IpmScratch scratch;
   Vec start, anchor;
 
-  // Block-decomposed primary path (created only when selected); a stall
-  // falls through to the monolithic chain below.
-  std::unique_ptr<P2DecomposedSolver> decomposed;
-
   Impl(const Instance& inst_, const RoaOptions& options_)
       : inst(inst_), options(options_), layout(layout_for(inst_)),
-        objective(inst_, options_), poly(inst_, layout) {
-    if (decomposition_selected(inst, options.decomposition))
-      decomposed = std::make_unique<P2DecomposedSolver>(inst, options);
-  }
+        objective(inst_, options_), poly(inst_, layout) {}
 
   // Choose the starting point: the previous optimum pulled into the strict
   // interior when warm starting, else the even-split anchor, else phase-I.
@@ -532,7 +529,7 @@ struct P2Workspace::Impl {
     if (options.warm_start && has_last) {
       // Slack is affine, so slack(blend) = (1-a) slack(last) + a
       // slack(anchor): escalating a trades proximity for interior margin.
-      for (const double a : solver::kWarmStartBlends) {
+      for (const double a : kWarmStartBlends) {
         start.resize(layout.size());
         for (std::size_t k = 0; k < layout.size(); ++k)
           start[k] = (1.0 - a) * last_opt[k] + a * anchor[k];
@@ -767,46 +764,6 @@ struct P2Workspace::Impl {
     return true;
   }
 
-  // One decomposed (ADMM) attempt: solve, let the fault hook
-  // interfere, demote non-finite answers, and on success adopt the point
-  // into the workspace (true-objective evaluation + monolithic warm-start
-  // state) along with the block-recovered multipliers.
-  bool try_decomposed(const SlotInputs& in, const Allocation& prev,
-                      P2Solution& out, SolveOutcome& outcome,
-                      std::size_t& attempt, double& barrier_seconds) {
-    DecomposedResult dres;
-    std::string fail;
-    bool ok;
-    {
-      SORA_TRACE_SPAN("p2/decomposed");
-      util::ScopedTimer solve_timer(&barrier_seconds);
-      ok = decomposed->solve(in, prev, dres, fail);
-    }
-    solver::SolveStatus status = ok ? solver::SolveStatus::kOptimal
-                                    : solver::SolveStatus::kNumericalError;
-    apply_fault(consult_fault_hook(in.slot, attempt), status, dres.packed);
-    if (status == solver::SolveStatus::kOptimal &&
-        !all_finite(dres.packed)) {
-      status = solver::SolveStatus::kNumericalError;
-      fail += fail.empty() ? "non-finite solution" : " [non-finite solution]";
-    }
-    ++attempt;
-    const SolveBackend backend = SolveBackend::kDecomposedAdmm;
-    outcome.backend = backend;
-    outcome.status = status;
-    if (status != solver::SolveStatus::kOptimal) {
-      append_failure(outcome.detail, to_string(backend), status, fail);
-      return false;
-    }
-    fill_from_point(dres.packed, out);
-    out.newton_steps = dres.newton_steps;
-    out.rho = std::move(dres.rho);
-    out.phi = std::move(dres.phi);
-    out.gamma = std::move(dres.gamma);
-    out.sigma = std::move(dres.sigma);
-    return true;
-  }
-
   P2Solution step(const SlotInputs& in, const Allocation& prev) {
     SORA_CHECK(prev.x.size() == inst.num_edges());
     SORA_CHECK(in.demand != nullptr && in.demand->size() == inst.num_tier1());
@@ -830,29 +787,6 @@ struct P2Workspace::Impl {
     std::size_t attempt = 0;
     solver::IpmResult result;
     P2Solution out;
-
-    // Decomposed primary attempt: a stall (or injected fault) falls through
-    // to the monolithic barrier as the next stage of the chain.
-    bool decomposed_solved = false;
-    if (decomposed != nullptr) {
-      decomposed_solved =
-          try_decomposed(in, prev, out, outcome, attempt, barrier_seconds);
-      if (!decomposed_solved)
-        SORA_LOG_WARN << "p2: decomposed solve failed at t=" << in.slot
-                      << " (" << outcome.detail << "); demoting to monolithic";
-    }
-
-    if (decomposed_solved) {
-      outcome.attempts = attempt;
-      out.outcome = outcome;
-      observe_outcome(outcome);
-      out.timing.build_seconds = build_seconds;
-      out.timing.solve_seconds = barrier_seconds;
-      out.timing.newton_steps = out.newton_steps;
-      out.timing.warm_started = false;
-      observe_p2_timing(out.timing);
-      return out;
-    }
 
     {
       SORA_TRACE_SPAN("p2/start");
@@ -1018,10 +952,7 @@ P2Solution P2Workspace::degrade(const SlotInputs& in, const Allocation& prev) {
   return impl_->degrade(in, prev);
 }
 
-void P2Workspace::reset_warm_start() {
-  impl_->has_last = false;
-  if (impl_->decomposed != nullptr) impl_->decomposed->reset_warm_start();
-}
+void P2Workspace::reset_warm_start() { impl_->has_last = false; }
 
 bool P2Workspace::export_warm_start(Vec& out) const {
   if (!impl_->has_last) return false;
@@ -1036,10 +967,6 @@ bool P2Workspace::import_warm_start(const Vec& state) {
   }
   impl_->last_opt = state;
   impl_->has_last = true;
-  // The decomposed path keeps its own per-block warm state, which a
-  // snapshot does not capture — drop it so a restored workspace behaves
-  // like a deterministic function of (last_opt, prev).
-  if (impl_->decomposed != nullptr) impl_->decomposed->reset_warm_start();
   return true;
 }
 

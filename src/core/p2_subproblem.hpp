@@ -23,15 +23,16 @@
 // coverage right-hand sides, warm-starts from the previous slot's optimum
 // pulled into the strict interior (else the even split, else a phase-I LP),
 // and runs the barrier IPM with preallocated scratch (zero heap allocation
-// in the Newton loop). The tests' cross-validation reference is a
-// configuration of the same workspace (testing::reference_roa_options():
-// cold, fail-fast, IPM pinned to its dense Newton path), not a second model.
+// in the Newton loop). Every slot, at every scale, takes the same chain:
+// warm IPM -> cold IPM -> tightened IPM -> LP surrogate -> hold + repair.
+// The tests' cross-validation reference is a configuration of the same
+// workspace (testing::reference_roa_options(): cold, fail-fast, IPM pinned
+// to its dense Newton path), not a second model.
 #pragma once
 
 #include <memory>
 
 #include "core/p1_model.hpp"
-#include "core/p2_decomposed.hpp"
 #include "core/resilience.hpp"
 #include "core/types.hpp"
 #include "solver/ipm.hpp"
@@ -45,8 +46,8 @@ struct RoaOptions {
 
   // Warm-start each P2Workspace solve from the previous slot's optimum,
   // pulled into the strict interior by a convex combination with the
-  // even-split anchor (weights solver::kWarmStartBlends). The first solve
-  // of a fresh workspace cold-starts.
+  // even-split anchor (kWarmStartBlends in p2_subproblem.cpp). The first
+  // solve of a fresh workspace cold-starts.
   bool warm_start = true;
 
   // Fallback-chain configuration: a failed barrier solve walks cold
@@ -55,12 +56,6 @@ struct RoaOptions {
   // resilience.enabled = false makes the first failure throw (the tests'
   // fail-fast reference configuration).
   ResilienceOptions resilience;
-
-  // Block-decomposed primary path (core/p2_decomposed): when selected
-  // (kAuto size heuristic or kForce), each slot first runs the
-  // per-SLA-group decomposed solve; a stall demotes to the monolithic
-  // barrier and the rest of the fallback chain. kOff never decomposes.
-  DecompositionOptions decomposition;
 
   // Slot-SLO accounting (obs/slo.hpp): per-slot latency quantiles and
   // deadline hit/miss against `slo.budget_seconds`. The default picks up

@@ -18,7 +18,6 @@ const char* to_string(SolveBackend backend) {
     case SolveBackend::kSimplex: return "simplex";
     case SolveBackend::kPdhg: return "pdhg";
     case SolveBackend::kHoldRepair: return "hold_repair";
-    case SolveBackend::kDecomposedAdmm: return "decomposed_admm";
   }
   return "?";
 }

@@ -47,12 +47,10 @@ enum class SolveBackend {
   kSimplex,       // simplex on the slot's linear surrogate
   kPdhg,          // PDHG on the slot's linear surrogate
   kHoldRepair,    // graceful degradation: hold x_{t-1} + cheapest repair
-  kDecomposedAdmm,  // block-decomposed consensus ADMM over per-SLA-group
-                    // barrier solves (core/p2_decomposed)
 };
 
 const char* to_string(SolveBackend backend);
-inline constexpr std::size_t kNumBackends = 7;
+inline constexpr std::size_t kNumBackends = 6;
 
 /// How one slot's solve ended: status, producing backend, chain depth.
 struct SolveOutcome {

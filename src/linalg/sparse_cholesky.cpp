@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <set>
+#include <utility>
 
 #include "util/check.hpp"
 
@@ -82,104 +85,47 @@ Matrix SymSparse::to_dense() const {
   return a;
 }
 
-namespace {
-
-// Undirected adjacency (CSR, no self-loops) of the symmetric pattern.
-struct Adjacency {
-  std::vector<std::size_t> ptr, nbr;
-  std::size_t degree(std::size_t v) const { return ptr[v + 1] - ptr[v]; }
-};
-
-Adjacency build_adjacency(const SymSparse& a) {
+std::vector<std::size_t> minimum_degree_ordering(const SymSparse& a) {
   const std::size_t n = a.n;
-  Adjacency adj;
-  adj.ptr.assign(n + 1, 0);
+  // Neighbor lists of the symmetric pattern, no self-loops. Rows are
+  // visited in ascending order, so each list comes out sorted: first the
+  // node's own lower-triangle columns, then the later rows that name it.
+  std::vector<std::vector<std::size_t>> nbrs(n);
   for (std::size_t r = 0; r < n; ++r)
     for (std::size_t k = a.row_ptr[r]; k < a.row_ptr[r + 1]; ++k) {
       const std::size_t c = a.cols[k];
       if (c == r) continue;
-      ++adj.ptr[r + 1];
-      ++adj.ptr[c + 1];
+      nbrs[r].push_back(c);
+      nbrs[c].push_back(r);
     }
-  for (std::size_t v = 0; v < n; ++v) adj.ptr[v + 1] += adj.ptr[v];
-  adj.nbr.resize(adj.ptr[n]);
-  std::vector<std::size_t> fill(adj.ptr.begin(), adj.ptr.end() - 1);
-  for (std::size_t r = 0; r < n; ++r)
-    for (std::size_t k = a.row_ptr[r]; k < a.row_ptr[r + 1]; ++k) {
-      const std::size_t c = a.cols[k];
-      if (c == r) continue;
-      adj.nbr[fill[r]++] = c;
-      adj.nbr[fill[c]++] = r;
-    }
-  return adj;
-}
 
-// BFS from `root` over unvisited nodes, appending the traversal to `order`
-// with neighbors taken in ascending-degree order (ties by index, so the
-// ordering is deterministic). Returns the index in `order` where the last
-// BFS level starts.
-std::size_t bfs_component(const Adjacency& adj, std::size_t root,
-                          std::vector<char>& visited,
-                          std::vector<std::size_t>& order,
-                          std::vector<std::size_t>& scratch) {
-  const std::size_t begin = order.size();
-  visited[root] = 1;
-  order.push_back(root);
-  std::size_t level_begin = begin, head = begin;
-  while (head < order.size()) {
-    const std::size_t level_end = order.size();
-    level_begin = head;
-    for (; head < level_end; ++head) {
-      const std::size_t v = order[head];
-      scratch.clear();
-      for (std::size_t k = adj.ptr[v]; k < adj.ptr[v + 1]; ++k) {
-        const std::size_t w = adj.nbr[k];
-        if (!visited[w]) {
-          visited[w] = 1;
-          scratch.push_back(w);
-        }
-      }
-      std::sort(scratch.begin(), scratch.end(),
-                [&adj](std::size_t x, std::size_t y) {
-                  const std::size_t dx = adj.degree(x), dy = adj.degree(y);
-                  return dx != dy ? dx < dy : x < y;
-                });
-      order.insert(order.end(), scratch.begin(), scratch.end());
+  // Eliminate a node of least current degree, lowest index first among
+  // ties, and join its neighbors into a clique: the fill that eliminating
+  // it would create. Each list holds only uneliminated nodes.
+  std::set<std::pair<std::size_t, std::size_t>> queue;  // (degree, node)
+  for (std::size_t v = 0; v < n; ++v) queue.insert({nbrs[v].size(), v});
+  std::vector<std::size_t> perm, merged;
+  perm.reserve(n);
+  while (!queue.empty()) {
+    const std::size_t v = queue.begin()->second;
+    queue.erase(queue.begin());
+    perm.push_back(v);
+    const std::vector<std::size_t> clique = std::move(nbrs[v]);
+    for (const std::size_t u : clique) {
+      queue.erase({nbrs[u].size(), u});
+      merged.clear();
+      std::set_union(nbrs[u].begin(), nbrs[u].end(), clique.begin(),
+                     clique.end(), std::back_inserter(merged));
+      merged.erase(std::remove_if(merged.begin(), merged.end(),
+                                  [u, v](std::size_t w) {
+                                    return w == u || w == v;
+                                  }),
+                   merged.end());
+      nbrs[u].swap(merged);
+      queue.insert({nbrs[u].size(), u});
     }
   }
-  return level_begin;
-}
-
-}  // namespace
-
-std::vector<std::size_t> reverse_cuthill_mckee(const SymSparse& a) {
-  const std::size_t n = a.n;
-  const Adjacency adj = build_adjacency(a);
-  std::vector<std::size_t> order;
-  order.reserve(n);
-  std::vector<char> visited(n, 0);
-  std::vector<std::size_t> scratch;
-  for (std::size_t seed = 0; seed < n; ++seed) {
-    if (visited[seed]) continue;
-    // Component root: the minimum-degree unvisited node reachable choice is
-    // refined toward a pseudo-peripheral node with one extra BFS (George &
-    // Liu): BFS, take a min-degree node of the last level, restart there.
-    std::size_t root = seed;
-    {
-      std::vector<char> probe(visited);
-      std::vector<std::size_t> probe_order;
-      const std::size_t last = bfs_component(adj, root, probe, probe_order,
-                                             scratch);
-      std::size_t best = probe_order[last];
-      for (std::size_t i = last; i < probe_order.size(); ++i)
-        if (adj.degree(probe_order[i]) < adj.degree(best))
-          best = probe_order[i];
-      root = best;
-    }
-    bfs_component(adj, root, visited, order, scratch);
-  }
-  std::reverse(order.begin(), order.end());
-  return order;
+  return perm;
 }
 
 void SparseCholesky::analyze(const SymSparse& a) {
@@ -188,7 +134,7 @@ void SparseCholesky::analyze(const SymSparse& a) {
   factored_ = false;
   shift_ = 0.0;
 
-  perm_ = reverse_cuthill_mckee(a);
+  perm_ = minimum_degree_ordering(a);
   iperm_.assign(n, 0);
   for (std::size_t k = 0; k < n; ++k) iperm_[perm_[k]] = k;
 

@@ -5,16 +5,17 @@
 //
 //   SymSparse a = SymSparse::from_lower_triplets(n, trips);
 //   SparseCholesky chol;
-//   chol.analyze(a);                    // once per pattern: ordering (RCM),
-//                                       // elimination tree, pattern of L
+//   chol.analyze(a);                    // once per pattern: ordering
+//                                       // (minimum degree), elimination
+//                                       // tree, pattern of L
 //   for each Newton step:
 //     /* rewrite a.values in place */
 //     chol.factor_regularized(a, 1e-12, 1e16);   // numeric only
 //     chol.solve_in_place(dx);
 //
-// The analysis applies a reverse-Cuthill-McKee fill-reducing ordering,
-// builds the elimination tree of the permuted matrix, and computes the full
-// nonzero pattern of L. factor() is an up-looking numeric factorization
+// The analysis applies a minimum-degree fill-reducing ordering, builds the
+// elimination tree of the permuted matrix, and computes the full nonzero
+// pattern of L. factor() is an up-looking numeric factorization
 // over that fixed pattern (CSparse-style), so its cost is O(|L| row
 // lengths), with no per-step allocation or symbolic work.
 #pragma once
@@ -60,10 +61,11 @@ struct SymSparse {
   Matrix to_dense() const;
 };
 
-/// Fill-reducing symmetric permutation: reverse Cuthill-McKee on the
-/// adjacency graph of the lower-triangle pattern. Returns perm with
+/// Fill-reducing symmetric permutation: minimum degree on the explicit
+/// elimination graph of the lower-triangle pattern, ties broken by lowest
+/// index, so the result depends on the pattern alone. Returns perm with
 /// perm[k] = original index placed at position k. Exposed for tests.
-std::vector<std::size_t> reverse_cuthill_mckee(const SymSparse& a);
+std::vector<std::size_t> minimum_degree_ordering(const SymSparse& a);
 
 /// Sparse LL^T with the symbolic analysis (ordering + elimination tree +
 /// pattern of L) computed once by analyze() and reused by every factor().

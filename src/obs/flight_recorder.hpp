@@ -1,8 +1,8 @@
 // Solver flight recorder: a bounded ring of per-solve forensic records plus
 // anomaly-triggered JSON incident reports.
 //
-// Every slot-granular solve (P2 chain, n-tier, ADMM blocks, the offline P1
-// window LP) appends one FlightRecord describing what happened: which
+// Every slot-granular solve (P2 chain, n-tier, the offline P1 window LP)
+// appends one FlightRecord describing what happened: which
 // backend produced the answer, how deep the fallback chain went, iteration
 // counts, the solver's own diagnostic string (KKT gap, step diagnostics),
 // and the instance signature. Recording is a single short mutex-guarded ring

@@ -3,16 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <utility>
 
-#include "linalg/batched_cholesky.hpp"
 #include "linalg/cholesky.hpp"
 #include "obs/obs.hpp"
 #include "solver/lp.hpp"
 #include "util/check.hpp"
-#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace sora::solver {
@@ -254,15 +250,10 @@ void assemble_sparse_normal(const ConvexObjective& objective,
 }
 
 // One barrier solve: its Newton state and the statements of one iteration.
-// solve_barrier drives a single state to the end; solve_barrier_batch drives
-// dense-path states of equal dimension in lockstep and factors their Newton
-// systems together. Either way a state runs the same statements in the same
-// order, so its result does not depend on which of the two runs it.
-//
 // A Newton step is begin_step() (centering bookkeeping and assembly), then
-// factor() and solve() (or the batched kernel, which leaves the step in
-// ws.dx), then finish_step() (decrement test and line search). Closing a
-// centering phase either advances t or finishes the solve.
+// factor() and solve(), then finish_step() (decrement test and line
+// search). Closing a centering phase either advances t or finishes the
+// solve.
 template <class G>
 struct BarrierState {
   const ConvexObjective& objective;
@@ -294,7 +285,6 @@ struct BarrierState {
   bool entering_center = true;  // the next step opens a centering phase
   bool done = false;
   IpmResult result;
-  std::string error;  // batch only: what the solve threw
 
   BarrierState(const ConvexObjective& objective_, G gm_, const Vec& h_,
                const Vec& x0, const IpmOptions& options_, IpmScratch& ws_,
@@ -508,15 +498,7 @@ struct BarrierState {
     done = true;
   }
 
-  // What a caller's try/catch around a serial solve would record.
-  void fail(const std::exception& e) {
-    error = e.what();
-    result.status = SolveStatus::kNumericalError;
-    result.detail = error;
-    done = true;
-  }
-
-  // Serial execution: one Newton step after another until done.
+  // One Newton step after another until done.
   void run() {
     while (!done) {
       if (!begin_step()) continue;
@@ -528,7 +510,7 @@ struct BarrierState {
 };
 
 template <class G>
-IpmResult solve_serial(const ConvexObjective& objective, G gm, const Vec& h,
+IpmResult run_barrier(const ConvexObjective& objective, G gm, const Vec& h,
                        const Vec& x0, const IpmOptions& options,
                        IpmScratch* scratch) {
   IpmScratch local;
@@ -539,228 +521,18 @@ IpmResult solve_serial(const ConvexObjective& objective, G gm, const Vec& h,
   return std::move(state.result);
 }
 
-// ---------------------------------------------------------------------------
-// Batched execution (solve_barrier_batch): many independent instances, the
-// dense Newton factor+solve vectorized across same-dimension instances.
-// ---------------------------------------------------------------------------
-
-using BatchState = BarrierState<SparseG>;
-
-struct BatchMetrics {
-  obs::Counter* solves;
-  obs::Counter* lockstep_instances;
-  obs::Counter* factor_fallbacks;
-  obs::Histogram* lockstep_width;
-};
-
-const BatchMetrics& batch_metrics() {
-  static const BatchMetrics metrics = [] {
-    auto& reg = obs::Registry::global();
-    return BatchMetrics{
-        &reg.counter("sora_batch_solves_total",
-                     "Barrier instances entering solve_barrier_batch"),
-        &reg.counter("sora_batch_lockstep_instances_total",
-                     "Instances routed to the dense lockstep kernel"),
-        &reg.counter("sora_batch_factor_fallbacks_total",
-                     "Lockstep factors escalated to the serial regularized "
-                     "path (non-positive pivot or non-finite input)"),
-        &reg.histogram("sora_batch_lockstep_width", "instances",
-                       "Active lanes per batched Newton factor round",
-                       obs::exponential_buckets(1.0, 2.0, 10)),
-    };
-  }();
-  return metrics;
-}
-
-// Lockstep execution: dense-path states of common dimension n advance one
-// Newton step per round. Every live state assembles its system, the batched
-// kernel factors and solves them all, then every state finishes its step. A
-// lane whose plain factor fails, or whose matrix is non-finite, takes its
-// own factor() for that round; that retries shift 0 first, exactly as the
-// serial run() does, so every lane's bits equal a serial solve.
-void run_lockstep(BatchState* const* lanes, std::size_t count, std::size_t n,
-                  bool obs_on) {
-  linalg::BatchedDenseCholesky kernel;
-  kernel.configure(n, count);
-  std::vector<char> stepping(count), active(count), serial(count);
-  const auto live = [](const BatchState* s) { return !s->done; };
-  while (std::any_of(lanes, lanes + count, live)) {
-    for (std::size_t b = 0; b < count; ++b) {
-      BatchState& s = *lanes[b];
-      stepping[b] = active[b] = serial[b] = 0;
-      if (s.done) continue;
-      try {
-        if (!s.begin_step()) continue;
-        stepping[b] = 1;
-        const auto& a = s.ws.hess.data();
-        if (std::all_of(a.begin(), a.end(),
-                        [](double v) { return std::isfinite(v); })) {
-          kernel.pack(b, s.ws.hess);
-          active[b] = 1;
-        } else {
-          // Raises the serial path's non-finite-input error.
-          s.factor();
-          serial[b] = 1;
-        }
-      } catch (const std::exception& e) {
-        s.fail(e);
-      }
-    }
-
-    const auto width = static_cast<std::size_t>(
-        std::count(active.begin(), active.end(), 1));
-    if (width > 0) {
-      double secs = 0.0;
-      {
-        util::ScopedTimer timer(obs_on ? &secs : nullptr);
-        kernel.factor(active);
-      }
-      if (obs_on) {
-        batch_metrics().lockstep_width->observe(static_cast<double>(width));
-        for (std::size_t b = 0; b < count; ++b)
-          if (active[b] != 0)
-            lanes[b]->factor_seconds += secs / static_cast<double>(width);
-      }
-    }
-
-    std::size_t solve_width = 0;
-    for (std::size_t b = 0; b < count; ++b) {
-      if (active[b] == 0) continue;
-      BatchState& s = *lanes[b];
-      if (kernel.ok(b)) {
-        for (std::size_t j = 0; j < n; ++j) s.ws.dx[j] = -s.ws.grad[j];
-        kernel.set_rhs(b, s.ws.dx);
-        ++solve_width;
-        continue;
-      }
-      if (obs_on) batch_metrics().factor_fallbacks->inc();
-      try {
-        s.factor();
-        serial[b] = 1;
-      } catch (const std::exception& e) {
-        s.fail(e);
-      }
-    }
-    if (solve_width > 0) {
-      double secs = 0.0;
-      {
-        util::ScopedTimer timer(obs_on ? &secs : nullptr);
-        kernel.solve();
-      }
-      if (obs_on)
-        for (std::size_t b = 0; b < count; ++b)
-          if (active[b] != 0 && !lanes[b]->done && serial[b] == 0)
-            lanes[b]->solve_seconds += secs / static_cast<double>(solve_width);
-    }
-
-    for (std::size_t b = 0; b < count; ++b) {
-      BatchState& s = *lanes[b];
-      if (s.done || stepping[b] == 0) continue;
-      try {
-        if (serial[b] != 0)
-          s.solve();
-        else
-          kernel.get_rhs(b, s.ws.dx);
-        s.finish_step();
-      } catch (const std::exception& e) {
-        s.fail(e);
-      }
-    }
-  }
-}
-
 }  // namespace
 
 IpmResult solve_barrier(const ConvexObjective& objective, const Matrix& g,
                         const Vec& h, const Vec& x0, const IpmOptions& options,
                         IpmScratch* scratch) {
-  return solve_serial(objective, DenseG{g}, h, x0, options, scratch);
+  return run_barrier(objective, DenseG{g}, h, x0, options, scratch);
 }
 
 IpmResult solve_barrier(const ConvexObjective& objective,
                         const SparseMatrix& g, const Vec& h, const Vec& x0,
                         const IpmOptions& options, IpmScratch* scratch) {
-  return solve_serial(objective, SparseG{g}, h, x0, options, scratch);
-}
-
-void solve_barrier_batch(BarrierBatchItem* items, std::size_t count) {
-  if (count == 0) return;
-  const bool obs_on = obs::metrics_enabled();
-  if (obs_on) batch_metrics().solves->inc(count);
-
-  // Set up every instance's state (which settles its dense/sparse route and
-  // primes its symbolic cache), on a private scratch when the caller passed
-  // none; dense-path states group by dimension for lockstep.
-  std::vector<std::unique_ptr<IpmScratch>> owned;
-  std::vector<std::unique_ptr<BatchState>> states(count);
-  std::vector<BatchState*> sparse;
-  std::map<std::size_t, std::vector<BatchState*>> dense_by_n;
-  for (std::size_t i = 0; i < count; ++i) {
-    BarrierBatchItem& it = items[i];
-    it.error.clear();
-    it.result = IpmResult{};
-    if (it.objective == nullptr || it.g == nullptr || it.h == nullptr ||
-        it.x0 == nullptr) {
-      it.error = "null field in BarrierBatchItem";
-      it.result.detail = it.error;
-      continue;
-    }
-    IpmScratch* ws = it.scratch;
-    if (ws == nullptr) {
-      owned.push_back(std::make_unique<IpmScratch>());
-      ws = owned.back().get();
-    }
-    try {
-      states[i] = std::make_unique<BatchState>(*it.objective, SparseG{*it.g},
-                                               *it.h, *it.x0, it.options, *ws,
-                                               obs_on);
-    } catch (const std::exception& e) {
-      it.error = e.what();
-      it.result.detail = it.error;
-      continue;
-    }
-    BatchState* s = states[i].get();
-    if (s->use_sparse)
-      sparse.push_back(s);
-    else
-      dense_by_n[s->n].push_back(s);
-  }
-
-  // One task per sparse instance (run serially) plus one per dense
-  // lockstep chunk; everything fans out over the shared pool. Chunking
-  // bounds the SoA arena and gives the pool units to balance; per-instance
-  // results are bitwise independent of the chunking.
-  constexpr std::size_t kMaxLanes = 64;
-  std::vector<std::function<void()>> tasks;
-  for (BatchState* s : sparse) {
-    tasks.push_back([s] {
-      try {
-        s->run();
-      } catch (const std::exception& e) {
-        s->fail(e);
-      }
-    });
-  }
-  for (const auto& [n, group] : dense_by_n) {
-    for (std::size_t at = 0; at < group.size(); at += kMaxLanes) {
-      const std::size_t len = std::min(kMaxLanes, group.size() - at);
-      tasks.push_back([lanes = group.data() + at, len, n, obs_on] {
-        if (obs_on)
-          batch_metrics().lockstep_instances->inc(
-              static_cast<std::uint64_t>(len));
-        run_lockstep(lanes, len, n, obs_on);
-      });
-    }
-  }
-  util::parallel_for(
-      0, tasks.size(), [&tasks](std::size_t k) { tasks[k](); }, 1,
-      util::ForSchedule::kGuided);
-
-  for (std::size_t i = 0; i < count; ++i) {
-    if (!states[i]) continue;
-    items[i].result = std::move(states[i]->result);
-    items[i].error = std::move(states[i]->error);
-  }
+  return run_barrier(objective, SparseG{g}, h, x0, options, scratch);
 }
 
 }  // namespace sora::solver

@@ -27,17 +27,13 @@
 //   * dense Matrix — O(m n^2) Newton assembly, kept as the tests' reference
 //     for the CSR assembly (BarrierIpm.SparseMatchesDenseOverload).
 // Independently of G's form, the Newton matrix is factored densely below
-// IpmOptions::sparse_min_dim and by the sparse Cholesky above it; the P2
-// tests' reference configuration pins the dense factor at every size.
-//
-// ipm.cpp holds one Newton iteration, kept in a per-solve state. Two entry
-// points run it: solve_barrier takes one state to the end, and
-// solve_barrier_batch advances many states in lockstep with only their dense
-// factor+solve batched, so both return the same bits.
+// IpmOptions::sparse_min_dim and by the sparse Cholesky (minimum-degree
+// ordering, symbolic analysis once per pattern) above it; the P2 tests'
+// reference configuration pins the dense factor at every size. One solve
+// runs one Newton loop (ipm.cpp's BarrierState) from start to finish.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "linalg/matrix.hpp"
 #include "linalg/sparse.hpp"
@@ -120,13 +116,6 @@ struct IpmOptions {
   double sparse_max_density = 0.45;
 };
 
-/// Warm-start blend weights toward a strictly interior anchor, tried in
-/// order: the previous optimum v is pulled to (1 - a) v + a * anchor until
-/// the blend is strictly interior. Slack is affine in a, so a larger weight
-/// only trades proximity for interior margin. Shared by the P2 workspace
-/// (core/p2_subproblem) and the decomposed blocks (solver/block_solve).
-inline constexpr double kWarmStartBlends[] = {0.05, 0.25, 0.5};
-
 struct IpmResult {
   SolveStatus status = SolveStatus::kNumericalError;
   linalg::Vec x;
@@ -178,36 +167,5 @@ IpmResult solve_barrier(const ConvexObjective& objective,
                         const linalg::SparseMatrix& g, const linalg::Vec& h,
                         const linalg::Vec& x0, const IpmOptions& options = {},
                         IpmScratch* scratch = nullptr);
-
-/// One instance of a batched barrier solve: the same inputs the CSR
-/// solve_barrier overload takes, by pointer so a caller can stage a whole
-/// fleet cheaply. `error` is filled (and result.status left kNumericalError)
-/// when the instance's solve threw — the batch equivalent of the try/catch a
-/// caller would wrap around a serial solve_barrier call.
-struct BarrierBatchItem {
-  const ConvexObjective* objective = nullptr;
-  const linalg::SparseMatrix* g = nullptr;
-  const linalg::Vec* h = nullptr;
-  const linalg::Vec* x0 = nullptr;
-  IpmOptions options;
-  IpmScratch* scratch = nullptr;  // optional; a private scratch is used when null
-  IpmResult result;               // out
-  std::string error;              // out: non-empty iff the solve threw
-};
-
-/// Solve many independent barrier problems as one batch. Semantics per
-/// instance are identical to solve_barrier — bitwise, not just numerically:
-///
-///   * dense-path instances of equal dimension advance in lockstep, with the
-///     Newton factor+solve running across the batch in a structure-of-arrays
-///     kernel (linalg::BatchedDenseCholesky) whose per-lane arithmetic
-///     mirrors the serial one; a lane whose plain factor fails drops to the
-///     serial regularized factor for that step, exactly as the serial path
-///     escalates;
-///   * sparse-path instances run the serial loop, each on its own scratch
-///     and symbolic cache;
-///   * instances are distributed over util::ThreadPool::shared(); results do
-///     not depend on thread count or batch composition.
-void solve_barrier_batch(BarrierBatchItem* items, std::size_t count);
 
 }  // namespace sora::solver

@@ -18,7 +18,6 @@ using cloudnet::Instance;
 using core::RoaOptions;
 using core::RoaRun;
 using linalg::max_abs_diff;
-using linalg::Vec;
 
 struct Backend {
   const char* name;
@@ -76,7 +75,6 @@ RoaOptions reference_roa_options() {
   RoaOptions options;
   options.warm_start = false;
   options.resilience.enabled = false;
-  options.decomposition.mode = core::DecompositionOptions::Mode::kOff;
   options.ipm.sparse_min_dim = std::numeric_limits<std::size_t>::max();
   return options;
 }
@@ -131,42 +129,6 @@ DiffReport differential_roa(const Instance& inst, const std::string& label,
                 options.cost_tol);
   }
 
-  if (options.include_decomposed) {
-    RoaOptions dec_opt;
-    dec_opt.ipm.tol = options.ipm_tol;
-    dec_opt.decomposition.mode = core::DecompositionOptions::Mode::kForce;
-    // Tight consensus stopping for agreement checks (the production default
-    // is looser; restoration covers feasibility there).
-    dec_opt.decomposition.eps_rel = 1e-5;
-    dec_opt.decomposition.eps_abs = 1e-8;
-    const RoaRun dec = core::run_roa(inst, dec_opt);
-
-    const InvariantReport inv = check_trajectory(inst, dec.trajectory);
-    if (!inv.ok())
-      rec.mismatch("decomposed invariants: " + inv.violations.front().invariant,
-                   inv.violations.front().magnitude);
-
-    // Compare on cost, per-cloud aggregates, and y: the per-edge x split is
-    // not unique on the optimal face (see DiffOptions).
-    for (std::size_t t = 0; t < inst.horizon; ++t) {
-      const auto& a = runs[0].trajectory.slots[t];
-      const auto& b = dec.trajectory.slots[t];
-      Vec agg_a(inst.num_tier2(), 0.0), agg_b(inst.num_tier2(), 0.0);
-      for (std::size_t e = 0; e < inst.num_edges(); ++e) {
-        agg_a[inst.edges[e].tier2] += a.x[e];
-        agg_b[inst.edges[e].tier2] += b.x[e];
-      }
-      rec.require("reference-vs-decomposed X@t" + std::to_string(t),
-                  max_abs_diff(agg_a, agg_b), options.decomposed_primal_tol);
-      rec.require("reference-vs-decomposed y@t" + std::to_string(t),
-                  max_abs_diff(a.y, b.y), options.decomposed_primal_tol);
-    }
-    const double ca = runs[0].cost.total();
-    const double cb = dec.cost.total();
-    rec.require("reference-vs-decomposed cost",
-                std::fabs(ca - cb) / (1.0 + std::fabs(ca)),
-                options.decomposed_cost_tol);
-  }
   return report;
 }
 

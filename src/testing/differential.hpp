@@ -28,9 +28,9 @@ namespace sora::testing {
 
 /// The tests' reference configuration of the one P2 model: every slot
 /// cold-started, the fallback chain off (a failed solve throws instead of
-/// being masked), no decomposition, and the IPM pinned to its dense Newton
-/// path (Hessian through hessian_into, dense Cholesky) at any size. The
-/// cross-checks compare production configurations against it.
+/// being masked), and the IPM pinned to its dense Newton path (Hessian
+/// through hessian_into, dense Cholesky) at any size. The cross-checks
+/// compare production configurations against it.
 core::RoaOptions reference_roa_options();
 
 struct DiffOptions {
@@ -46,18 +46,6 @@ struct DiffOptions {
   // Max constraint violation allowed for each LP backend's primal answer.
   double lp_feas_tol = 1e-5;
   bool dump_on_failure = true;
-
-  // Also run the block-decomposed backend (decomposition mode kForce) and
-  // compare it against the reference configuration. The per-edge x split
-  // inside an SLA group is not unique on the optimal face (price ties), so
-  // the decomposed comparison uses total cost, the per-cloud aggregates X_i
-  // the objective actually sees, and the per-edge y (strictly convex per
-  // edge).
-  // ADMM stops at consensus-residual tolerances far looser than ipm_tol,
-  // hence the separate tolerances.
-  bool include_decomposed = false;
-  double decomposed_primal_tol = 5e-2;
-  double decomposed_cost_tol = 5e-3;
 };
 
 struct DiffMismatch {

@@ -72,8 +72,8 @@ core::NTierInstance generate_ntier_instance(const GeneratorConfig& cfg);
 // Scaled topologies — 10-100x beyond the paper's 18x48 layout.
 //
 // The geographic site lists bundled with cloudnet top out at 18 tier-2
-// metros and 48 capitals. Decomposed-solver benchmarks and stress tests
-// need topologies far past that, so this generator synthesizes a clustered
+// metros and 48 capitals. Scale benchmarks and stress tests need
+// topologies far past that, so this generator synthesizes a clustered
 // populated-place grid over the continental US: tier-2 "metro" anchors
 // drawn across the lat/lon box, tier-1 edge sites scattered around them
 // with Gaussian jitter (cities cluster near metros), Pareto-weighted

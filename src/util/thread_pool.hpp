@@ -1,7 +1,7 @@
 // Fixed-size thread pool with a shared queue, plus blocking parallel_for
 // helpers and waitable task groups. The experiment harness parallelises
-// across sweep points, and the decomposed P2 pipeline fans per-block solves
-// out here; the monolithic numerical solvers themselves stay single-threaded
+// across sweep points, and the blocked dense Cholesky spreads its large
+// trailing updates here; the per-slot P2 solve itself stays single-threaded
 // for reproducibility.
 #pragma once
 
@@ -96,8 +96,8 @@ class TaskGroup {
 /// pool idles. kGuided hands out chunks on demand from a shared cursor,
 /// starting large and shrinking toward `grain` as the range drains, so
 /// expensive indices stop stalling the batch; the calling thread also
-/// participates. Use kGuided when per-index work varies a lot (e.g. per-block
-/// solves over SLA groups of very different sizes).
+/// participates. Use kGuided when per-index work varies a lot (e.g. the rows
+/// of a triangular trailing update, whose lengths grow with the index).
 enum class ForSchedule { kStatic, kGuided };
 
 /// Runs body(i) for i in [begin, end) across the shared pool; blocks until

@@ -1,12 +1,15 @@
-// Generator determinism and structural guarantees across all regimes, plus
-// the sora-repro round-trip that failing property tests rely on.
+// Generator determinism and structural guarantees across all regimes, the
+// sora-repro round-trip that failing property tests rely on, and the scaled
+// topologies (determinism, validity, and a solved, invariant-checked run).
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <string>
 
 #include "cloudnet/instance.hpp"
+#include "core/roa.hpp"
 #include "testing/generator.hpp"
+#include "testing/invariants.hpp"
 #include "testing/repro.hpp"
 
 namespace sora::testing {
@@ -152,6 +155,48 @@ TEST(PropertyGenerator, NTierInstancesAreWellFormed) {
       }
     }
   }
+}
+
+TEST(ScaledGenerator, DeterministicValidAndAutoSelected) {
+  ScaledTopologyConfig cfg;
+  cfg.num_tier2 = 50;
+  cfg.num_tier1 = 400;
+  cfg.sla_k = 3;
+  cfg.horizon = 2;
+  cfg.seed = 5;
+
+  const cloudnet::Instance a = generate_scaled_instance(cfg);
+  const cloudnet::Instance b = generate_scaled_instance(cfg);
+  ASSERT_EQ(a.num_edges(), b.num_edges());
+  EXPECT_EQ(a.demand, b.demand);
+  EXPECT_EQ(a.tier2_capacity, b.tier2_capacity);
+  EXPECT_EQ(a.tier2_price, b.tier2_price);
+
+  EXPECT_EQ(a.num_tier1(), 400u);
+  EXPECT_EQ(a.num_tier2(), 50u);
+  EXPECT_EQ(a.num_edges(), 400u * 3u);
+  EXPECT_TRUE(cloudnet::validate_instance(a).ok);
+
+  // A different seed moves the geography (and hence the demand field).
+  cfg.seed = 6;
+  const cloudnet::Instance c = generate_scaled_instance(cfg);
+  EXPECT_NE(a.demand, c.demand);
+}
+
+TEST(ScaledGenerator, SolvesScaledInstance) {
+  ScaledTopologyConfig cfg;
+  cfg.num_tier2 = 20;
+  cfg.num_tier1 = 150;
+  cfg.sla_k = 2;
+  cfg.horizon = 2;
+  cfg.seed = 17;
+  const cloudnet::Instance inst = generate_scaled_instance(cfg);
+
+  const core::RoaRun run = core::run_roa(inst, core::RoaOptions{});
+  EXPECT_TRUE(run.healthy());
+
+  const auto report = check_trajectory(inst, run.trajectory, {});
+  EXPECT_TRUE(report.ok()) << report.summary();
 }
 
 }  // namespace

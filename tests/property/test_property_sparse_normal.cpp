@@ -3,9 +3,9 @@
 // Cholesky path must agree with the reference configuration (the same P2
 // model on the dense Newton path) on real P2 solves across all six
 // generated regimes, analyse its pattern exactly once per workspace across
-// a multi-slot ROA run (also on the paper topology, where the factor must
-// stay sparse), and survive fault-injected runs through the resilience
-// chain.
+// a multi-slot ROA run (also on the paper and the scaled 32 x 256
+// topologies, where the factor must stay sparse), and survive
+// fault-injected runs through the resilience chain.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -129,6 +129,30 @@ TEST(PropertySparseNormal, PaperTopologyAnalysesOnceWithSparseFactor) {
   }
   EXPECT_EQ(builds.value() - builds0, 1u);
   EXPECT_LE(factor_nonzeros.value(), 1300.0);
+}
+
+TEST(PropertySparseNormal, ScaledTopologyAnalysesOnceWithLowFill) {
+  // 32 x 256 sites, k = 2 (n = 1,536): the fill-reducing ordering decides
+  // the factor's size. Minimum degree keeps nnz(L) under 11,000; a
+  // reverse Cuthill-McKee ordering of the same pattern fills 17,006.
+  MetricsOn guard;
+  auto& reg = obs::Registry::global();
+  auto& builds = reg.counter("sora_ipm_symbolic_builds");
+  auto& factor_nonzeros = reg.gauge("sora_ipm_factor_nonzeros");
+
+  ScaledTopologyConfig cfg;
+  cfg.num_tier2 = 32;
+  cfg.num_tier1 = 256;
+  cfg.sla_k = 2;
+  cfg.horizon = 2;
+  cfg.seed = 11;
+  const auto inst = generate_scaled_instance(cfg);
+
+  const auto builds0 = builds.value();
+  const core::RoaRun run = core::run_roa(inst, core::RoaOptions{});
+  EXPECT_TRUE(run.healthy());
+  EXPECT_EQ(builds.value() - builds0, 1u);
+  EXPECT_LE(factor_nonzeros.value(), 11000.0);
 }
 
 TEST(PropertySparseNormal, ForcedSparseSurvivesFaultInjection) {

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "linalg/batched_cholesky.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/lu.hpp"
 #include "linalg/matrix.hpp"
@@ -238,126 +237,6 @@ TEST(Sparse, TransposeMatchesDenseAndRoundTrips) {
   const Vec aty_explicit = at.multiply(y);
   for (std::size_t c = 0; c < cols; ++c)
     EXPECT_NEAR(aty_explicit[c], aty_fused[c], 1e-12);
-}
-
-// ---------------------------------------------------------------------------
-// Batched structure-of-arrays dense Cholesky: per-lane bits must equal the
-// serial kernel's — that contract is what lets the decomposed P2 swap its
-// sequential per-block Newton solves for the batched kernel.
-
-Matrix random_spd_dense(std::size_t n, util::Rng& rng) {
-  Matrix l0(n, n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < i; ++j) l0(i, j) = rng.normal() * 0.3;
-    l0(i, i) = rng.uniform(0.5, 2.0);
-  }
-  return l0.multiply(l0.transpose());
-}
-
-TEST(BatchedCholesky, EveryLaneBitwiseEqualsSerialKernel) {
-  util::Rng rng(101);
-  // n = 70 crosses the 64-wide panel boundary so the diagonal block, the
-  // panel solve, and the trailing update all run in batch.
-  const std::size_t n = 70, batch = 5;
-  std::vector<Matrix> mats;
-  for (std::size_t b = 0; b < batch; ++b) mats.push_back(random_spd_dense(n, rng));
-
-  BatchedDenseCholesky kernel;
-  kernel.configure(n, batch);
-  for (std::size_t b = 0; b < batch; ++b) kernel.pack(b, mats[b]);
-  kernel.factor(std::vector<char>(batch, 1));
-  std::vector<Vec> rhs(batch);
-  for (std::size_t b = 0; b < batch; ++b) {
-    ASSERT_TRUE(kernel.ok(b)) << "lane " << b;
-    rhs[b].resize(n);
-    for (auto& v : rhs[b]) v = rng.normal();
-    kernel.set_rhs(b, rhs[b]);
-  }
-  kernel.solve();
-
-  for (std::size_t b = 0; b < batch; ++b) {
-    Matrix l(n, n, 0.0);
-    const double shift =
-        cholesky_factor_regularized_into(mats[b], l, 1e-12, 1e16);
-    ASSERT_EQ(shift, 0.0) << "lane " << b;
-    Vec serial = rhs[b];
-    cholesky_solve_in_place(l, serial);
-    Vec batched(n);
-    kernel.get_rhs(b, batched);
-    for (std::size_t i = 0; i < n; ++i)
-      EXPECT_EQ(batched[i], serial[i]) << "lane " << b << " x_" << i;
-  }
-}
-
-TEST(BatchedCholesky, FailedLaneIsMaskedWithoutPerturbingNeighbors) {
-  util::Rng rng(103);
-  const std::size_t n = 12, batch = 3;
-  Matrix good0 = random_spd_dense(n, rng);
-  Matrix bad = random_spd_dense(n, rng);
-  bad(n / 2, n / 2) = -5.0;  // indefinite: pivot goes non-positive mid-factor
-  Matrix good1 = random_spd_dense(n, rng);
-
-  BatchedDenseCholesky kernel;
-  kernel.configure(n, batch);
-  kernel.pack(0, good0);
-  kernel.pack(1, bad);
-  kernel.pack(2, good1);
-  kernel.factor(std::vector<char>(batch, 1));
-  EXPECT_TRUE(kernel.ok(0));
-  EXPECT_FALSE(kernel.ok(1));
-  EXPECT_TRUE(kernel.ok(2));
-  // The serial kernel agrees that this lane is indefinite.
-  EXPECT_FALSE(Cholesky::factor(bad).has_value());
-
-  Vec b0(n), b2(n);
-  for (auto& v : b0) v = rng.normal();
-  for (auto& v : b2) v = rng.normal();
-  kernel.set_rhs(0, b0);
-  kernel.set_rhs(1, Vec(n, 0.0));  // garbage in, garbage out — never read
-  kernel.set_rhs(2, b2);
-  kernel.solve();
-
-  const Matrix* goods[2] = {&good0, &good1};
-  const Vec* rhs[2] = {&b0, &b2};
-  const std::size_t lanes[2] = {0, 2};
-  for (int k = 0; k < 2; ++k) {
-    Matrix l(n, n, 0.0);
-    cholesky_factor_regularized_into(*goods[k], l, 1e-12, 1e16);
-    Vec serial = *rhs[k];
-    cholesky_solve_in_place(l, serial);
-    Vec batched(n);
-    kernel.get_rhs(lanes[k], batched);
-    for (std::size_t i = 0; i < n; ++i)
-      EXPECT_EQ(batched[i], serial[i]) << "lane " << lanes[k] << " x_" << i;
-  }
-}
-
-TEST(BatchedCholesky, InactiveLanesAreSkipped) {
-  util::Rng rng(107);
-  const std::size_t n = 9, batch = 4;
-  const Matrix a = random_spd_dense(n, rng);
-  BatchedDenseCholesky kernel;
-  kernel.configure(n, batch);
-  kernel.pack(2, a);  // only lane 2 is live; the rest hold stale memory
-  std::vector<char> active(batch, 0);
-  active[2] = 1;
-  kernel.factor(active);
-  EXPECT_TRUE(kernel.ok(2));
-  EXPECT_FALSE(kernel.ok(0));
-  EXPECT_FALSE(kernel.ok(1));
-  EXPECT_FALSE(kernel.ok(3));
-
-  Vec b(n);
-  for (auto& v : b) v = rng.normal();
-  kernel.set_rhs(2, b);
-  kernel.solve();
-  Matrix l(n, n, 0.0);
-  cholesky_factor_regularized_into(a, l, 1e-12, 1e16);
-  Vec serial = b;
-  cholesky_solve_in_place(l, serial);
-  Vec batched(n);
-  kernel.get_rhs(2, batched);
-  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(batched[i], serial[i]);
 }
 
 }  // namespace

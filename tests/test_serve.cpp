@@ -13,6 +13,7 @@
 #include "serve/daemon.hpp"
 #include "serve/snapshot.hpp"
 #include "serve/tick.hpp"
+#include "testing/generator.hpp"
 #include "util/rng.hpp"
 
 namespace sora::serve {
@@ -247,45 +248,64 @@ TEST(Snapshot, StaleTmpFileDoesNotShadowSnapshot) {
 
 // ---- kill and restore ------------------------------------------------------
 
-TEST(ServeDaemon, RestoreContinuesBitIdentically) {
-  const Instance inst = make_instance(12);
-  const std::string path = temp_path("serve_snap_restore.bin");
-
+// Golden uninterrupted run, then a run that dies after `crash_after` slots
+// without a graceful shutdown, then a daemon restored from the last
+// committed snapshot (taken every `every` slots): from the snapshot's slot
+// on it must retrace the golden trajectory bit for bit, since the
+// warm-start state and x_{t-1} both come from the snapshot.
+void expect_restore_bit_identical(const Instance& inst, const char* name,
+                                  std::size_t every, std::size_t crash_after) {
+  const std::string path = temp_path(name);
   ServeOptions options;
   options.requests_per_unit = kRequestsPerUnit;
   options.snapshot_path = path;
-  options.snapshot_every = 5;
+  options.snapshot_every = every;
 
-  // Golden, uninterrupted run.
   std::vector<std::uint64_t> golden;
   {
     ServeDaemon daemon(inst, options);
     for (std::size_t t = 0; t < inst.horizon; ++t)
       golden.push_back(daemon.step(demand_tick(inst, t)).alloc_hash);
   }
-
-  // Crashed run: dies after slot 7; the last committed snapshot is the one
-  // taken when next_slot hit 5.
   {
     ServeDaemon daemon(inst, options);
-    for (std::size_t t = 0; t < 8; ++t) daemon.step(demand_tick(inst, t));
-    // No graceful shutdown: the daemon object is simply dropped.
+    for (std::size_t t = 0; t < crash_after; ++t)
+      daemon.step(demand_tick(inst, t));
   }
-
-  // Restored run resumes at slot 5 and must retrace the golden trajectory
-  // bit for bit (warm-start state and x_{t-1} both come from the snapshot).
   {
     ServeDaemon daemon(inst, options);
     std::string error;
     ASSERT_TRUE(daemon.restore(&error)) << error;
-    EXPECT_EQ(daemon.next_slot(), 5u);
-    for (std::size_t t = 5; t < inst.horizon; ++t) {
+    const std::size_t resume = crash_after / every * every;
+    EXPECT_EQ(daemon.next_slot(), resume);
+    for (std::size_t t = resume; t < inst.horizon; ++t) {
       const SlotResult result = daemon.step(demand_tick(inst, t));
       EXPECT_EQ(result.alloc_hash, golden[t])
           << "slot " << t << " diverged after restore";
     }
   }
   std::remove(path.c_str());
+}
+
+TEST(ServeDaemon, RestoreContinuesBitIdentically) {
+  // Dies after slot 7; the last committed snapshot is the one taken when
+  // next_slot hit 5.
+  expect_restore_bit_identical(make_instance(12), "serve_snap_restore.bin", 5,
+                               8);
+}
+
+TEST(ServeDaemon, RestoreContinuesBitIdenticallyAtScale) {
+  // 512 edges over 256 tier-1 sites. Unlike the 12-edge instance above,
+  // every solve here runs the sparse Newton path with its cached symbolic
+  // analysis, which a restored daemon rebuilds from scratch.
+  testing::ScaledTopologyConfig cfg;
+  cfg.num_tier2 = 32;
+  cfg.num_tier1 = 256;
+  cfg.sla_k = 2;
+  cfg.horizon = 5;
+  cfg.seed = 11;
+  expect_restore_bit_identical(testing::generate_scaled_instance(cfg),
+                               "serve_snap_restore_scaled.bin", 2, 3);
 }
 
 TEST(ServeDaemon, RestoreRejectsMismatchedTopology) {

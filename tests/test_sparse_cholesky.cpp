@@ -1,8 +1,8 @@
-// Sparse symbolic-once Cholesky: SymSparse construction, the RCM ordering,
-// factor/solve equivalence against the dense reference, permutation
-// round-trips, symbolic reuse across refactorizations, the regularized
-// shift escalation, the blocked dense kernel on sizes past the tile width,
-// and the lower-triangle add_AtDA kernels.
+// Sparse symbolic-once Cholesky: SymSparse construction, the minimum-degree
+// ordering, factor/solve equivalence against the dense reference,
+// permutation round-trips, symbolic reuse across refactorizations, the
+// regularized shift escalation, the blocked dense kernel on sizes past the
+// tile width, and the lower-triangle add_AtDA kernels.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -87,8 +87,7 @@ TEST(SymSparse, DenseRoundTrip) {
       EXPECT_DOUBLE_EQ(back(r, c), d(r, c)) << r << "," << c;
 }
 
-TEST(ReverseCuthillMckee, ProducesAPermutationEvenWhenDisconnected) {
-  util::Rng rng(5);
+TEST(MinimumDegree, ProducesAPermutationEvenWhenDisconnected) {
   // Two disconnected components plus an isolated vertex.
   std::vector<Triplet> trips;
   for (std::size_t j = 0; j < 9; ++j) trips.push_back({j, j, 1.0});
@@ -97,24 +96,30 @@ TEST(ReverseCuthillMckee, ProducesAPermutationEvenWhenDisconnected) {
   trips.push_back({5, 4, 1.0});
   trips.push_back({6, 4, 1.0});
   const auto a = SymSparse::from_lower_triplets(9, std::move(trips));
-  const auto perm = reverse_cuthill_mckee(a);
+  const auto perm = minimum_degree_ordering(a);
   ASSERT_EQ(perm.size(), 9u);
   std::vector<std::size_t> sorted = perm;
   std::sort(sorted.begin(), sorted.end());
   for (std::size_t k = 0; k < 9; ++k) EXPECT_EQ(sorted[k], k);
+  // The isolated vertices (degree 0) go first, lowest index first.
+  EXPECT_EQ(perm[0], 3u);
+  EXPECT_EQ(perm[1], 7u);
+  EXPECT_EQ(perm[2], 8u);
 }
 
-TEST(ReverseCuthillMckee, ReducesBandwidthOnArrowMatrix) {
+TEST(MinimumDegree, ArrowMatrixHasNoFill) {
   // Arrow pointing the wrong way: variable 0 coupled to everyone. Natural
-  // order fills completely under Cholesky; RCM must move 0 to the end.
+  // order fills completely under Cholesky; every leaf has degree 1, so
+  // minimum degree eliminates the leaves before the hub.
   const std::size_t n = 20;
   std::vector<Triplet> trips;
   for (std::size_t j = 0; j < n; ++j) trips.push_back({j, j, 1.0});
   for (std::size_t j = 1; j < n; ++j) trips.push_back({j, 0, 1.0});
   const auto a = SymSparse::from_lower_triplets(n, std::move(trips));
-  const auto perm = reverse_cuthill_mckee(a);
-  // perm[k] = original index at position k; the hub must land in the last
-  // BFS level's reversal (final two positions), after every other leaf.
+  const auto perm = minimum_degree_ordering(a);
+  // perm[k] = original index at position k. Once one leaf is left, the hub
+  // and that leaf both have degree 1, so the hub lands in one of the final
+  // two positions; either order is fill-free.
   const auto hub_pos = static_cast<std::size_t>(
       std::find(perm.begin(), perm.end(), 0u) - perm.begin());
   EXPECT_GE(hub_pos, n - 2);
@@ -247,22 +252,25 @@ TEST(SparseCholesky, FactorThrowsOnNonFiniteValues) {
 
 TEST(BlockedDenseCholesky, MatchesKnownSolutionPastTileWidth) {
   // n = 150 crosses two 64-wide panel boundaries, exercising the diagonal
-  // block, the panel solve, and the trailing syrk update.
+  // block, the panel solve, and the trailing syrk update; n = 320 leaves
+  // 256 trailing rows after the first panel, enough for the update to fan
+  // out over the thread pool (the TSan CI job runs this test).
   util::Rng rng(53);
-  const std::size_t n = 150;
-  const SymSparse sp = random_spd(n, 0.3, rng);
-  const Matrix a = sp.to_dense();
-  Matrix l(n, n, 0.0);
-  const double shift = cholesky_factor_regularized_into(a, l, 1e-12, 1e16);
-  EXPECT_DOUBLE_EQ(shift, 0.0);
-  // Strict upper triangle must come back clean.
-  for (std::size_t r = 0; r < n; ++r)
-    for (std::size_t c = r + 1; c < n; ++c)
-      ASSERT_EQ(l(r, c), 0.0) << r << "," << c;
-  const Vec x_star = random_vec(n, rng);
-  Vec x = a.multiply(x_star);
-  cholesky_solve_in_place(l, x);
-  EXPECT_LT(max_abs_diff(x, x_star), 1e-7);
+  for (const std::size_t n : {150u, 320u}) {
+    const SymSparse sp = random_spd(n, 0.3, rng);
+    const Matrix a = sp.to_dense();
+    Matrix l(n, n, 0.0);
+    const double shift = cholesky_factor_regularized_into(a, l, 1e-12, 1e16);
+    EXPECT_DOUBLE_EQ(shift, 0.0) << "n=" << n;
+    // Strict upper triangle must come back clean.
+    for (std::size_t r = 0; r < n; ++r)
+      for (std::size_t c = r + 1; c < n; ++c)
+        ASSERT_EQ(l(r, c), 0.0) << "n=" << n << " " << r << "," << c;
+    const Vec x_star = random_vec(n, rng);
+    Vec x = a.multiply(x_star);
+    cholesky_solve_in_place(l, x);
+    EXPECT_LT(max_abs_diff(x, x_star), 1e-7) << "n=" << n;
+  }
 }
 
 TEST(DenseKernels, MirrorLowerSymmetrizes) {

@@ -143,7 +143,8 @@ TEST(ThreadPool, ManyWaitersUnderLoad) {
 }
 
 // ---------------------------------------------------------------------------
-// Guided scheduling (ForSchedule::kGuided) — the ADMM block fan-out path.
+// Guided scheduling (ForSchedule::kGuided) — the blocked dense Cholesky's
+// trailing update, whose row lengths grow with the row index.
 
 TEST(ThreadPool, GuidedCoversRangeExactlyOnce) {
   for (const std::size_t grain : {1u, 3u, 16u, 1000u}) {
@@ -169,9 +170,9 @@ TEST(ThreadPool, GuidedEmptyAndSingletonRanges) {
 }
 
 TEST(ThreadPool, GuidedHeterogeneousCostsCoverEverything) {
-  // Wildly uneven per-index costs (the motivating ADMM case: one giant SLA
-  // group among many tiny ones). Guided chunking must still run every index
-  // exactly once and return.
+  // Wildly uneven per-index costs (a few expensive indices among many cheap
+  // ones). Guided chunking must still run every index exactly once and
+  // return.
   std::vector<std::atomic<int>> hits(128);
   parallel_for(
       0, hits.size(),
@@ -207,8 +208,8 @@ TEST(ThreadPool, GuidedPropagatesException) {
 }
 
 TEST(ThreadPool, GuidedNestsInsideWorkerTasks) {
-  // A guided loop issued from inside a pool worker (ADMM fan-out inside an
-  // outer pipeline task) must not deadlock: the caller participates via the
+  // A guided loop issued from inside a pool worker (a large dense factor
+  // inside an outer sweep task) must not deadlock: the caller participates via the
   // shared cursor instead of blocking on its own pool.
   std::atomic<int> inner{0};
   TaskGroup group;
