@@ -1,10 +1,11 @@
 #include "baselines/lcp_m.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "core/cost.hpp"
 #include "core/p1_model.hpp"
-#include "core/predictive.hpp"
+#include "core/p2_subproblem.hpp"
 #include "util/check.hpp"
 #include "util/timer.hpp"
 
@@ -157,9 +158,13 @@ BaselineRun run_lcp_m(const Instance& inst, const solver::LpSolveOptions& lp) {
     // The per-variable combination can break the coupled coverage
     // constraint; patch with the minimal additive repair (this decoupling is
     // exactly why LCP-M underperforms in the multi-tier setting).
-    next = core::repair_allocation(inst, t, next, lp);
-    prev = next;
-    run.trajectory.slots.push_back(std::move(next));
+    core::CoverageRepair rep = core::repair_coverage(
+        inst, core::SlotInputs::at(inst, inputs, t), next, lp);
+    SORA_CHECK_MSG(rep.outcome.ok(), "LCP-M repair LP failed at t=" +
+                                         std::to_string(t) + ": " +
+                                         rep.outcome.detail);
+    prev = rep.alloc;
+    run.trajectory.slots.push_back(std::move(rep.alloc));
   }
   run.cost = core::total_cost(inst, run.trajectory);
   run.solve_seconds = timer.seconds();

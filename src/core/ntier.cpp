@@ -311,19 +311,14 @@ void check_demand_reachable(const NTierInstance& inst, const Vec& demand_row,
 // solve_lp_with_fallback. If both fail and `window_ok` is null, a
 // recoverable CheckError is thrown; otherwise *window_ok is cleared and the
 // window degrades to holding `prev` (the applier's repair step restores
-// coverage slot by slot). `fault_slot`/`attempt_base` thread the
-// fault-injection hook through when a slot solver uses this as its LP
-// fallback stage.
+// coverage slot by slot).
 NTierTrajectory solve_ntier_window(const NTierInstance& inst,
                                    const InputsView& view, std::size_t t0,
                                    std::size_t t1,
                                    const NTierAllocation& prev,
                                    const NTierAllocation* terminal,
                                    const solver::LpSolveOptions& lp,
-                                   bool* window_ok = nullptr,
-                                   SolveOutcome* outcome = nullptr,
-                                   std::size_t fault_slot = kNoFaultSlot,
-                                   std::size_t attempt_base = 0) {
+                                   bool* window_ok = nullptr) {
   const FlowIndex fidx(inst);
   const std::size_t V = inst.num_nodes();
   const std::size_t L = inst.num_links();
@@ -407,14 +402,11 @@ NTierTrajectory solve_ntier_window(const NTierInstance& inst,
         std::max<std::size_t>(opts.pdhg.max_iterations, 120 * size);
   util::Timer lp_timer;
   SolveOutcome lp_outcome;
-  const auto sol =
-      solve_lp_with_fallback(model, opts, &lp_outcome, fault_slot,
-                             attempt_base);
+  const auto sol = solve_lp_with_fallback(model, opts, &lp_outcome);
   if (lp_outcome.fell_back() || !lp_outcome.ok())
     record_flight("ntier_window", t0, lp_outcome, lp_timer.seconds(),
                   "window[" + std::to_string(t0) + "," + std::to_string(t1) +
                       ") size=" + std::to_string(size));
-  if (outcome != nullptr) *outcome = lp_outcome;
   if (!sol.ok()) {
     if (window_ok != nullptr) {
       *window_ok = false;
@@ -440,6 +432,17 @@ NTierTrajectory solve_ntier_window(const NTierInstance& inst,
   }
   return traj;
 }
+
+// The bodies of ntier_slot_violation and ntier_repair, against a given
+// demand row / the inputs of `view` instead of the instance's own; defined
+// next to them below.
+double coverage_violation(const NTierInstance& inst, const Vec& demand_row,
+                          std::size_t t, const NTierAllocation& alloc);
+NTierAllocation repair_against(const NTierInstance& inst,
+                               const InputsView& view, std::size_t t,
+                               const NTierAllocation& planned,
+                               const solver::LpSolveOptions& lp,
+                               bool* repaired, SolveOutcome* outcome);
 
 // P2-N objective: linear prices + per-node/per-link entropic terms.
 class NTierP2Objective : public solver::ConvexObjective {
@@ -563,10 +566,8 @@ class NTierP2Objective : public solver::ConvexObjective {
   Vec node_weight_, link_weight_;
 };
 
-}  // namespace
-
-double ntier_slot_violation(const NTierInstance& inst, std::size_t t,
-                            const NTierAllocation& alloc) {
+double coverage_violation(const NTierInstance& inst, const Vec& demand_row,
+                          std::size_t t, const NTierAllocation& alloc) {
   double worst = 0.0;
   for (std::size_t v = 0; v < inst.num_nodes(); ++v) {
     worst = std::max(worst, alloc.node[v] - inst.node_capacity[v]);
@@ -594,7 +595,7 @@ double ntier_slot_violation(const NTierInstance& inst, std::size_t t,
       if (link.tier == 0 && link.from == j)
         terms.push_back({fvar(j, pos), 1.0});
     }
-    b.add_ge(terms, inst.demand[t][j]);
+    b.add_ge(terms, demand_row[j]);
   }
   // Conservation out >= in.
   for (std::size_t j = 0; j < inst.num_demands(); ++j) {
@@ -646,6 +647,13 @@ double ntier_slot_violation(const NTierInstance& inst, std::size_t t,
   return std::max(worst, sol.objective);
 }
 
+}  // namespace
+
+double ntier_slot_violation(const NTierInstance& inst, std::size_t t,
+                            const NTierAllocation& alloc) {
+  return coverage_violation(inst, inst.demand[t], t, alloc);
+}
+
 namespace {
 
 // Per-run solver for the regularized slot subproblems P2-N(t). The routing
@@ -663,6 +671,7 @@ class NTierSlotSolver {
                         const NTierAllocation& prev,
                         SolveOutcome* outcome_out = nullptr) {
     SORA_TRACE_SPAN("ntier/slot");
+    util::Timer timer;
     const Vec demand_row = view.demand_row(t);
     check_demand_reachable(inst_, demand_row, t);
     for (std::size_t v = 0; v < inst_.num_nodes(); ++v)
@@ -724,97 +733,80 @@ class NTierSlotSolver {
     for (std::size_t l = 0; l < inst_.num_links(); ++l)
       z[objective.yvar(l)] = z[objective.yvar(l)] * 1.01 + 1e-6;
 
+    // The chain: the even spread, else phase-I; one cold barrier solve when
+    // the polyhedron has a strict interior; then hold x_{t-1} + repair.
     SolveOutcome outcome;
+    outcome.backend = SolveBackend::kColdIpm;
     std::size_t attempt = 0;
-    solver::IpmResult result;
-    const auto note = [&outcome](const std::string& what) {
-      if (!outcome.detail.empty()) outcome.detail += "; ";
-      outcome.detail += what;
-    };
-    const auto barrier_attempt = [&](const solver::IpmOptions& o,
-                                     SolveBackend backend) {
-      result = solver::solve_barrier(objective, g_, h_, z, o, &scratch_);
+    bool solved = false;
+    NTierAllocation a{Vec(inst_.num_nodes(), 0.0),
+                      Vec(inst_.num_links(), 0.0)};
+    g_.multiply_into(z, slack_);
+    double min_slack = kInf;
+    for (std::size_t r = 0; r < h_.size(); ++r)
+      min_slack = std::min(min_slack, h_[r] - slack_[r]);
+    const solver::StrictStart start =
+        min_slack > 0.0
+            ? solver::StrictStart{solver::SolveStatus::kOptimal, std::move(z),
+                                  {}}
+            : solver::phase1_feasible_point(g_, h_);
+    if (start.ok()) {
+      solver::IpmResult result = solver::solve_barrier(
+          objective, g_, h_, start.x, options_.ipm, &scratch_);
       apply_fault(consult_fault_hook(t, attempt), result.status, result.x);
       if (result.ok() && !all_finite(result.x)) {
         result.status = solver::SolveStatus::kNumericalError;
         result.detail += result.detail.empty() ? "non-finite solution"
                                                : " [non-finite solution]";
       }
-      ++attempt;
-      outcome.backend = backend;
       outcome.status = result.status;
-      if (!result.ok())
-        append_failure(outcome.detail, to_string(backend), result.status,
-                       result.detail);
-      return result.ok();
-    };
-
-    bool solved = barrier_attempt(options_.ipm, SolveBackend::kColdIpm);
-    if (!solved && !options_.resilience.enabled)
-      SORA_CHECK_MSG(false, "n-tier P2 failed at t=" + std::to_string(t) +
-                                ": " + outcome.detail);
-    if (!solved) {
-      SORA_LOG_WARN << "ntier: P2 barrier failed at t=" << t << " ("
-                    << outcome.detail << "); entering fallback chain";
-      solved = barrier_attempt(tightened_ipm_options(options_.ipm),
-                               SolveBackend::kTightenedIpm);
-    }
-
-    NTierAllocation a{Vec(inst_.num_nodes(), 0.0),
-                      Vec(inst_.num_links(), 0.0)};
-    if (solved) {
-      for (std::size_t v = 0; v < inst_.num_nodes(); ++v)
-        a.node[v] = inst_.node_capacity[v] > 0.0
-                        ? std::max(0.0, result.x[objective.xvar(v)])
-                        : 0.0;
-      for (std::size_t l = 0; l < inst_.num_links(); ++l)
-        a.link[l] = inst_.link_capacity[l] > 0.0
-                        ? std::max(0.0, result.x[objective.yvar(l)])
-                        : 0.0;
-    }
-    if (!solved) {
-      // One-shot LP on the same slot: linear prices plus the linear
-      // reconfiguration surrogate over the identical routing polyhedron.
-      bool window_ok = true;
-      SolveOutcome lp_outcome;
-      const NTierTrajectory one =
-          solve_ntier_window(inst_, view, t, t + 1, prev, nullptr,
-                             solver::LpSolveOptions{}, &window_ok,
-                             &lp_outcome, t, attempt);
-      attempt += lp_outcome.attempts;
-      outcome.backend = lp_outcome.backend;
-      outcome.status = lp_outcome.status;
-      if (!lp_outcome.detail.empty()) note(lp_outcome.detail);
-      if (window_ok) {
-        a = one.slots[0];
-        solved = true;
+      solved = result.ok();
+      if (solved) {
+        for (std::size_t v = 0; v < inst_.num_nodes(); ++v)
+          a.node[v] = inst_.node_capacity[v] > 0.0
+                          ? std::max(0.0, result.x[objective.xvar(v)])
+                          : 0.0;
+        for (std::size_t l = 0; l < inst_.num_links(); ++l)
+          a.link[l] = inst_.link_capacity[l] > 0.0
+                          ? std::max(0.0, result.x[objective.yvar(l)])
+                          : 0.0;
+      } else {
+        append_failure(outcome.detail, to_string(SolveBackend::kColdIpm),
+                       result.status, result.detail);
       }
+    } else {
+      outcome.status = start.status;
+      append_failure(outcome.detail, to_string(SolveBackend::kColdIpm),
+                     start.status, start.detail);
     }
+    ++attempt;
+    SORA_CHECK_MSG(solved || options_.resilience.enabled,
+                   "n-tier P2 failed at t=" + std::to_string(t) + ": " +
+                       outcome.detail);
     if (!solved) {
-      // Graceful degradation: hold x_{t-1} and repair coverage with the
-      // cheapest additive push. Terminal stage, never fault-injected.
+      // Terminal stage, never fault-injected: hold x_{t-1} and repair
+      // coverage of the demand this chain plans with (a forecast under
+      // RFHC/RRHC; the controllers repair their applied decisions against
+      // the truth). A failed repair publishes x_{t-1}.
+      SORA_LOG_WARN << "ntier: P2 barrier failed at t=" << t << " ("
+                    << outcome.detail << "); holding x_{t-1}";
       ++attempt;
-      bool repaired = false;
       SolveOutcome rep;
-      a = ntier_repair(inst_, t, prev, solver::LpSolveOptions{}, &repaired,
-                       &rep);
+      a = repair_against(inst_, view, t, prev, solver::LpSolveOptions{},
+                         nullptr, &rep);
       outcome.backend = SolveBackend::kHoldRepair;
+      outcome.status = rep.status;
       if (rep.ok()) {
-        solved = true;
-        outcome.status = solver::SolveStatus::kOptimal;
         outcome.degraded = true;
         outcome.repair_cost_delta = rep.repair_cost_delta;
       } else {
-        outcome.status = rep.status;
         append_failure(outcome.detail, to_string(SolveBackend::kHoldRepair),
                        rep.status, rep.detail);
       }
     }
     outcome.attempts = attempt;
     observe_outcome(outcome);
-    if (!solved)
-      SORA_CHECK_MSG(false, "n-tier P2 fallback chain exhausted at t=" +
-                                std::to_string(t) + ": " + outcome.detail);
+    record_flight("ntier_slot", t, outcome, timer.seconds());
     if (outcome_out != nullptr) *outcome_out = outcome;
     return a;
   }
@@ -885,6 +877,7 @@ class NTierSlotSolver {
       }
     }
     g_ = linalg::SparseMatrix::from_triplets(r, n, std::move(trips));
+    slack_.assign(r, 0.0);
     price_row_.assign(inst_.num_nodes(), 0.0);
   }
 
@@ -895,6 +888,7 @@ class NTierSlotSolver {
   Vec h_;
   std::vector<std::size_t> coverage_h_;  // h index of commodity j's coverage
   Vec price_row_;
+  Vec slack_;  // G z scratch for the start's strict-interior test
   solver::IpmScratch scratch_;
 };
 
@@ -918,7 +912,6 @@ NTierTrajectory run_ntier_roa(const NTierInstance& inst,
     prev = solver.solve(view, t, prev, &outcome);
     const double slot_seconds = slot_timer.seconds();
     slo.record(to_slot_sample(outcome, slot_seconds));
-    record_flight("ntier_slot", t, outcome, slot_seconds);
     traj.slots.push_back(prev);
     if (health != nullptr) {
       health->slot_health.push_back(SlotHealth{t, outcome.status,
@@ -958,21 +951,26 @@ NTierTrajectory run_ntier_offline(const NTierInstance& inst,
   return solve_ntier_window(inst, view, 0, inst.horizon, zero, nullptr, lp);
 }
 
-NTierAllocation ntier_repair(const NTierInstance& inst, std::size_t t,
-                             const NTierAllocation& planned,
-                             const solver::LpSolveOptions& lp,
-                             bool* repaired, SolveOutcome* outcome) {
+namespace {
+
+NTierAllocation repair_against(const NTierInstance& inst,
+                               const InputsView& view, std::size_t t,
+                               const NTierAllocation& planned,
+                               const solver::LpSolveOptions& lp,
+                               bool* repaired, SolveOutcome* outcome) {
   if (repaired != nullptr) *repaired = false;
   if (outcome != nullptr) {
     *outcome = SolveOutcome{};
     outcome->status = solver::SolveStatus::kOptimal;
     outcome->backend = SolveBackend::kHoldRepair;
   }
-  if (ntier_slot_violation(inst, t, planned) <= 1e-7) return planned;
+  const Vec demand_row = view.demand_row(t);
+  if (coverage_violation(inst, demand_row, t, planned) <= 1e-7)
+    return planned;
   if (repaired != nullptr) *repaired = true;
 
-  // Minimal additive buy: route the TRUE demand with resources
-  // planned + (dx, dy), paying allocation + reconfiguration on the deltas.
+  // Minimal additive buy: route the demand with resources planned +
+  // (dx, dy), paying allocation + reconfiguration on the deltas.
   const FlowIndex fidx(inst);
   const std::size_t V = inst.num_nodes();
   const std::size_t L = inst.num_links();
@@ -981,8 +979,7 @@ NTierAllocation ntier_repair(const NTierInstance& inst, std::size_t t,
   for (std::size_t v = 0; v < V; ++v) {
     const double headroom =
         std::max(0.0, inst.node_capacity[v] - planned.node[v]);
-    b.add_variable(0.0, headroom,
-                   inst.node_price[t][v] + inst.node_reconfig[v]);
+    b.add_variable(0.0, headroom, view.price(t, v) + inst.node_reconfig[v]);
   }
   for (std::size_t l = 0; l < L; ++l) {
     const double headroom =
@@ -1009,7 +1006,7 @@ NTierAllocation ntier_repair(const NTierInstance& inst, std::size_t t,
       if (link.tier == 0 && link.from == j)
         terms.push_back({fvar(j, pos), 1.0});
     }
-    b.add_ge(terms, inst.demand[t][j]);
+    b.add_ge(terms, demand_row[j]);
   }
   for (std::size_t j = 0; j < inst.num_demands(); ++j)
     for (std::size_t n = 1; n + 1 < inst.num_tiers; ++n)
@@ -1068,6 +1065,16 @@ NTierAllocation ntier_repair(const NTierInstance& inst, std::size_t t,
   for (std::size_t l = 0; l < L; ++l)
     out.link[l] += std::max(0.0, sol.x[dyvar(l)]);
   return out;
+}
+
+}  // namespace
+
+NTierAllocation ntier_repair(const NTierInstance& inst, std::size_t t,
+                             const NTierAllocation& planned,
+                             const solver::LpSolveOptions& lp,
+                             bool* repaired, SolveOutcome* outcome) {
+  return repair_against(inst, InputsView{inst, nullptr}, t, planned, lp,
+                        repaired, outcome);
 }
 
 namespace {

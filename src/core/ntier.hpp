@@ -100,9 +100,10 @@ struct NTierTrajectory {
 struct NTierRoaOptions {
   double eps = 1e-2;
   solver::IpmOptions ipm;
-  // Fallback-chain configuration (cold restart with tightened barrier
-  // parameters -> one-shot LP -> hold + repair). resilience.enabled = false
-  // restores the fail-fast behaviour.
+  // Chain configuration: a slot the cold barrier solve cannot produce
+  // (including one without a strict interior) holds x_{t-1} + the cheapest
+  // coverage repair. resilience.enabled = false restores the fail-fast
+  // behaviour.
   ResilienceOptions resilience;
   // Slot-SLO accounting (obs/slo.hpp); default budget from
   // SORA_SLOT_BUDGET_MS, zero budget = quantiles only.

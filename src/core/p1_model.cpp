@@ -6,6 +6,7 @@
 #include "core/cost.hpp"
 #include "core/resilience.hpp"
 #include "util/check.hpp"
+#include "util/logging.hpp"
 #include "util/timer.hpp"
 
 namespace sora::core {
@@ -188,15 +189,17 @@ Trajectory P1WindowLp::extract(const Vec& solution) const {
 Allocation solve_one_shot(const Instance& inst, const InputSeries& inputs,
                           std::size_t t, const Allocation& prev,
                           const solver::LpSolveOptions& options) {
-  const Trajectory traj =
+  const std::optional<Trajectory> traj =
       solve_p1_window(inst, inputs, t, t + 1, prev, nullptr, options);
-  return traj.slots[0];
+  SORA_CHECK_MSG(traj.has_value(),
+                 "one-shot LP failed at t=" + std::to_string(t));
+  return traj->slots[0];
 }
 
-Trajectory solve_p1_window(const Instance& inst, const InputSeries& inputs,
-                           std::size_t t_begin, std::size_t t_end,
-                           const Allocation& prev, const Allocation* terminal,
-                           const solver::LpSolveOptions& options) {
+std::optional<Trajectory> solve_p1_window(
+    const Instance& inst, const InputSeries& inputs, std::size_t t_begin,
+    std::size_t t_end, const Allocation& prev, const Allocation* terminal,
+    const solver::LpSolveOptions& options) {
   const P1WindowLp lp(inst, inputs, t_begin, t_end, prev, terminal);
   const std::size_t size = lp.model().num_rows() + lp.model().num_vars();
 
@@ -211,8 +214,7 @@ Trajectory solve_p1_window(const Instance& inst, const InputSeries& inputs,
 
   util::Timer timer;
   SolveOutcome outcome;
-  const auto sol =
-      solve_lp_with_fallback(lp.model(), opts, &outcome, kNoFaultSlot);
+  const auto sol = solve_lp_with_fallback(lp.model(), opts, &outcome);
   // Window solves are forensically interesting whenever the primary backend
   // did not finish cleanly; the record names the window's first slot.
   if (outcome.fell_back() || !outcome.ok())
@@ -220,17 +222,22 @@ Trajectory solve_p1_window(const Instance& inst, const InputSeries& inputs,
                   "window[" + std::to_string(t_begin) + "," +
                       std::to_string(t_end) + ") size=" +
                       std::to_string(size));
-  SORA_CHECK_MSG(sol.ok(), std::string("P1 window LP failed: ") +
-                               solver::to_string(sol.status) + " " +
-                               sol.detail);
+  if (!sol.ok()) {
+    SORA_LOG_WARN << "p1: window LP failed over [" << t_begin << ", " << t_end
+                  << ") (" << solver::to_string(sol.status) << " "
+                  << sol.detail << ")";
+    return std::nullopt;
+  }
   return lp.extract(sol.x);
 }
 
 Trajectory solve_offline(const Instance& inst,
                          const solver::LpSolveOptions& options) {
-  return solve_p1_window(inst, InputSeries::truth(inst), 0, inst.horizon,
-                         Allocation::zeros(inst.num_edges()), nullptr,
-                         options);
+  std::optional<Trajectory> traj =
+      solve_p1_window(inst, InputSeries::truth(inst), 0, inst.horizon,
+                      Allocation::zeros(inst.num_edges()), nullptr, options);
+  SORA_CHECK_MSG(traj.has_value(), "offline P1 LP failed");
+  return std::move(*traj);
 }
 
 }  // namespace sora::core

@@ -100,14 +100,17 @@ Allocation solve_one_shot(const Instance& inst, const InputSeries& inputs,
                           std::size_t t, const Allocation& prev,
                           const solver::LpSolveOptions& options = {});
 
-/// Window solve over [t_begin, t_end): returns the decision trajectory.
-Trajectory solve_p1_window(const Instance& inst, const InputSeries& inputs,
-                           std::size_t t_begin, std::size_t t_end,
-                           const Allocation& prev,
-                           const Allocation* terminal = nullptr,
-                           const solver::LpSolveOptions& options = {});
+/// Window solve over [t_begin, t_end): the decision trajectory, or nullopt
+/// when the LP fails on both backends (e.g. a forecast no allocation can
+/// cover). Never throws for solver-side failures.
+std::optional<Trajectory> solve_p1_window(
+    const Instance& inst, const InputSeries& inputs, std::size_t t_begin,
+    std::size_t t_end, const Allocation& prev,
+    const Allocation* terminal = nullptr,
+    const solver::LpSolveOptions& options = {});
 
-/// The offline optimum over the whole horizon.
+/// The offline optimum over the whole horizon. Throws CheckError if the LP
+/// fails.
 Trajectory solve_offline(const Instance& inst,
                          const solver::LpSolveOptions& options = {});
 

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 
 #include "core/cost.hpp"
 #include "core/regularizer.hpp"
 #include "linalg/matrix.hpp"
 #include "obs/obs.hpp"
-#include "solver/simplex.hpp"
 #include "util/check.hpp"
 #include "util/logging.hpp"
 #include "util/timer.hpp"
@@ -326,37 +324,6 @@ class P2Objective final : public solver::ConvexObjective {
   mutable Vec totals_, t1_totals_;
 };
 
-// G v <= h row by row into an LP whose first g.cols() variables are v. With
-// a margin column (phase-I) every row carries + margin; without one, a row
-// with no terms (an edgeless zero-demand cloud's padded (3c), 0 <= 1) is
-// dropped.
-void add_polyhedron_rows(const SparseMatrix& g, const Vec& h,
-                         std::optional<std::size_t> margin,
-                         solver::LpBuilder& b) {
-  for (std::size_t r = 0; r < g.rows(); ++r) {
-    std::vector<solver::LinTerm> terms;
-    const auto row = g.row(r);
-    for (std::size_t k = 0; k < row.size; ++k)
-      if (row.vals[k] != 0.0) terms.push_back({row.cols[k], row.vals[k]});
-    if (margin) terms.push_back({*margin, 1.0});
-    if (!terms.empty()) b.add_le(terms, h[r]);
-  }
-}
-
-// Phase-I LP: maximize the margin m with G v + m <= h, 0 <= m <= 1.
-Vec phase1_feasible_point(const SparseMatrix& g, const Vec& h) {
-  solver::LpBuilder b;
-  const std::size_t n = g.cols();
-  for (std::size_t j = 0; j < n; ++j) b.add_variable(-kInf, kInf, 0.0);
-  const std::size_t margin = b.add_variable(0.0, 1.0, -1.0, "margin");
-  add_polyhedron_rows(g, h, margin, b);
-  const auto sol = solver::solve_simplex(b.build());
-  SORA_CHECK_MSG(sol.ok(), "P2 phase-I LP failed");
-  SORA_CHECK_MSG(sol.x[margin] > 1e-9,
-                 "P2 subproblem has no strictly feasible point");
-  return Vec(sol.x.begin(), sol.x.begin() + static_cast<std::ptrdiff_t>(n));
-}
-
 // The constraint polyhedron G v <= h of P2(t) in CSR form, with the rows of
 // the paper's named constraints tracked for dual recovery. G is fixed for
 // an instance; a slot only rewrites the coverage right-hand sides, so the
@@ -470,15 +437,14 @@ struct P2Polyhedron {
   }
 
   // A strictly interior point of the patched polyhedron: `anchor` (the
-  // even split) when it is one, else the phase-I LP's.
-  void strict_point_into(const Vec& anchor, Vec& point) {
-    if (min_slack(anchor) > 0.0) {
-      point = anchor;
-      return;
-    }
+  // even split) when it is one, else the phase-I LP's; !ok() when the
+  // polyhedron has no strict interior.
+  solver::StrictStart strict_point(const Vec& anchor) {
+    if (min_slack(anchor) > 0.0)
+      return {solver::SolveStatus::kOptimal, anchor, {}};
     SORA_LOG_DEBUG << "p2: even-split start infeasible; falling back to "
                       "phase-I LP";
-    point = phase1_feasible_point(g, h);
+    return solver::phase1_feasible_point(g, h);
   }
 };
 
@@ -499,6 +465,105 @@ void extract_primal(const Layout& layout, const solver::IpmResult& result,
 }
 
 }  // namespace
+
+CoverageRepair repair_coverage(const Instance& inst, const SlotInputs& in,
+                               const Allocation& held,
+                               const solver::LpSolveOptions& lp) {
+  SORA_TRACE_SPAN("p2/repair");
+  SORA_CHECK(held.x.size() == inst.num_edges());
+  const std::size_t E = inst.num_edges();
+  const bool with_z = inst.has_tier1();
+  CoverageRepair rep;
+  rep.outcome.status = solver::SolveStatus::kOptimal;
+  rep.outcome.backend = SolveBackend::kHoldRepair;
+  // `held` clamped to the nonnegative orthant, with s as large as (3a)/(3b)
+  // (and z >= s) allow.
+  Allocation& a = rep.alloc;
+  a = Allocation::zeros(E);
+  rep.s.assign(E, 0.0);
+  for (std::size_t e = 0; e < E; ++e) {
+    a.x[e] = std::max(0.0, held.x[e]);
+    a.y[e] = std::max(0.0, held.y[e]);
+    if (with_z) a.z[e] = std::max(0.0, held.z[e]);
+    rep.s[e] = with_z ? std::min({a.x[e], a.y[e], a.z[e]})
+                      : std::min(a.x[e], a.y[e]);
+  }
+  Vec residual(inst.num_tier1(), 0.0);
+  for (std::size_t j = 0; j < inst.num_tier1(); ++j) {
+    double served = 0.0;
+    for (const std::size_t e : inst.edges_of_tier1[j]) served += rep.s[e];
+    residual[j] = std::max(0.0, in.lambda(j) - served);
+    rep.repaired = rep.repaired || residual[j] > 1e-12;
+  }
+  if (!rep.repaired) return rep;
+
+  // Additive repair LP in the deltas, one (dx, dy, ds[, dz]) column group
+  // per edge; increases pay allocation plus reconfiguration, capacities
+  // bound the push.
+  solver::LpBuilder b;
+  std::vector<std::size_t> dx(E), dy(E), ds(E), dz(with_z ? E : 0);
+  for (std::size_t e = 0; e < E; ++e) {
+    const std::size_t i = inst.edges[e].tier2;
+    dx[e] = b.add_variable(0.0, kInf, in.price(i) + inst.tier2_reconfig[i]);
+    dy[e] = b.add_variable(0.0, std::max(0.0, inst.edge_capacity[e] - a.y[e]),
+                           inst.edge_price[e] + inst.edge_reconfig[e]);
+    ds[e] = b.add_variable(0.0, kInf, 0.0);
+    if (with_z) {
+      const std::size_t j = inst.edges[e].tier1;
+      dz[e] = b.add_variable(0.0, kInf,
+                             in.t1_price(j) + inst.tier1_reconfig[j]);
+    }
+  }
+  for (std::size_t j = 0; j < inst.num_tier1(); ++j) {
+    if (residual[j] <= 1e-12) continue;
+    std::vector<solver::LinTerm> terms;
+    for (const std::size_t e : inst.edges_of_tier1[j])
+      terms.push_back({ds[e], 1.0});
+    b.add_ge(terms, residual[j]);
+  }
+  for (std::size_t e = 0; e < E; ++e) {
+    // s + ds must stay under each of x + dx, y + dy (and z + dz).
+    b.add_le({{ds[e], 1.0}, {dx[e], -1.0}}, a.x[e] - rep.s[e]);
+    b.add_le({{ds[e], 1.0}, {dy[e], -1.0}}, a.y[e] - rep.s[e]);
+    if (with_z) b.add_le({{ds[e], 1.0}, {dz[e], -1.0}}, a.z[e] - rep.s[e]);
+  }
+  const Vec x_totals = tier2_totals(inst, a.x);
+  for (std::size_t i = 0; i < inst.num_tier2(); ++i) {
+    if (inst.edges_of_tier2[i].empty()) continue;
+    std::vector<solver::LinTerm> terms;
+    for (const std::size_t e : inst.edges_of_tier2[i])
+      terms.push_back({dx[e], 1.0});
+    b.add_le(terms, std::max(0.0, inst.tier2_capacity[i] - x_totals[i]));
+  }
+  if (with_z) {
+    const Vec z_totals = tier1_totals(inst, a.z);
+    for (std::size_t j = 0; j < inst.num_tier1(); ++j) {
+      if (inst.edges_of_tier1[j].empty()) continue;
+      std::vector<solver::LinTerm> terms;
+      for (const std::size_t e : inst.edges_of_tier1[j])
+        terms.push_back({dz[e], 1.0});
+      b.add_le(terms, std::max(0.0, inst.tier1_capacity[j] - z_totals[j]));
+    }
+  }
+
+  SolveOutcome lp_outcome;
+  const solver::LpSolution sol =
+      solve_lp_with_fallback(b.build(), lp, &lp_outcome);
+  rep.outcome.attempts = lp_outcome.attempts;
+  if (!sol.ok()) {
+    rep.outcome.status = sol.status;
+    rep.outcome.detail = lp_outcome.detail;
+    return rep;
+  }
+  for (std::size_t e = 0; e < E; ++e) {
+    a.x[e] = std::max(0.0, a.x[e] + sol.x[dx[e]]);
+    a.y[e] = std::max(0.0, a.y[e] + sol.x[dy[e]]);
+    rep.s[e] = std::max(0.0, rep.s[e] + sol.x[ds[e]]);
+    if (with_z) a.z[e] = std::max(0.0, a.z[e] + sol.x[dz[e]]);
+  }
+  rep.outcome.repair_cost_delta = sol.objective;
+  return rep;
+}
 
 // ---------------------------------------------------------------------------
 // P2Workspace: structure-once CSR constraints + warm-started solves.
@@ -522,33 +587,24 @@ struct P2Workspace::Impl {
       : inst(inst_), options(options_), layout(layout_for(inst_)),
         objective(inst_, options_), poly(inst_, layout) {}
 
-  // Choose the starting point: the previous optimum pulled into the strict
-  // interior when warm starting, else the even-split anchor, else phase-I.
-  bool compute_start(const SlotInputs& in) {
-    even_split_start_into(inst, in, layout, anchor);
-    if (options.warm_start && has_last) {
-      // Slack is affine, so slack(blend) = (1-a) slack(last) + a
-      // slack(anchor): escalating a trades proximity for interior margin.
-      for (const double a : kWarmStartBlends) {
-        start.resize(layout.size());
-        for (std::size_t k = 0; k < layout.size(); ++k)
-          start[k] = (1.0 - a) * last_opt[k] + a * anchor[k];
-        if (poly.min_slack(start) > 1e-9) return true;
-      }
+  // The previous optimum pulled into the strict interior by a blend with
+  // the even-split `anchor`; false when warm starting is off, the workspace
+  // is cold, or no blend is strictly interior.
+  bool warm_start_into(Vec& point) {
+    if (!options.warm_start || !has_last) return false;
+    // Slack is affine, so slack(blend) = (1-a) slack(last) + a
+    // slack(anchor): escalating a trades proximity for interior margin.
+    for (const double a : kWarmStartBlends) {
+      point.resize(layout.size());
+      for (std::size_t k = 0; k < layout.size(); ++k)
+        point[k] = (1.0 - a) * last_opt[k] + a * anchor[k];
+      if (poly.min_slack(point) > 1e-9) return true;
     }
-    poly.strict_point_into(anchor, start);
     return false;
   }
 
-  // A cold start for a fallback attempt. `anchor` was filled by
-  // compute_start.
-  const Vec& cold_start_point() {
-    poly.strict_point_into(anchor, start);
-    return start;
-  }
-
-  // Zero-fill the named multipliers: fallback backends (LP surrogate,
-  // hold + repair) produce no meaningful KKT certificate for P2.
+  // Zero-fill the named multipliers: hold + repair produces no KKT
+  // certificate for P2.
   void zero_duals(P2Solution& out) const {
     out.rho.assign(layout.num_edges, 0.0);
     out.phi.assign(layout.num_edges, 0.0);
@@ -556,215 +612,48 @@ struct P2Workspace::Impl {
     out.gamma.assign(inst.num_tier1(), 0.0);
   }
 
-  // Unpack a [x|y|s|z] point into the solution, clamped to the nonnegative
-  // orthant, and evaluate the true (regularized) P2 objective there.
-  void fill_from_point(const Vec& v, P2Solution& out) {
-    out.alloc = Allocation::zeros(layout.num_edges);
-    out.s.assign(layout.num_edges, 0.0);
-    Vec clamped(layout.size(), 0.0);
-    for (std::size_t k = 0; k < layout.size(); ++k)
-      clamped[k] = std::max(0.0, v[k]);
-    for (std::size_t e = 0; e < layout.num_edges; ++e) {
-      out.alloc.x[e] = clamped[layout.x(e)];
-      out.alloc.y[e] = clamped[layout.y(e)];
-      if (layout.with_z) out.alloc.z[e] = clamped[layout.z(e)];
-      out.s[e] = clamped[layout.s(e)];
-    }
-    out.objective = objective.value(clamped);
-    last_opt = std::move(clamped);
-    has_last = true;
-  }
-
-  // LP fallback: minimize the linear part of P2's objective plus a linear
-  // surrogate of the reconfiguration cost (u >= increase of the regularized
-  // aggregates) over the SAME patched polyhedron G v <= h. Keeps the slot
-  // decision near-optimal for P1 even though the entropic terms are dropped.
-  bool solve_lp_surrogate(const SlotInputs& in, const Allocation& prev,
-                          P2Solution& out, SolveOutcome& outcome,
-                          std::size_t& attempt) {
-    const std::size_t E = layout.num_edges;
-    solver::LpBuilder b;
-    for (std::size_t e = 0; e < E; ++e)
-      b.add_variable(0.0, kInf, in.price(inst.edges[e].tier2));
-    for (std::size_t e = 0; e < E; ++e)
-      b.add_variable(0.0, kInf, inst.edge_price[e]);
-    for (std::size_t e = 0; e < E; ++e) b.add_variable(0.0, kInf, 0.0);
-    if (layout.with_z)
-      for (std::size_t e = 0; e < E; ++e)
-        b.add_variable(0.0, kInf, in.t1_price(inst.edges[e].tier1));
-    // Reconfiguration surrogate: u >= (new aggregate) - (previous aggregate),
-    // charged at the paper's switching prices b_i / d_e / b'_j.
-    const Vec prev_x_totals = tier2_totals(inst, prev.x);
-    for (std::size_t i = 0; i < inst.num_tier2(); ++i) {
-      const std::size_t u =
-          b.add_variable(0.0, kInf, inst.tier2_reconfig[i]);
-      std::vector<solver::LinTerm> terms{{u, 1.0}};
-      for (const std::size_t e : inst.edges_of_tier2[i])
-        terms.push_back({layout.x(e), -1.0});
-      b.add_ge(terms, -prev_x_totals[i]);
-    }
-    for (std::size_t e = 0; e < E; ++e) {
-      const std::size_t w = b.add_variable(0.0, kInf, inst.edge_reconfig[e]);
-      b.add_ge({{w, 1.0}, {layout.y(e), -1.0}}, -prev.y[e]);
-    }
-    if (layout.with_z) {
-      const Vec prev_z_totals = tier1_totals(inst, prev.z);
-      for (std::size_t j = 0; j < inst.num_tier1(); ++j) {
-        const std::size_t u =
-            b.add_variable(0.0, kInf, inst.tier1_reconfig[j]);
-        std::vector<solver::LinTerm> terms{{u, 1.0}};
-        for (const std::size_t e : inst.edges_of_tier1[j])
-          terms.push_back({layout.z(e), -1.0});
-        b.add_ge(terms, -prev_z_totals[j]);
-      }
-    }
-    // The patched CSR polyhedron. Empty gamma rows (inert 0 <= 1) were
-    // validated by even_split_start_into and are dropped.
-    add_polyhedron_rows(poly.g, poly.h, std::nullopt, b);
-
-    SolveOutcome lp_outcome;
-    const solver::LpSolution sol = solve_lp_with_fallback(
-        b.build(), solver::LpSolveOptions{}, &lp_outcome, in.slot, attempt);
-    attempt += lp_outcome.attempts;
-    if (!lp_outcome.detail.empty()) {
-      if (!outcome.detail.empty()) outcome.detail += "; ";
-      outcome.detail += lp_outcome.detail;
-    }
-    outcome.backend = lp_outcome.backend;
-    outcome.status = sol.status;
-    if (!sol.ok()) return false;
-
-    Vec v(sol.x.begin(),
-          sol.x.begin() + static_cast<std::ptrdiff_t>(layout.size()));
-    fill_from_point(v, out);
-    zero_duals(out);
-    out.newton_steps = 0;
-    return true;
-  }
-
-  // Graceful degradation: hold x_{t-1} and, when coverage (3c) is short,
-  // push the cheapest additive repair (dx, dy, ds[, dz] >= 0) that keeps
-  // (3a)/(3b) and the capacities (1b)-(1d). Never fault-injected: this is
-  // the terminal stage of the chain. A failed repair still adopts x_{t-1}
-  // verbatim (the next warm-start seed; coverage may be short, which the
-  // !ok() status reports) before returning false.
+  // Terminal stage: hold x_{t-1} and repair coverage (repair_coverage).
+  // Never fault-injected. The held-and-repaired point — x_{t-1} itself when
+  // the repair LP fails, which the !ok() status reports — becomes the next
+  // warm-start seed.
   bool hold_and_repair(const SlotInputs& in, const Allocation& prev,
                        P2Solution& out, SolveOutcome& outcome,
                        std::size_t& attempt) {
-    const std::size_t E = layout.num_edges;
     ++attempt;
-    // x_{t-1} clamped to the nonnegative orthant, with s as large as
-    // (3a)/(3b) (and z >= s) allow.
-    Vec held(layout.size(), 0.0);
-    for (std::size_t e = 0; e < E; ++e) {
-      held[layout.x(e)] = std::max(0.0, prev.x[e]);
-      held[layout.y(e)] = std::max(0.0, prev.y[e]);
-      if (layout.with_z) held[layout.z(e)] = std::max(0.0, prev.z[e]);
-      double s = std::min(held[layout.x(e)], held[layout.y(e)]);
-      if (layout.with_z) s = std::min(s, held[layout.z(e)]);
-      held[layout.s(e)] = s;
+    CoverageRepair rep = repair_coverage(inst, in, prev);
+    Vec point(layout.size(), 0.0);
+    for (std::size_t e = 0; e < layout.num_edges; ++e) {
+      point[layout.x(e)] = rep.alloc.x[e];
+      point[layout.y(e)] = rep.alloc.y[e];
+      point[layout.s(e)] = rep.s[e];
+      if (layout.with_z) point[layout.z(e)] = rep.alloc.z[e];
     }
-    Vec residual(inst.num_tier1(), 0.0);
-    bool needs_repair = false;
-    for (std::size_t j = 0; j < inst.num_tier1(); ++j) {
-      double served = 0.0;
-      for (const std::size_t e : inst.edges_of_tier1[j])
-        served += held[layout.s(e)];
-      residual[j] = std::max(0.0, in.lambda(j) - served);
-      needs_repair = needs_repair || residual[j] > 1e-12;
-    }
-
-    double repair_cost = 0.0;
-    if (needs_repair) {
-      // Additive repair LP in the deltas; capacities bound the push.
-      solver::LpBuilder b;
-      std::vector<std::size_t> dx(E), dy(E), ds(E), dz(layout.with_z ? E : 0);
-      for (std::size_t e = 0; e < E; ++e) {
-        const std::size_t i = inst.edges[e].tier2;
-        dx[e] = b.add_variable(
-            0.0, kInf,
-            in.price(i) + inst.tier2_reconfig[i]);
-        dy[e] = b.add_variable(
-            0.0, std::max(0.0, inst.edge_capacity[e] - held[layout.y(e)]),
-            inst.edge_price[e] + inst.edge_reconfig[e]);
-        ds[e] = b.add_variable(0.0, kInf, 0.0);
-        if (layout.with_z) {
-          const std::size_t j = inst.edges[e].tier1;
-          dz[e] = b.add_variable(
-              0.0, kInf,
-              in.t1_price(j) + inst.tier1_reconfig[j]);
-        }
-      }
-      for (std::size_t j = 0; j < inst.num_tier1(); ++j) {
-        if (residual[j] <= 1e-12) continue;
-        std::vector<solver::LinTerm> terms;
-        for (const std::size_t e : inst.edges_of_tier1[j])
-          terms.push_back({ds[e], 1.0});
-        b.add_ge(terms, residual[j]);
-      }
-      for (std::size_t e = 0; e < E; ++e) {
-        // s + ds must stay under each of x + dx, y + dy (and z + dz).
-        const double s0 = held[layout.s(e)];
-        b.add_le({{ds[e], 1.0}, {dx[e], -1.0}}, held[layout.x(e)] - s0);
-        b.add_le({{ds[e], 1.0}, {dy[e], -1.0}}, held[layout.y(e)] - s0);
-        if (layout.with_z)
-          b.add_le({{ds[e], 1.0}, {dz[e], -1.0}}, held[layout.z(e)] - s0);
-      }
-      const Vec prev_x_totals = tier2_totals(inst, prev.x);
-      for (std::size_t i = 0; i < inst.num_tier2(); ++i) {
-        if (inst.edges_of_tier2[i].empty()) continue;
-        std::vector<solver::LinTerm> terms;
-        for (const std::size_t e : inst.edges_of_tier2[i])
-          terms.push_back({dx[e], 1.0});
-        b.add_le(terms,
-                 std::max(0.0, inst.tier2_capacity[i] - prev_x_totals[i]));
-      }
-      if (layout.with_z) {
-        const Vec prev_z_totals = tier1_totals(inst, prev.z);
-        for (std::size_t j = 0; j < inst.num_tier1(); ++j) {
-          if (inst.edges_of_tier1[j].empty()) continue;
-          std::vector<solver::LinTerm> terms;
-          for (const std::size_t e : inst.edges_of_tier1[j])
-            terms.push_back({dz[e], 1.0});
-          b.add_le(terms,
-                   std::max(0.0, inst.tier1_capacity[j] - prev_z_totals[j]));
-        }
-      }
-
-      SolveOutcome lp_outcome;
-      const solver::LpSolution sol =
-          solve_lp_with_fallback(b.build(), solver::LpSolveOptions{},
-                                 &lp_outcome, kNoFaultSlot);
-      if (!sol.ok()) {
-        append_failure(outcome.detail, to_string(SolveBackend::kHoldRepair),
-                       sol.status, lp_outcome.detail);
-        outcome.status = sol.status;
-        outcome.backend = SolveBackend::kHoldRepair;
-        fill_from_point(held, out);
-        zero_duals(out);
-        out.newton_steps = 0;
-        return false;
-      }
-      for (std::size_t e = 0; e < E; ++e) {
-        held[layout.x(e)] += sol.x[dx[e]];
-        held[layout.y(e)] += sol.x[dy[e]];
-        held[layout.s(e)] += sol.x[ds[e]];
-        if (layout.with_z) held[layout.z(e)] += sol.x[dz[e]];
-      }
-      repair_cost = sol.objective;
-    }
-
-    fill_from_point(held, out);
-    zero_duals(out);
+    out.alloc = std::move(rep.alloc);
+    out.s = std::move(rep.s);
+    out.objective = objective.value(point);
     out.newton_steps = 0;
-    outcome.status = solver::SolveStatus::kOptimal;
+    zero_duals(out);
+    last_opt = std::move(point);
+    has_last = true;
     outcome.backend = SolveBackend::kHoldRepair;
+    outcome.status = rep.outcome.status;
+    if (!rep.outcome.ok()) {
+      append_failure(outcome.detail, to_string(SolveBackend::kHoldRepair),
+                     rep.outcome.status, rep.outcome.detail);
+      return false;
+    }
     outcome.degraded = true;
-    outcome.repair_cost_delta = repair_cost;
+    outcome.repair_cost_delta = rep.outcome.repair_cost_delta;
     return true;
   }
 
-  P2Solution step(const SlotInputs& in, const Allocation& prev) {
+  // One slot through the chain: a barrier solve per start the slot has
+  // (warm, then cold; a slot without a strict interior has none), then
+  // hold + repair. `solve` false is the deadline path: straight to the
+  // terminal stage. Throws only on structural errors (positive demand at an
+  // edgeless cloud) and, with resilience disabled, on the first failed
+  // stage.
+  P2Solution step(const SlotInputs& in, const Allocation& prev, bool solve) {
     SORA_CHECK(prev.x.size() == inst.num_edges());
     SORA_CHECK(in.demand != nullptr && in.demand->size() == inst.num_tier1());
     SORA_CHECK(in.tier2_price != nullptr &&
@@ -773,9 +662,7 @@ struct P2Workspace::Impl {
                                   in.tier1_price->size() == inst.num_tier1()));
 
     double build_seconds = 0.0;
-    double barrier_seconds = 0.0;
-    bool warm = false;
-    solver::IpmOptions ipm = options.ipm;
+    double solve_seconds = 0.0;
     {
       SORA_TRACE_SPAN("p2/build");
       util::ScopedTimer build_timer(&build_seconds);
@@ -787,18 +674,8 @@ struct P2Workspace::Impl {
     std::size_t attempt = 0;
     solver::IpmResult result;
     P2Solution out;
-
-    {
-      SORA_TRACE_SPAN("p2/start");
-      util::ScopedTimer build_timer(&build_seconds);
-      warm = compute_start(in);
-      if (warm) {
-        // Near-optimal starts waste outer iterations re-centering at small
-        // t: jump the barrier multiplier so the first center is already
-        // within a modest gap of the warm point.
-        ipm.t0 = std::max(ipm.t0, static_cast<double>(poly.g.rows()) / 1e-2);
-      }
-    }
+    bool warm = false;
+    bool solved = false;
 
     // One barrier attempt: solve, let the fault hook interfere, demote
     // non-finite "optimal" answers, and record the failure trail.
@@ -807,7 +684,7 @@ struct P2Workspace::Impl {
                                      SolveBackend backend) {
       {
         SORA_TRACE_SPAN("p2/barrier");
-        util::ScopedTimer solve_timer(&barrier_seconds);
+        util::ScopedTimer solve_timer(&solve_seconds);
         result =
             solver::solve_barrier(objective, poly.g, poly.h, x0, o, &scratch);
       }
@@ -826,26 +703,47 @@ struct P2Workspace::Impl {
                        result.detail);
       return result.ok();
     };
+    const auto fail_fast = [&] {
+      SORA_CHECK_MSG(solved || options.resilience.enabled,
+                     "P2 barrier solve failed at t=" +
+                         std::to_string(in.slot) + ": " + outcome.detail);
+    };
 
-    bool solved =
-        barrier_attempt(start, ipm, warm ? SolveBackend::kWarmIpm
-                                         : SolveBackend::kColdIpm);
-
-    if (!solved && !options.resilience.enabled)
-      SORA_CHECK_MSG(false, "P2 barrier solve failed at t=" +
-                                std::to_string(in.slot) + ": " +
-                                outcome.detail);
-
-    if (!solved) {
-      SORA_LOG_WARN << "p2: barrier failed at t=" << in.slot << " ("
-                    << outcome.detail << "); entering fallback chain";
-      if (warm)
-        solved = barrier_attempt(cold_start_point(), options.ipm,
-                                 SolveBackend::kColdIpm);
-      if (!solved)
-        solved = barrier_attempt(cold_start_point(),
-                                 tightened_ipm_options(options.ipm),
-                                 SolveBackend::kTightenedIpm);
+    if (solve) {
+      {
+        SORA_TRACE_SPAN("p2/start");
+        util::ScopedTimer build_timer(&build_seconds);
+        even_split_start_into(inst, in, layout, anchor);
+        warm = warm_start_into(start);
+      }
+      if (warm) {
+        // Near-optimal starts waste outer iterations re-centering at small
+        // t: jump the barrier multiplier so the first center is already
+        // within a modest gap of the warm point.
+        solver::IpmOptions ipm = options.ipm;
+        ipm.t0 = std::max(ipm.t0, static_cast<double>(poly.g.rows()) / 1e-2);
+        solved = barrier_attempt(start, ipm, SolveBackend::kWarmIpm);
+        fail_fast();
+      }
+      if (!solved) {
+        solver::StrictStart cold;
+        {
+          SORA_TRACE_SPAN("p2/start");
+          util::ScopedTimer build_timer(&build_seconds);
+          cold = poly.strict_point(anchor);
+        }
+        if (cold.ok()) {
+          solved =
+              barrier_attempt(cold.x, options.ipm, SolveBackend::kColdIpm);
+        } else {
+          ++attempt;
+          outcome.backend = SolveBackend::kColdIpm;
+          outcome.status = cold.status;
+          append_failure(outcome.detail, to_string(SolveBackend::kColdIpm),
+                         cold.status, cold.detail);
+        }
+        fail_fast();
+      }
     }
 
     if (solved) {
@@ -870,64 +768,24 @@ struct P2Workspace::Impl {
       last_opt = result.x;
       has_last = true;
     } else {
-      util::ScopedTimer fallback_timer(&barrier_seconds);
-      solved = solve_lp_surrogate(in, prev, out, outcome, attempt) ||
-               hold_and_repair(in, prev, out, outcome, attempt);
-    }
-
-    outcome.attempts = attempt;
-    out.outcome = outcome;
-    observe_outcome(outcome);
-
-    // Chain exhausted: hold_and_repair left x_{t-1} as the next warm-start
-    // seed, and the slot fails loudly.
-    if (!solved)
-      SORA_CHECK_MSG(false, "P2 fallback chain exhausted at t=" +
-                                std::to_string(in.slot) + ": " +
-                                outcome.detail);
-
-    out.timing.build_seconds = build_seconds;
-    out.timing.solve_seconds = barrier_seconds;
-    out.timing.newton_steps = out.newton_steps;
-    out.timing.warm_started = warm;
-    observe_p2_timing(out.timing);
-    return out;
-  }
-
-  // Deadline-miss entry: skip every solve stage and go straight to the
-  // terminal hold-and-repair degradation. Used by the serving daemon when a
-  // slot's solve lands after the budget — the late answer is discarded and
-  // the held (repaired) decision published instead. Never throws: a failed
-  // repair falls back to holding x_{t-1} verbatim with a failure outcome.
-  P2Solution degrade(const SlotInputs& in, const Allocation& prev) {
-    SORA_CHECK(prev.x.size() == inst.num_edges());
-    double build_seconds = 0.0;
-    double repair_seconds = 0.0;
-    P2Solution out;
-    SolveOutcome outcome;
-    std::size_t attempt = 0;
-    {
-      SORA_TRACE_SPAN("p2/build");
-      util::ScopedTimer build_timer(&build_seconds);
-      poly.patch_slot(in);
-      objective.begin_slot(in, prev);
-    }
-    bool solved;
-    {
+      if (solve)
+        SORA_LOG_WARN << "p2: barrier failed at t=" << in.slot << " ("
+                      << outcome.detail << "); holding x_{t-1}";
       SORA_TRACE_SPAN("p2/degrade");
-      util::ScopedTimer repair_timer(&repair_seconds);
+      util::ScopedTimer repair_timer(&solve_seconds);
       solved = hold_and_repair(in, prev, out, outcome, attempt);
     }
     if (!solved)
-      SORA_LOG_ERROR << "p2: degrade repair failed at t=" << in.slot << " ("
-                     << outcome.detail << "); holding previous decision";
+      SORA_LOG_ERROR << "p2: chain exhausted at t=" << in.slot << " ("
+                     << outcome.detail << "); publishing x_{t-1}";
+
     outcome.attempts = attempt;
     out.outcome = outcome;
     observe_outcome(outcome);
     out.timing.build_seconds = build_seconds;
-    out.timing.solve_seconds = repair_seconds;
-    out.timing.newton_steps = 0;
-    out.timing.warm_started = false;
+    out.timing.solve_seconds = solve_seconds;
+    out.timing.newton_steps = out.newton_steps;
+    out.timing.warm_started = warm;
     observe_p2_timing(out.timing);
     return out;
   }
@@ -941,15 +799,15 @@ P2Workspace::~P2Workspace() = default;
 P2Solution P2Workspace::solve(const InputSeries& inputs, std::size_t t,
                               const Allocation& prev) {
   SORA_CHECK(t < impl_->inst.horizon);
-  return impl_->step(SlotInputs::at(impl_->inst, inputs, t), prev);
+  return step(SlotInputs::at(impl_->inst, inputs, t), prev);
 }
 
 P2Solution P2Workspace::step(const SlotInputs& in, const Allocation& prev) {
-  return impl_->step(in, prev);
+  return impl_->step(in, prev, /*solve=*/true);
 }
 
 P2Solution P2Workspace::degrade(const SlotInputs& in, const Allocation& prev) {
-  return impl_->degrade(in, prev);
+  return impl_->step(in, prev, /*solve=*/false);
 }
 
 void P2Workspace::reset_warm_start() { impl_->has_last = false; }
@@ -978,10 +836,12 @@ Vec p2_strictly_feasible_point(const Instance& inst, const InputSeries& inputs,
   const Layout layout = layout_for(inst);
   P2Polyhedron poly(inst, layout);
   poly.patch_slot(in);
-  Vec anchor, point;
+  Vec anchor;
   even_split_start_into(inst, in, layout, anchor);
-  poly.strict_point_into(anchor, point);
-  return point;
+  solver::StrictStart point = poly.strict_point(anchor);
+  SORA_CHECK_MSG(point.ok(), "P2(t=" + std::to_string(t) + ") has " +
+                                 point.detail);
+  return std::move(point.x);
 }
 
 std::unique_ptr<solver::ConvexObjective> make_p2_objective(
@@ -997,7 +857,10 @@ P2Solution solve_p2(const Instance& inst, const InputSeries& inputs,
                     const RoaOptions& options) {
   SORA_CHECK(t < inst.horizon);
   P2Workspace workspace(inst, options);
-  return workspace.solve(inputs, t, prev);
+  P2Solution sol = workspace.solve(inputs, t, prev);
+  SORA_CHECK_MSG(sol.outcome.ok(), "P2 infeasible at t=" + std::to_string(t) +
+                                       ": " + sol.outcome.detail);
+  return sol;
 }
 
 }  // namespace sora::core

@@ -20,11 +20,14 @@
 //
 // One model, one pipeline: P2Workspace builds the CSR constraint matrix
 // ONCE per Instance with row bookkeeping; each slot only patches the
-// coverage right-hand sides, warm-starts from the previous slot's optimum
-// pulled into the strict interior (else the even split, else a phase-I LP),
-// and runs the barrier IPM with preallocated scratch (zero heap allocation
-// in the Newton loop). Every slot, at every scale, takes the same chain:
-// warm IPM -> cold IPM -> tightened IPM -> LP surrogate -> hold + repair.
+// coverage right-hand sides and runs the barrier IPM with preallocated
+// scratch (zero heap allocation in the Newton loop). Every slot, at every
+// scale, takes the same chain (docs/ROBUSTNESS.md):
+//   1. warm IPM, from the previous optimum pulled into the strict interior;
+//   2. cold IPM, from the even split, else the phase-I LP's point — skipped
+//      when the slot's polyhedron has no strict interior;
+//   3. hold x_{t-1} + coverage repair (repair_coverage below), which never
+//      throws: a failed repair publishes x_{t-1} with !outcome.ok().
 // The tests' cross-validation reference is a configuration of the same
 // workspace (testing::reference_roa_options(): cold, fail-fast, IPM pinned
 // to its dense Newton path), not a second model.
@@ -50,11 +53,10 @@ struct RoaOptions {
   // solve of a fresh workspace cold-starts.
   bool warm_start = true;
 
-  // Fallback-chain configuration: a failed barrier solve walks cold
-  // restart -> tightened barrier -> simplex/PDHG on the linear surrogate ->
-  // hold x_{t-1} + cheapest coverage repair instead of aborting.
-  // resilience.enabled = false makes the first failure throw (the tests'
-  // fail-fast reference configuration).
+  // Chain configuration: a failed warm solve restarts cold, and a slot the
+  // barrier cannot produce holds x_{t-1} + the cheapest coverage repair
+  // instead of aborting. resilience.enabled = false makes the first failure
+  // throw (the tests' fail-fast reference configuration).
   ResilienceOptions resilience;
 
   // Slot-SLO accounting (obs/slo.hpp): per-slot latency quantiles and
@@ -88,8 +90,8 @@ struct P2Solution {
   SolveOutcome outcome;
 
   // KKT multipliers of P2(t)'s constraints (the paper's Step 3 notation),
-  // recovered from the barrier solve; zero when a fallback backend produced
-  // the slot. Used by the competitive-certificate construction.
+  // recovered from the barrier solve; zero when hold + repair produced the
+  // slot. Used by the competitive-certificate construction.
   Vec rho;    // per edge, for (3a) x >= s
   Vec phi;    // per edge, for (3b) y >= s
   Vec gamma;  // per tier-1 cloud, for (3c) coverage
@@ -107,23 +109,24 @@ class P2Workspace {
   P2Workspace(const P2Workspace&) = delete;
   P2Workspace& operator=(const P2Workspace&) = delete;
 
-  /// Solve P2(t) given the previous slot's decision. Throws CheckError when
-  /// the instance is infeasible at slot t. Batch wrapper over step():
-  /// requires t < inst.horizon.
+  /// Solve P2(t) given the previous slot's decision. Batch wrapper over
+  /// step(): requires t < inst.horizon.
   P2Solution solve(const InputSeries& inputs, std::size_t t,
                    const Allocation& prev);
 
-  /// Re-entrant streaming entry point: solve one slot from raw per-slot
-  /// rows. `in.slot` is attribution only (fault hooks, error messages) —
-  /// nothing indexes the instance horizon, so a daemon can run forever.
-  /// All per-slot state (RHS patch, objective prices, start point) is fully
-  /// rewritten on entry; no heap allocation in the Newton loop.
+  /// Re-entrant streaming entry point: run one slot's chain from raw
+  /// per-slot rows. `in.slot` is attribution only (fault hooks, error
+  /// messages) — nothing indexes the instance horizon, so a daemon can run
+  /// forever. All per-slot state (RHS patch, objective prices, start point)
+  /// is fully rewritten on entry; no heap allocation in the Newton loop.
+  /// Throws only on structural errors (positive demand at an edgeless
+  /// cloud) and, with resilience disabled, on the first failed stage; an
+  /// exhausted chain publishes x_{t-1} with !outcome.ok().
   P2Solution step(const SlotInputs& in, const Allocation& prev);
 
-  /// Route a slot straight to the terminal hold-x_{t-1}-and-repair
-  /// degradation (the live deadline-miss path): no barrier attempt, just
-  /// the cheapest coverage repair on top of the held decision. Never
-  /// throws on repair failure — the outcome reports it.
+  /// The chain's terminal stage alone (the live deadline-miss path): no
+  /// barrier attempt, just hold x_{t-1} + the cheapest coverage repair.
+  /// Never throws on repair failure — the outcome reports it.
   P2Solution degrade(const SlotInputs& in, const Allocation& prev);
 
   /// Forget the previous optimum: the next solve cold-starts. Use when the
@@ -145,16 +148,34 @@ class P2Workspace {
   std::unique_ptr<Impl> impl_;
 };
 
+/// The coverage repair behind the chain's terminal stage, degrade(), the
+/// predictive controllers' reactive scaling and LCP-M: hold `held` (clamped
+/// to the nonnegative orthant, with s_e = min(x_e, y_e[, z_e])) and, where
+/// coverage (3c) at `in` falls short by more than 1e-12, push the cheapest
+/// additive (dx, dy, ds[, dz]) >= 0 that keeps (3a)/(3b) and the capacities
+/// (1b)-(1d), paying allocation plus reconfiguration on the push. Never
+/// throws: a failed LP leaves the held point in `alloc`/`s` and reports its
+/// status in `outcome`.
+struct CoverageRepair {
+  Allocation alloc;
+  Vec s;                  // per-edge coverage, <= min(x, y[, z])
+  SolveOutcome outcome;   // backend kHoldRepair; repair_cost_delta = LP cost
+  bool repaired = false;  // coverage was short, so the LP ran
+};
+CoverageRepair repair_coverage(const Instance& inst, const SlotInputs& in,
+                               const Allocation& held,
+                               const solver::LpSolveOptions& lp = {});
+
 /// Solve P2(t) given the previous slot's decision through a fresh
-/// (cold-started) P2Workspace. Throws CheckError when the instance is
-/// infeasible at slot t.
+/// (cold-started) P2Workspace. Throws CheckError when the chain cannot
+/// produce a feasible slot (the instance is infeasible at slot t).
 P2Solution solve_p2(const Instance& inst, const InputSeries& inputs,
                     std::size_t t, const Allocation& prev,
                     const RoaOptions& options = {});
 
 /// A strictly feasible (x, y, s) for P2(t)'s constraint polyhedron, packed
-/// as [x | y | s] (the workspace's rows; even split, else phase-I). Exposed
-/// for tests.
+/// as [x | y | s] (the workspace's rows; even split, else phase-I). Throws
+/// CheckError when the polyhedron has no strict interior. Exposed for tests.
 Vec p2_strictly_feasible_point(const Instance& inst, const InputSeries& inputs,
                                std::size_t t);
 

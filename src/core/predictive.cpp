@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "core/cost.hpp"
 #include "obs/obs.hpp"
@@ -12,10 +13,6 @@
 
 namespace sora::core {
 namespace {
-
-using solver::kInf;
-using solver::LinTerm;
-using solver::LpBuilder;
 
 double series_mean(const std::vector<std::vector<double>>& series,
                    std::size_t index) {
@@ -56,134 +53,6 @@ PredictedInputs make_predictions(const Instance& inst,
   return pred;
 }
 
-Allocation repair_allocation(const Instance& inst, std::size_t t,
-                             const Allocation& planned,
-                             const solver::LpSolveOptions& lp,
-                             bool* repaired, SolveOutcome* outcome) {
-  SORA_TRACE_SPAN("predictive/repair");
-  if (repaired != nullptr) *repaired = false;
-  if (outcome != nullptr) {
-    *outcome = SolveOutcome{};
-    outcome->status = solver::SolveStatus::kOptimal;
-    outcome->backend = SolveBackend::kHoldRepair;
-  }
-  const bool with_z = inst.has_tier1();
-  const auto covered_base = [&](std::size_t e) {
-    double m = std::min(planned.x[e], planned.y[e]);
-    if (with_z) m = std::min(m, planned.z[e]);
-    return m;
-  };
-  // Residual demand not covered by min(x, y[, z]) per tier-1 cloud.
-  Vec residual(inst.num_tier1(), 0.0);
-  bool any = false;
-  for (std::size_t j = 0; j < inst.num_tier1(); ++j) {
-    double covered = 0.0;
-    for (const std::size_t e : inst.edges_of_tier1[j])
-      covered += covered_base(e);
-    residual[j] = std::max(0.0, inst.demand[t][j] - covered);
-    if (residual[j] > 1e-9) any = true;
-  }
-  if (!any) return planned;
-  if (repaired != nullptr) *repaired = true;
-
-  // Additive LP: buy the cheapest extra (dx, dy[, dz]) that covers the
-  // residual within the remaining capacities. Increases always pay
-  // reconfiguration.
-  const std::size_t E = inst.num_edges();
-  LpBuilder b;
-  for (std::size_t e = 0; e < E; ++e) {  // dx
-    const std::size_t i = inst.edges[e].tier2;
-    b.add_variable(0.0, kInf,
-                   inst.tier2_price[t][i] + inst.tier2_reconfig[i]);
-  }
-  for (std::size_t e = 0; e < E; ++e) {  // dy
-    const double headroom =
-        std::max(0.0, inst.edge_capacity[e] - planned.y[e]);
-    b.add_variable(0.0, headroom,
-                   inst.edge_price[e] + inst.edge_reconfig[e]);
-  }
-  for (std::size_t e = 0; e < E; ++e)  // ds
-    b.add_variable(0.0, kInf, 0.0);
-  if (with_z) {
-    for (std::size_t e = 0; e < E; ++e) {  // dz
-      const std::size_t j = inst.edges[e].tier1;
-      b.add_variable(0.0, kInf,
-                     inst.tier1_price[t][j] + inst.tier1_reconfig[j]);
-    }
-  }
-  const auto dx = [](std::size_t e) { return e; };
-  const auto dy = [E](std::size_t e) { return E + e; };
-  const auto ds = [E](std::size_t e) { return 2 * E + e; };
-  const auto dz = [E](std::size_t e) { return 3 * E + e; };
-
-  for (std::size_t j = 0; j < inst.num_tier1(); ++j) {
-    if (residual[j] <= 1e-9) continue;
-    std::vector<LinTerm> terms;
-    for (const std::size_t e : inst.edges_of_tier1[j])
-      terms.push_back({ds(e), 1.0});
-    b.add_ge(terms, residual[j]);
-  }
-  for (std::size_t e = 0; e < E; ++e) {
-    // The added coverage of edge e is ds <= the increase of min(x, y[, z]):
-    // ds <= d* + slack_* where slack_* is how much the planned resource
-    // already exceeds the covered base.
-    const double base = covered_base(e);
-    b.add_ge({{dx(e), 1.0}, {ds(e), -1.0}}, base - planned.x[e]);
-    b.add_ge({{dy(e), 1.0}, {ds(e), -1.0}}, base - planned.y[e]);
-    if (with_z)
-      b.add_ge({{dz(e), 1.0}, {ds(e), -1.0}}, base - planned.z[e]);
-  }
-  for (std::size_t i = 0; i < inst.num_tier2(); ++i) {
-    double used = 0.0;
-    std::vector<LinTerm> terms;
-    for (const std::size_t e : inst.edges_of_tier2[i]) {
-      used += planned.x[e];
-      terms.push_back({dx(e), 1.0});
-    }
-    if (!terms.empty())
-      b.add_le(terms, std::max(0.0, inst.tier2_capacity[i] - used));
-  }
-  if (with_z) {
-    for (std::size_t j = 0; j < inst.num_tier1(); ++j) {
-      double used = 0.0;
-      std::vector<LinTerm> terms;
-      for (const std::size_t e : inst.edges_of_tier1[j]) {
-        used += planned.z[e];
-        terms.push_back({dz(e), 1.0});
-      }
-      if (!terms.empty())
-        b.add_le(terms, std::max(0.0, inst.tier1_capacity[j] - used));
-    }
-  }
-
-  SolveOutcome lp_outcome;
-  const auto sol = solve_lp_with_fallback(b.build(), lp, &lp_outcome);
-  if (!sol.ok()) {
-    if (outcome != nullptr) {
-      *outcome = lp_outcome;
-      SORA_LOG_ERROR << "predictive: repair LP failed at t=" << t << " ("
-                     << solver::to_string(sol.status)
-                     << "); returning the planned allocation unrepaired";
-      return planned;
-    }
-    SORA_CHECK_MSG(false, "repair LP failed at t=" + std::to_string(t) +
-                              ": " + sol.detail);
-  }
-  if (outcome != nullptr) {
-    *outcome = lp_outcome;
-    outcome->backend = SolveBackend::kHoldRepair;
-    outcome->repair_cost_delta = sol.objective;
-  }
-
-  Allocation out = planned;
-  for (std::size_t e = 0; e < E; ++e) {
-    out.x[e] += std::max(0.0, sol.x[dx(e)]);
-    out.y[e] += std::max(0.0, sol.x[dy(e)]);
-    if (with_z) out.z[e] += std::max(0.0, sol.x[dz(e)]);
-  }
-  return out;
-}
-
 namespace {
 
 // Shared driver plumbing: apply one slot's planned decision (repairing if
@@ -215,11 +84,14 @@ struct Applier {
   void apply(std::size_t t, const Allocation& planned) {
     SORA_TRACE_SPAN("predictive/apply_slot");
     util::Timer timer;
-    bool repaired = false;
-    SolveOutcome rep;
-    Allocation final_alloc =
-        repair_allocation(inst, t, planned, lp, &repaired, &rep);
-    if (!rep.ok()) ++run.failed_repairs;
+    CoverageRepair rep = repair_coverage(
+        inst, SlotInputs::at(inst, InputSeries::truth(inst), t), planned, lp);
+    const bool repaired = rep.repaired;
+    if (!rep.outcome.ok()) {
+      ++run.failed_repairs;
+      SORA_LOG_WARN << "predictive: repair LP failed at t=" << t << " ("
+                    << rep.outcome.detail << "); applying the plan unrepaired";
+    }
     if (repaired) {
       ++run.repairs;
       if (obs::metrics_enabled()) {
@@ -239,12 +111,27 @@ struct Applier {
     sample.backend_name = "window_lp";
     sample.attempts = repaired ? 2 : 1;
     sample.fell_back = repaired;
-    sample.degraded = !rep.ok();  // plan applied unrepaired
+    sample.degraded = !rep.outcome.ok();  // plan applied unrepaired
     slo.record(sample);
-    if (repaired || !rep.ok())
-      record_flight("predictive_repair", t, rep, latency);
-    prev = final_alloc;
-    run.trajectory.slots.push_back(std::move(final_alloc));
+    if (repaired || !rep.outcome.ok())
+      record_flight("predictive_repair", t, rep.outcome, latency);
+    prev = rep.alloc;
+    run.trajectory.slots.push_back(std::move(rep.alloc));
+  }
+
+  /// Apply slots [t0, t0 + n) of a window plan, or — when the window LP
+  /// failed — hold the applied decision over them.
+  void apply_window(std::size_t t0, std::size_t n,
+                    const std::optional<Trajectory>& plan) {
+    if (!plan) run.degraded_slots += n;
+    for (std::size_t rel = 0; rel < n; ++rel) {
+      if (plan) {
+        apply(t0 + rel, plan->slots[rel]);
+        continue;
+      }
+      const Allocation held = prev;  // apply() overwrites prev
+      apply(t0 + rel, held);
+    }
   }
 
   ControlRun finish() {
@@ -264,11 +151,10 @@ ControlRun run_fhc(const Instance& inst, const ControlOptions& options) {
     const std::size_t t1 = std::min(inst.horizon, t0 + options.window);
     pred.observe(inst, t0);  // the block's first slot is current
     util::Timer plan_timer;
-    const Trajectory block = solve_p1_window(inst, pred.view(), t0, t1,
-                                             applier.prev, nullptr, options.lp);
-    applier.charge_window(plan_timer.seconds(), block.horizon());
-    for (std::size_t rel = 0; rel < block.horizon(); ++rel)
-      applier.apply(t0 + rel, block.slots[rel]);
+    const auto block = solve_p1_window(inst, pred.view(), t0, t1,
+                                       applier.prev, nullptr, options.lp);
+    applier.charge_window(plan_timer.seconds(), t1 - t0);
+    applier.apply_window(t0, t1 - t0, block);
   }
   return applier.finish();
 }
@@ -281,11 +167,10 @@ ControlRun run_rhc(const Instance& inst, const ControlOptions& options) {
     const std::size_t t1 = std::min(inst.horizon, t + options.window);
     pred.observe(inst, t);
     util::Timer plan_timer;
-    const Trajectory window = solve_p1_window(inst, pred.view(), t, t1,
-                                              applier.prev, nullptr,
-                                              options.lp);
+    const auto window = solve_p1_window(inst, pred.view(), t, t1,
+                                        applier.prev, nullptr, options.lp);
     applier.charge_window(plan_timer.seconds(), 1);
-    applier.apply(t, window.slots[0]);
+    applier.apply_window(t, 1, window);
   }
   return applier.finish();
 }
@@ -315,12 +200,10 @@ ControlRun run_rfhc(const Instance& inst, const ControlOptions& options) {
       continue;
     }
     // Pin the chain's final decision and re-optimise the interior exactly.
-    const Trajectory block =
-        solve_p1_window(inst, pred.view(), t0, t1, applier.prev,
-                        &chain.back(), options.lp);
-    applier.charge_window(plan_timer.seconds(), block.horizon());
-    for (std::size_t rel = 0; rel < block.horizon(); ++rel)
-      applier.apply(t0 + rel, block.slots[rel]);
+    const auto block = solve_p1_window(inst, pred.view(), t0, t1,
+                                       applier.prev, &chain.back(), options.lp);
+    applier.charge_window(plan_timer.seconds(), t1 - t0);
+    applier.apply_window(t0, t1 - t0, block);
   }
   return applier.finish();
 }
@@ -357,10 +240,11 @@ ControlRun run_rrhc(const Instance& inst, const ControlOptions& options) {
       applier.apply(t, chain[t]);
       continue;
     }
-    const Trajectory window = solve_p1_window(
-        inst, pred.view(), t, t1, applier.prev, &chain[t1 - 1], options.lp);
+    const auto window = solve_p1_window(inst, pred.view(), t, t1,
+                                        applier.prev, &chain[t1 - 1],
+                                        options.lp);
     applier.charge_window(plan_timer.seconds(), 1);
-    applier.apply(t, window.slots[0]);
+    applier.apply_window(t, 1, window);
   }
   return applier.finish();
 }
@@ -380,10 +264,9 @@ ControlRun run_afhc(const Instance& inst, const ControlOptions& options) {
           std::min(inst.horizon,
                    t0 == 0 && phase > 0 ? phase : t0 + w);
       pred.observe(inst, t0);
-      const Trajectory block = solve_p1_window(
-          inst, pred.view(), t0, block_end, applier.prev, nullptr, options.lp);
-      for (std::size_t rel = 0; rel < block.horizon(); ++rel)
-        applier.apply(t0 + rel, block.slots[rel]);
+      const auto block = solve_p1_window(inst, pred.view(), t0, block_end,
+                                         applier.prev, nullptr, options.lp);
+      applier.apply_window(t0, block_end - t0, block);
       t0 = block_end;
     }
     phases.push_back(applier.finish().trajectory);

@@ -16,9 +16,12 @@
 // Gaussian, sd = error_pct * the series' temporal mean, the paper's noise
 // model). The slot that is current when a plan is made is always observed
 // exactly. Decisions are evaluated against the TRUE inputs; if noisy
-// planning under-covers the true demand, a minimal-cost repair LP adds just
+// planning under-covers the true demand, core::repair_coverage adds just
 // enough resources (the practical "reactive scaling" step; exact
-// predictions never trigger it).
+// predictions never trigger it). A window LP that fails (a forecast no
+// allocation can cover) plans nothing: the controller holds its applied
+// decision over the slots that window was to plan, repairing each against
+// the truth.
 #pragma once
 
 #include <cstdint>
@@ -64,6 +67,8 @@ struct ControlRun {
   // allocation was applied unrepaired (possibly under-covered) instead of
   // killing the run. Always 0 on a healthy solver.
   std::size_t failed_repairs = 0;
+  // Slots planned by holding the applied decision after a failed window LP.
+  std::size_t degraded_slots = 0;
   // Slot-level SLO rollup. Per-slot latency = repair/apply time plus the
   // window-LP (or chain) planning time amortized over the block it planned;
   // budget from ControlOptions::roa.slo. Repaired slots count as fallbacks,
@@ -80,16 +85,5 @@ ControlRun run_rrhc(const Instance& inst, const ControlOptions& options);
 /// prediction-based baseline: average the decisions of the w phase-shifted
 /// FHC controllers. Provided as an extension baseline.
 ControlRun run_afhc(const Instance& inst, const ControlOptions& options);
-
-/// Minimal-cost additive repair making `planned` cover the TRUE demand at
-/// slot t (no-op if it already does). Exposed for tests. When `outcome` is
-/// null a failed repair LP throws CheckError; when non-null the failure is
-/// reported there and `planned` comes back unchanged so the caller can
-/// degrade instead of dying.
-Allocation repair_allocation(const Instance& inst, std::size_t t,
-                             const Allocation& planned,
-                             const solver::LpSolveOptions& lp = {},
-                             bool* repaired = nullptr,
-                             SolveOutcome* outcome = nullptr);
 
 }  // namespace sora::core

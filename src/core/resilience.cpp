@@ -14,7 +14,6 @@ const char* to_string(SolveBackend backend) {
   switch (backend) {
     case SolveBackend::kWarmIpm: return "warm_ipm";
     case SolveBackend::kColdIpm: return "cold_ipm";
-    case SolveBackend::kTightenedIpm: return "tightened_ipm";
     case SolveBackend::kSimplex: return "simplex";
     case SolveBackend::kPdhg: return "pdhg";
     case SolveBackend::kHoldRepair: return "hold_repair";
@@ -71,11 +70,13 @@ const ResilienceMetrics& resilience_metrics() {
                        obs::linear_buckets(1.0, 1.0, 8)),
         {},
     };
-    for (std::size_t b = 0; b < kNumBackends; ++b)
-      m.backend[b] = &reg.counter(
-          std::string("sora_resilience_backend_") +
-              to_string(static_cast<SolveBackend>(b)) + "_total",
-          "Slots whose final decision came from this backend");
+    // One counter per stage a slot can end on; LP backends answer LPs, not
+    // slots.
+    for (const SolveBackend b : {SolveBackend::kWarmIpm, SolveBackend::kColdIpm,
+                                 SolveBackend::kHoldRepair})
+      m.backend[static_cast<std::size_t>(b)] = &reg.counter(
+          std::string("sora_resilience_backend_") + to_string(b) + "_total",
+          "Slots whose final decision came from this stage");
     return m;
   }();
   return metrics;
@@ -144,22 +145,12 @@ void append_failure(std::string& trail, const std::string& stage,
   if (!detail.empty()) trail += " (" + detail + ")";
 }
 
-solver::IpmOptions tightened_ipm_options(const solver::IpmOptions& base) {
-  solver::IpmOptions tight = base;
-  tight.mu = 5.0;
-  tight.max_newton_steps *= 4;
-  tight.max_steps_per_center *= 2;
-  return tight;
-}
-
 // ---------------------------------------------------------------------------
 // LP fallback.
 
 solver::LpSolution solve_lp_with_fallback(const solver::LpModel& model,
                                           const solver::LpSolveOptions& lp,
-                                          SolveOutcome* outcome,
-                                          std::size_t slot,
-                                          std::size_t attempt_base) {
+                                          SolveOutcome* outcome) {
   // Replicate solve_lp's kAuto dispatch so the retry really is the OTHER
   // backend.
   const bool primary_simplex =
@@ -186,7 +177,7 @@ solver::LpSolution solve_lp_with_fallback(const solver::LpModel& model,
                                std::size_t attempt) -> solver::LpSolution {
     solver::LpSolveOptions opts = lp;
     opts.method = method;
-    if (attempt > attempt_base) {
+    if (attempt > 0) {
       // Retry with a boosted budget: the first failure may simply have run
       // out of iterations on a hard basis / stalled PDHG tail. A same-backend
       // PDHG retry gets a bigger boost — more iterations is all it has.
@@ -195,8 +186,6 @@ solver::LpSolution solve_lp_with_fallback(const solver::LpModel& model,
       opts.pdhg.accept_factor = std::max(opts.pdhg.accept_factor, 10.0);
     }
     solver::LpSolution sol = solver::solve_lp(model, opts);
-    if (slot != kNoFaultSlot)
-      apply_fault(consult_fault_hook(slot, attempt), sol.status, sol.x);
     if (sol.ok() && !all_finite(sol.x)) {
       sol.status = solver::SolveStatus::kNumericalError;
       sol.detail += " [non-finite solution]";
@@ -204,7 +193,7 @@ solver::LpSolution solve_lp_with_fallback(const solver::LpModel& model,
     return sol;
   };
 
-  std::size_t attempt = attempt_base;
+  std::size_t attempt = 0;
   solver::LpSolution sol = attempt_one(first, attempt++);
   std::string trail;
   // An infeasibility verdict is an answer about the model, not a solver
@@ -225,10 +214,9 @@ solver::LpSolution solve_lp_with_fallback(const solver::LpModel& model,
   }
 
   if (outcome != nullptr) {
-    const solver::LpMethod used =
-        (attempt - attempt_base) == 1 ? first : second;
+    const solver::LpMethod used = attempt == 1 ? first : second;
     outcome->status = sol.status;
-    outcome->attempts = attempt - attempt_base;
+    outcome->attempts = attempt;
     outcome->backend = used == solver::LpMethod::kSimplex
                            ? SolveBackend::kSimplex
                            : SolveBackend::kPdhg;
@@ -245,8 +233,9 @@ void observe_outcome(const SolveOutcome& outcome) {
   if (outcome.fell_back()) metrics.fallbacks->inc();
   if (outcome.degraded) metrics.degraded->inc();
   if (!outcome.ok()) metrics.exhausted->inc();
-  const std::size_t b = static_cast<std::size_t>(outcome.backend);
-  if (b < kNumBackends) metrics.backend[b]->inc();
+  obs::Counter* backend =
+      metrics.backend[static_cast<std::size_t>(outcome.backend)];
+  if (backend != nullptr) backend->inc();
 }
 
 // ---------------------------------------------------------------------------

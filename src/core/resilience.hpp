@@ -3,23 +3,24 @@
 //
 // Every per-slot solve (two-tier P2(t), the n-tier slot subproblem, and the
 // LP repairs) returns through a SolveOutcome that carries the final
-// SolveStatus, the backend that produced the decision, and how many backends
-// were tried. A failed primary solve walks a fixed fallback chain:
+// SolveStatus, the backend that produced the decision, and how many stages
+// were tried. Each P2 model runs one chain:
 //
-//   warm IPM -> cold IPM -> cold IPM with tightened barrier parameters
-//            -> simplex on the linear surrogate -> PDHG on the surrogate
-//            -> graceful degradation: hold x_{t-1} and repair coverage
-//               sum s >= lambda with the cheapest push that stays within
-//               the capacities (1b)-(1d)
+//   strict start (the model's anchor, else phase-I)
+//     -> one barrier solve per start the slot has (two-tier: warm, then
+//        cold; n-tier: cold); a slot without a strict interior skips them
+//     -> hold x_{t-1} and repair coverage sum s >= lambda with the cheapest
+//        push that stays within the capacities (1b)-(1d)
 //
-// A degraded slot still satisfies the P1 feasibility invariants (coverage
-// (1a), capacities (1b)-(1d)); only optimality and the KKT multipliers are
-// given up. The chain also validates every "optimal" answer for NaN/Inf
-// poisoning, which previously flowed silently into the trajectory and every
-// subsequent warm start.
+// The terminal stage never throws: when its repair LP fails too, the slot
+// publishes x_{t-1} with !ok(). A degraded slot still satisfies the P1
+// feasibility invariants (coverage (1a), capacities (1b)-(1d)); only
+// optimality and the KKT multipliers are given up. The chain also validates
+// every "optimal" barrier answer for NaN/Inf poisoning, which would
+// otherwise flow silently into the trajectory and every later warm start.
 //
 // Fault injection: src/testing/fault_injection installs a process-wide hook
-// consulted before each attempt so the whole chain is exercised
+// consulted before each barrier attempt so the whole chain is exercised
 // deterministically (docs/ROBUSTNESS.md).
 #pragma once
 
@@ -30,33 +31,31 @@
 #include "linalg/vector_ops.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/slo.hpp"
-#include "solver/ipm.hpp"
 #include "solver/lp.hpp"
 #include "solver/lp_solve.hpp"
 #include "solver/solution.hpp"
 
 namespace sora::core {
 
-/// Which stage of the fallback chain produced a slot's decision.
+/// Which stage of the chain produced a slot's decision, or which LP backend
+/// answered an LP solve.
 enum class SolveBackend {
-  kWarmIpm,       // sparse barrier, warm-started from the previous optimum
-  kColdIpm,       // sparse barrier, cold start (also the primary when warm
-                  // starting is off or unavailable)
-  kTightenedIpm,  // cold barrier with conservative parameters (smaller mu,
-                  // larger step budgets)
-  kSimplex,       // simplex on the slot's linear surrogate
-  kPdhg,          // PDHG on the slot's linear surrogate
-  kHoldRepair,    // graceful degradation: hold x_{t-1} + cheapest repair
+  kWarmIpm,     // sparse barrier, warm-started from the previous optimum
+  kColdIpm,     // sparse barrier, cold start (also the primary when warm
+                // starting is off or unavailable)
+  kSimplex,     // an LP solve answered by the simplex (window LPs, repairs)
+  kPdhg,        // an LP solve answered by PDHG
+  kHoldRepair,  // graceful degradation: hold x_{t-1} + cheapest repair
 };
 
 const char* to_string(SolveBackend backend);
-inline constexpr std::size_t kNumBackends = 6;
+inline constexpr std::size_t kNumBackends = 5;
 
 /// How one slot's solve ended: status, producing backend, chain depth.
 struct SolveOutcome {
   solver::SolveStatus status = solver::SolveStatus::kNumericalError;
   SolveBackend backend = SolveBackend::kWarmIpm;
-  std::size_t attempts = 0;        // backends tried, >= 1 once solved
+  std::size_t attempts = 0;        // chain stages tried, >= 1 once solved
   bool degraded = false;           // decision came from hold + repair
   double repair_cost_delta = 0.0;  // allocation+reconfig cost of the push
   std::string detail;              // failure trail, empty on clean solves
@@ -66,11 +65,9 @@ struct SolveOutcome {
   bool fell_back() const { return attempts > 1 || degraded; }
 };
 
-/// Chain configuration, carried inside RoaOptions / NTierRoaOptions. When
-/// enabled, every stage of the chain runs in turn and an exhausted chain
-/// throws CheckError.
+/// Chain configuration, carried inside RoaOptions / NTierRoaOptions.
 struct ResilienceOptions {
-  bool enabled = true;  // false restores the fail-fast behaviour
+  bool enabled = true;  // false: the first failed stage throws (fail-fast)
 };
 
 /// Per-slot health record aggregated into RoaRun (and the n-tier runs).
@@ -97,8 +94,8 @@ enum class FaultKind {
 const char* to_string(FaultKind kind);
 
 /// Hook signature: which fault (if any) to apply at (slot, attempt). Attempt
-/// counts backends tried so far, so a schedule can force the first k stages
-/// of the chain to fail and let stage k+1 succeed.
+/// counts chain stages tried so far, so a schedule can force the first k
+/// barrier attempts of a slot to fail.
 using FaultHook = std::function<FaultKind(std::size_t slot,
                                           std::size_t attempt)>;
 
@@ -130,11 +127,6 @@ bool all_finite(const linalg::Vec& x);
 void append_failure(std::string& trail, const std::string& stage,
                     solver::SolveStatus status, const std::string& detail);
 
-/// The tightened-barrier rung's parameters: `base` with slower barrier
-/// growth (mu 5) and larger budgets (4x Newton steps, 2x steps per
-/// centering).
-solver::IpmOptions tightened_ipm_options(const solver::IpmOptions& base);
-
 /// Solve `model` with the configured LP method, then retry the other backend
 /// (simplex <-> PDHG, with a boosted iteration budget) on an iteration
 /// limit, a numerical error or a non-finite answer. A kPrimalInfeasible or
@@ -142,14 +134,10 @@ solver::IpmOptions tightened_ipm_options(const solver::IpmOptions& base);
 /// answer about the model, and PDHG, which cannot detect infeasibility,
 /// could only exhaust its budget on it. Never throws: the returned
 /// solution's status tells the story. When `outcome` is non-null it
-/// receives backend/attempt accounting. `slot`/`attempt_base` feed the
-/// fault-injection hook (pass kNoFaultSlot to bypass it).
-inline constexpr std::size_t kNoFaultSlot = static_cast<std::size_t>(-1);
+/// receives backend/attempt accounting.
 solver::LpSolution solve_lp_with_fallback(const solver::LpModel& model,
                                           const solver::LpSolveOptions& lp,
-                                          SolveOutcome* outcome = nullptr,
-                                          std::size_t slot = kNoFaultSlot,
-                                          std::size_t attempt_base = 0);
+                                          SolveOutcome* outcome = nullptr);
 
 /// Record a finished slot outcome in the sora_resilience_* metrics.
 void observe_outcome(const SolveOutcome& outcome);

@@ -8,6 +8,7 @@
 #include "linalg/cholesky.hpp"
 #include "obs/obs.hpp"
 #include "solver/lp.hpp"
+#include "solver/simplex.hpp"
 #include "util/check.hpp"
 #include "util/timer.hpp"
 
@@ -17,6 +18,25 @@ namespace {
 using linalg::Matrix;
 using linalg::SparseMatrix;
 using linalg::Vec;
+
+// Barrier multiplier growth per outer step.
+constexpr double kMu = 20.0;
+// Per-centering cap: the entropic subproblems converge linearly near the
+// center (singular objective blocks), so instead of polishing each center
+// the inner loop is capped and t advances — a long-step barrier scheme.
+constexpr std::size_t kMaxStepsPerCenter = 40;
+// Newton decrement^2 / 2 at which a centering is certified.
+constexpr double kNewtonTol = 1e-9;
+// Armijo sufficient-decrease fraction and backtracking shrink factor.
+constexpr double kLineSearchAlpha = 0.25;
+constexpr double kLineSearchBeta = 0.5;
+// Slack floor shared by derivative assembly AND dual recovery. A slack
+// driven to ~1e-14 would otherwise produce ~1e28 Hessian entries, and a
+// different floor in dual recovery would make near-active rows report
+// inconsistent multipliers to the certificate machinery.
+constexpr double kSlackFloor = 1e-12;
+// Smallest phase-I margin that counts as a strict interior.
+constexpr double kPhase1MinMargin = 1e-9;
 
 double min_slack(const Vec& s) {
   double m = kInf;
@@ -339,7 +359,7 @@ struct BarrierState {
       entering_center = false;
     }
     if (newton_budget == 0 ||
-        steps_this_center >= options.max_steps_per_center) {
+        steps_this_center >= kMaxStepsPerCenter) {
       end_center();
       return false;
     }
@@ -353,7 +373,7 @@ struct BarrierState {
     // ~1e-14 would otherwise produce ~1e28 Hessian entries and destroy the
     // factorization. The line search still treats the true slacks.
     for (std::size_t i = 0; i < m; ++i)
-      ws.inv_s[i] = 1.0 / std::max(ws.s[i], options.slack_floor);
+      ws.inv_s[i] = 1.0 / std::max(ws.s[i], kSlackFloor);
     gm.multiply_transpose_into(ws.inv_s, ws.gt_inv_s);
     for (std::size_t j = 0; j < n; ++j) ws.grad[j] += ws.gt_inv_s[j];
 
@@ -399,7 +419,7 @@ struct BarrierState {
     const double decrement2 = -linalg::dot(ws.grad, ws.dx);  // lambda^2
     --newton_budget;
     ++steps_used;
-    if (decrement2 / 2.0 <= options.newton_tol) {
+    if (decrement2 / 2.0 <= kNewtonTol) {
       ws.centered_x = x;
       have_center = true;
       centered_t = t;
@@ -431,13 +451,13 @@ struct BarrierState {
         if (min_slack(ws.s_try) > 0.0) {
           const double f_try =
               t * objective.value(ws.x_try) + barrier_value(ws.s_try);
-          if (f_try <= f0 + options.line_search_alpha * step * slope) {
+          if (f_try <= f0 + kLineSearchAlpha * step * slope) {
             x.swap(ws.x_try);
             moved = true;
             break;
           }
         }
-        step *= options.line_search_beta;
+        step *= kLineSearchBeta;
         ++backtracks_total;
       }
     }
@@ -464,7 +484,7 @@ struct BarrierState {
       finish();
       return;
     }
-    t *= options.mu;
+    t *= kMu;
     entering_center = true;
   }
 
@@ -494,7 +514,7 @@ struct BarrierState {
     result.ineq_dual.assign(m, 0.0);
     for (std::size_t i = 0; i < m; ++i)
       result.ineq_dual[i] =
-          1.0 / (dual_t * std::max(ws.s[i], options.slack_floor));
+          1.0 / (dual_t * std::max(ws.s[i], kSlackFloor));
     done = true;
   }
 
@@ -533,6 +553,38 @@ IpmResult solve_barrier(const ConvexObjective& objective,
                         const SparseMatrix& g, const Vec& h, const Vec& x0,
                         const IpmOptions& options, IpmScratch* scratch) {
   return run_barrier(objective, SparseG{g}, h, x0, options, scratch);
+}
+
+StrictStart phase1_feasible_point(const SparseMatrix& g, const Vec& h) {
+  LpBuilder b;
+  const std::size_t n = g.cols();
+  for (std::size_t j = 0; j < n; ++j) b.add_variable(-kInf, kInf, 0.0);
+  const std::size_t margin = b.add_variable(0.0, 1.0, -1.0, "margin");
+  for (std::size_t r = 0; r < g.rows(); ++r) {
+    std::vector<LinTerm> terms;
+    const auto row = g.row(r);
+    for (std::size_t k = 0; k < row.size; ++k)
+      if (row.vals[k] != 0.0) terms.push_back({row.cols[k], row.vals[k]});
+    terms.push_back({margin, 1.0});
+    b.add_le(terms, h[r]);
+  }
+  const LpSolution sol = solve_simplex(b.build());
+  StrictStart start;
+  if (!sol.ok()) {
+    start.status = sol.status;
+    start.detail = "no strict interior: phase-I LP " +
+                   std::string(to_string(sol.status));
+    if (!sol.detail.empty()) start.detail += " (" + sol.detail + ")";
+  } else if (sol.x[margin] <= kPhase1MinMargin) {
+    start.status = SolveStatus::kPrimalInfeasible;
+    start.detail =
+        "no strict interior: phase-I margin " + std::to_string(sol.x[margin]);
+  } else {
+    start.status = SolveStatus::kOptimal;
+    start.x.assign(sol.x.begin(),
+                   sol.x.begin() + static_cast<std::ptrdiff_t>(n));
+  }
+  return start;
 }
 
 }  // namespace sora::solver

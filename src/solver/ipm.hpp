@@ -15,9 +15,13 @@
 // Classic primal barrier with Newton steps: minimize t f(x) - sum log(h-Gx),
 // backtracking line search that maintains strict feasibility, and outer
 // updates t <- mu t until the duality-gap bound m/t is below tolerance. The
-// caller must supply a strictly feasible starting point (see
-// core/p2_subproblem.cpp for the even-split construction + phase-I LP
-// fallback).
+// barrier's fixed parameters (mu = 20, 40 steps per centering, the Newton
+// decrement threshold, the Armijo constants and the slack floor) are named
+// constants in ipm.cpp; IpmOptions holds only what callers set. The caller
+// must supply a strictly feasible starting point: both P2 models try their
+// own anchor (the even split / even spread) and fall back to
+// phase1_feasible_point below, which reports a polyhedron without a strict
+// interior instead of throwing.
 //
 // Two constraint-matrix representations share one implementation:
 //   * CSR SparseMatrix — what every caller uses; the Newton system
@@ -85,26 +89,13 @@ class ConvexObjective {
 
 struct IpmOptions {
   double tol = 1e-8;            // target duality-gap bound m/t
-  double mu = 20.0;             // barrier multiplier growth per outer step
   double t0 = 1.0;              // initial barrier multiplier
   std::size_t max_newton_steps = 4000;  // total across all outer iterations
-  // Per-centering cap: the entropic subproblems converge linearly near the
-  // center (singular objective blocks), so instead of polishing each center
-  // we cap the inner loop and advance t — a long-step barrier scheme.
-  std::size_t max_steps_per_center = 40;
   // Budget exhaustion with a gap below this is still reported optimal: the
   // entropic subproblems have singular objective blocks (s-directions), so
   // Newton converges linearly near the end and a slightly relaxed gap is the
   // pragmatic stopping rule.
   double acceptable_gap = 1e-3;
-  double newton_tol = 1e-9;     // Newton decrement^2 / 2 threshold
-  double line_search_alpha = 0.25;
-  double line_search_beta = 0.5;
-  // Slack floor shared by derivative assembly AND dual recovery. A slack
-  // driven to ~1e-14 would otherwise produce ~1e28 Hessian entries, and a
-  // different floor in dual recovery would make near-active rows report
-  // inconsistent multipliers to the certificate machinery.
-  double slack_floor = 1e-12;
   // Sparse normal-equations switch (docs/SOLVERS.md "Normal-equations
   // pipeline"): the symbolic-once sparse Cholesky takes over when the
   // problem has at least sparse_min_dim variables, the CSR overload is in
@@ -167,5 +158,21 @@ IpmResult solve_barrier(const ConvexObjective& objective,
                         const linalg::SparseMatrix& g, const linalg::Vec& h,
                         const linalg::Vec& x0, const IpmOptions& options = {},
                         IpmScratch* scratch = nullptr);
+
+/// A start for solve_barrier: the phase-I LP  max m  s.t.  G x + m <= h,
+/// 0 <= m <= 1, solved by the simplex. ok() (status kOptimal) when its
+/// margin exceeds 1e-9, and then G x < h strictly. Otherwise the
+/// polyhedron has no strict interior and the barrier cannot start: status
+/// is kPrimalInfeasible for a margin at or below 1e-9, else the LP's own
+/// failure, and `detail` says which. Never throws.
+struct StrictStart {
+  SolveStatus status = SolveStatus::kNumericalError;
+  linalg::Vec x;
+  std::string detail;
+
+  bool ok() const { return status == SolveStatus::kOptimal; }
+};
+StrictStart phase1_feasible_point(const linalg::SparseMatrix& g,
+                                  const linalg::Vec& h);
 
 }  // namespace sora::solver

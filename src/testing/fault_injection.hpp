@@ -2,10 +2,11 @@
 //
 // A FaultInjector draws a per-slot fault schedule and installs the
 // process-wide core fault hook (core/resilience.hpp) for its lifetime. Each
-// scheduled slot fails its first `forced_attempts` chain stages with the
+// scheduled slot fails its first `forced_attempts` barrier attempts with the
 // scheduled FaultKind, then solves normally — so forced_attempts selects how
-// deep into the fallback chain the slot is pushed (1 = cold restart
-// recovers, 5+ = graceful degradation).
+// deep into the chain the slot is pushed (1 = a warm-started slot restarts
+// cold while a cold primary or an n-tier slot holds + repairs; 2+ = every
+// faulted slot holds + repairs).
 //
 // Two schedule models:
 //
@@ -39,7 +40,7 @@ namespace sora::testing {
 struct FaultPlan {
   double fault_rate = 0.1;       // fraction of slots that get faults
   std::uint64_t seed = 1;        // schedule seed (independent of instance)
-  std::size_t forced_attempts = 1;  // chain stages forced to fail per slot
+  std::size_t forced_attempts = 1;  // barrier attempts forced to fail
   core::FaultKind kind = core::FaultKind::kIterationLimit;
   bool mix_kinds = true;         // rotate iteration-limit / numerical / NaN
   std::size_t max_slots = 4096;  // schedule length (slots beyond are clean)
@@ -59,7 +60,8 @@ struct RegionalOutagePlan {
   std::size_t max_duration = 24;      // cap on one event's length
   std::uint64_t seed = 1;             // master seed for the region streams
   // Outage slots are driven deep into the chain by default: a regional
-  // outage is the hold-and-repair regime, not a cold-restart blip.
+  // outage is the hold-and-repair regime, not a cold-restart blip (any
+  // value >= 2 fails both barrier starts).
   std::size_t forced_attempts = 6;
   core::FaultKind kind = core::FaultKind::kNumericalError;
   bool mix_kinds = true;

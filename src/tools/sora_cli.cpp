@@ -31,7 +31,10 @@
 //   --inject-faults RATE  force solver faults on ~RATE of slots (0 = off);
 //                         exercises the resilience chain (docs/ROBUSTNESS.md)
 //   --inject-seed S       fault-schedule seed                     [--seed]
-//   --inject-attempts N   chain stages forced to fail per faulted slot [1]
+//   --inject-attempts N   barrier attempts forced to fail per faulted slot:
+//                         1 = warm slots restart cold, cold ones hold +
+//                         repair; 2+ = every faulted slot holds + repairs
+//                         [1; the outage lab defaults to 6]
 //
 // Adversarial scenario lab (docs/TESTING.md "Scenario suite"):
 //   --scenario misreport|outage|rivals   run a lab instead of one algorithm
@@ -306,7 +309,9 @@ int main(int argc, char** argv) {
           "  --trace-out FILE      Chrome trace-event JSON (Perfetto)\n"
           "  --inject-faults RATE  force solver faults on ~RATE of slots\n"
           "  --inject-seed S       fault-schedule seed (default --seed)\n"
-          "  --inject-attempts N   chain stages failed per faulted slot\n"
+          "  --inject-attempts N   barrier attempts failed per faulted slot\n"
+          "                        (1: warm restarts cold, cold holds+repairs;\n"
+          "                        2+: every faulted slot holds+repairs)\n"
           "scenario lab (replaces the algorithm run):\n"
           "  --scenario misreport|outage|rivals\n"
           "  --greedy-frac F --inflate F     misreport knobs   [0.25 / 1.8]\n"

@@ -11,10 +11,12 @@
 #      crash+restore trajectory must match the golden run bit for bit
 #      (timing-variant fields are stripped before the diff);
 #   4. deadline run: an impossibly small budget forces every slot through
-#      the hold-and-repair degradation, visible in a live sora_slot_* scrape.
+#      the hold-and-repair degradation, visible in a live sora_slot_* scrape;
+#   5. over-capacity run: a tick no allocation can cover is published as the
+#      held decision (backend=hold_repair) and the next tick is served.
 set -euo pipefail
 
-SERVE=${1:?usage: serve_smoke.sh path/to/sora_serve}
+SERVE=$(realpath "${1:?usage: serve_smoke.sh path/to/sora_serve}")
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 cd "$WORK"
@@ -90,5 +92,11 @@ test -n "$MISSES" && awk -v m="$MISSES" 'BEGIN { exit !(m > 0) }'
 REROUTES=$(awk '/^sora_serve_deadline_reroutes_total/ {print $2}' \
   deadline-scrape.txt)
 test -n "$REROUTES" && awk -v r="$REROUTES" 'BEGIN { exit !(r > 0) }'
+
+echo "== over-capacity tick (held, not an abort) =="
+{ head -n 1 ticks.txt; echo "tick 1 0:1e9"; sed -n 3p ticks.txt; } > flood.txt
+"$SERVE" $ARGS --ticks flood.txt --out flood-out.txt
+grep '^slot 1 ' flood-out.txt | grep -q 'backend=hold_repair'
+grep -q '^slot 2 ' flood-out.txt
 
 echo "serve_smoke: all checks passed"

@@ -148,10 +148,13 @@ TEST(P1Model, OfflineMatchesBruteWindowCombination) {
   const Trajectory two_blocks = [&] {
     const Trajectory first =
         solve_p1_window(inst, InputSeries::truth(inst), 0, 3,
-                        Allocation::zeros(inst.num_edges()));
+                        Allocation::zeros(inst.num_edges()))
+            .value();
     Trajectory combined = first;
-    const Trajectory second = solve_p1_window(
-        inst, InputSeries::truth(inst), 3, 6, first.slots.back());
+    const Trajectory second =
+        solve_p1_window(inst, InputSeries::truth(inst), 3, 6,
+                        first.slots.back())
+            .value();
     for (const auto& s : second.slots) combined.slots.push_back(s);
     return combined;
   }();
@@ -166,8 +169,9 @@ TEST(P1Model, PinnedTerminalIsRespected) {
   Allocation pin = Allocation::zeros(inst.num_edges());
   pin.x = inst.even_split(4);
   pin.y = pin.x;
-  const Trajectory traj = solve_p1_window(inst, InputSeries::truth(inst), 0,
-                                          5, zero, &pin);
+  const Trajectory traj =
+      solve_p1_window(inst, InputSeries::truth(inst), 0, 5, zero, &pin)
+          .value();
   ASSERT_EQ(traj.horizon(), 5u);
   for (std::size_t e = 0; e < inst.num_edges(); ++e) {
     EXPECT_NEAR(traj.slots[4].x[e], pin.x[e], 1e-7);

@@ -76,19 +76,22 @@ TEST(Repair, NoOpWhenFeasible) {
   Allocation a = Allocation::zeros(inst.num_edges());
   a.x = inst.even_split(0);
   a.y = a.x;
-  bool repaired = true;
-  const Allocation out = repair_allocation(inst, 0, a, {}, &repaired);
-  EXPECT_FALSE(repaired);
+  const CoverageRepair rep = repair_coverage(
+      inst, SlotInputs::at(inst, InputSeries::truth(inst), 0), a);
+  EXPECT_FALSE(rep.repaired);
+  EXPECT_TRUE(rep.outcome.ok());
   for (std::size_t e = 0; e < inst.num_edges(); ++e)
-    EXPECT_DOUBLE_EQ(out.x[e], a.x[e]);
+    EXPECT_DOUBLE_EQ(rep.alloc.x[e], a.x[e]);
 }
 
 TEST(Repair, CoversShortfallMinimally) {
   const Instance inst = make_instance(4, 10.0, 5);
   Allocation a = Allocation::zeros(inst.num_edges());  // covers nothing
-  bool repaired = false;
-  const Allocation out = repair_allocation(inst, 0, a, {}, &repaired);
-  EXPECT_TRUE(repaired);
+  const CoverageRepair rep = repair_coverage(
+      inst, SlotInputs::at(inst, InputSeries::truth(inst), 0), a);
+  EXPECT_TRUE(rep.repaired);
+  ASSERT_TRUE(rep.outcome.ok());
+  const Allocation& out = rep.alloc;
   EXPECT_LE(slot_violation(inst, 0, out), 1e-6);
   // Minimality: total added coverage roughly equals the demand.
   double covered = 0.0;

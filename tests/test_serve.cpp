@@ -353,5 +353,33 @@ TEST(ServeDaemon, DeadlineMissDegradesInsteadOfCrashing) {
   EXPECT_EQ(daemon.slo_report().deadline_misses, inst.horizon);
 }
 
+// ---- over-capacity ticks ---------------------------------------------------
+
+TEST(ServeDaemon, OverCapacityTickPublishesHeldDecision) {
+  // A well-formed tick whose demand no allocation can cover: the slot has
+  // no strict interior and its repair LP is infeasible, so the daemon must
+  // publish x_{t-1} (status not ok) instead of aborting, then serve the
+  // next tick normally.
+  const Instance inst = make_instance(4);
+  ServeOptions options;
+  options.requests_per_unit = kRequestsPerUnit;
+  ServeDaemon daemon(inst, options);
+  const SlotResult first = daemon.step(demand_tick(inst, 0));
+
+  Tick flood;
+  ASSERT_TRUE(parse_tick_line("tick 1 0:1e9", inst.num_tier1(), flood));
+  const SlotResult held = daemon.step(flood);
+  EXPECT_STREQ(held.backend, "hold_repair");
+  EXPECT_FALSE(held.degraded);  // the repair failed: x_{t-1} verbatim
+  EXPECT_EQ(held.alloc_hash, first.alloc_hash);
+  EXPECT_EQ(daemon.stats().degraded_slots, 0u);
+
+  const SlotResult next = daemon.step(demand_tick(inst, 2));
+  EXPECT_EQ(next.slot, 2u);
+  EXPECT_NE(std::string(next.backend), "hold_repair");
+  EXPECT_FALSE(next.degraded);
+  EXPECT_EQ(daemon.next_slot(), 3u);
+}
+
 }  // namespace
 }  // namespace sora::serve

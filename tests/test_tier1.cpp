@@ -175,10 +175,10 @@ TEST(Tier1, RepairCoversShortfallInZ) {
   Allocation a = Allocation::zeros(inst.num_edges());
   a.x = inst.even_split(0);
   a.y = a.x;  // z missing -> under-covered
-  bool repaired = false;
-  const Allocation out = repair_allocation(inst, 0, a, {}, &repaired);
-  EXPECT_TRUE(repaired);
-  EXPECT_LE(slot_violation(inst, 0, out), 1e-6);
+  const CoverageRepair rep = repair_coverage(
+      inst, SlotInputs::at(inst, InputSeries::truth(inst), 0), a);
+  EXPECT_TRUE(rep.repaired);
+  EXPECT_LE(slot_violation(inst, 0, rep.alloc), 1e-6);
 }
 
 TEST(Tier1, PredictiveControllersFeasible) {
