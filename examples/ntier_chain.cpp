@@ -38,7 +38,6 @@ int main(int argc, char** argv) {
   const auto roa = core::run_ntier_roa(inst);
   const auto greedy = core::run_ntier_greedy(inst);
   solver::LpSolveOptions offline_lp;
-  offline_lp.method = solver::LpMethod::kPdhg;
   offline_lp.pdhg.eps_rel = 2e-5;
   const auto offline = core::run_ntier_offline(inst, offline_lp);
 

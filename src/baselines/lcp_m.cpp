@@ -6,6 +6,7 @@
 #include "core/cost.hpp"
 #include "core/p1_model.hpp"
 #include "core/p2_subproblem.hpp"
+#include "core/resilience.hpp"
 #include "util/check.hpp"
 #include "util/timer.hpp"
 
@@ -93,7 +94,7 @@ Allocation reversed_one_shot(const Instance& inst, std::size_t t,
     }
   }
 
-  const auto sol = solver::solve_lp(b.build(), lp);
+  const auto sol = core::solve_lp_with_fallback(b.build(), lp);
   SORA_CHECK_MSG(sol.ok(), "LCP-M reversed one-shot failed: " + sol.detail);
   Allocation out = Allocation::zeros(E);
   for (std::size_t e = 0; e < E; ++e) {

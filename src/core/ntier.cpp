@@ -391,19 +391,12 @@ NTierTrajectory solve_ntier_window(const NTierInstance& inst,
   }
 
   const solver::LpModel model = b.build();
-  // Same treatment as solve_p1_window: big multi-slot window LPs stall PDHG
-  // at the default budget (and simplex at this size is a hang, not a
-  // rescue), so scale the first-order budget with the model. Small windows
-  // keep the caller's options untouched.
-  solver::LpSolveOptions opts = lp;
   const std::size_t size = model.num_rows() + model.num_vars();
-  if (size > opts.simplex_size_limit)
-    opts.pdhg.max_iterations =
-        std::max<std::size_t>(opts.pdhg.max_iterations, 120 * size);
   util::Timer lp_timer;
   SolveOutcome lp_outcome;
-  const auto sol = solve_lp_with_fallback(model, opts, &lp_outcome);
-  if (lp_outcome.fell_back() || !lp_outcome.ok())
+  const auto sol = solve_lp_with_fallback(
+      model, window_lp_options(model, lp), &lp_outcome);
+  if (lp_outcome.fell_back())
     record_flight("ntier_window", t0, lp_outcome, lp_timer.seconds(),
                   "window[" + std::to_string(t0) + "," + std::to_string(t1) +
                       ") size=" + std::to_string(size));
@@ -489,16 +482,7 @@ class NTierP2Objective : public solver::ConvexObjective {
 
   Vec gradient(const Vec& z) const override {
     Vec g(size(), 0.0);
-    for (std::size_t v = 0; v < inst_.num_nodes(); ++v)
-      g[xvar(v)] = price_row_[v] +
-                   node_weight_[v] * entropic_gradient(
-                                         z[xvar(v)], prev_.node[v],
-                                         options_.eps);
-    for (std::size_t l = 0; l < inst_.num_links(); ++l)
-      g[yvar(l)] = inst_.link_price[l] +
-                   link_weight_[l] * entropic_gradient(
-                                         z[yvar(l)], prev_.link[l],
-                                         options_.eps);
+    gradient_into(z, g);
     return g;
   }
 

@@ -1,7 +1,7 @@
 #include "core/p1_model.hpp"
 
-#include <algorithm>
 #include <string>
+#include <utility>
 
 #include "core/cost.hpp"
 #include "core/resilience.hpp"
@@ -203,21 +203,13 @@ std::optional<Trajectory> solve_p1_window(
   const P1WindowLp lp(inst, inputs, t_begin, t_end, prev, terminal);
   const std::size_t size = lp.model().num_rows() + lp.model().num_vars();
 
-  // PDHG's iteration count on the coupled window LP grows with the problem:
-  // the default 2e5 budget that suits a per-slot surrogate stalls a few
-  // KKT digits short at Fig.5 scale (72 slots, ~9400 rows+vars needs ~1e6).
-  // Scale the budget with size rather than tolerate the iteration_limit.
-  solver::LpSolveOptions opts = options;
-  if (size > opts.simplex_size_limit)
-    opts.pdhg.max_iterations =
-        std::max<std::size_t>(opts.pdhg.max_iterations, 120 * size);
-
   util::Timer timer;
   SolveOutcome outcome;
-  const auto sol = solve_lp_with_fallback(lp.model(), opts, &outcome);
+  const auto sol = solve_lp_with_fallback(
+      lp.model(), window_lp_options(lp.model(), options), &outcome);
   // Window solves are forensically interesting whenever the primary backend
   // did not finish cleanly; the record names the window's first slot.
-  if (outcome.fell_back() || !outcome.ok())
+  if (outcome.fell_back())
     record_flight("p1_window", t_begin, outcome, timer.seconds(),
                   "window[" + std::to_string(t_begin) + "," +
                       std::to_string(t_end) + ") size=" +

@@ -278,6 +278,8 @@ ControlRun run_afhc(const Instance& inst, const ControlOptions& options) {
     for (const auto& traj : phases) {
       linalg::axpy(1.0 / static_cast<double>(w), traj.slots[t].x, avg.x);
       linalg::axpy(1.0 / static_cast<double>(w), traj.slots[t].y, avg.y);
+      if (inst.has_tier1())
+        linalg::axpy(1.0 / static_cast<double>(w), traj.slots[t].z, avg.z);
     }
     applier.apply(t, avg);
   }

@@ -1,5 +1,6 @@
 #include "core/resilience.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <memory>
@@ -58,7 +59,7 @@ const ResilienceMetrics& resilience_metrics() {
         &reg.counter("sora_resilience_solves_total",
                      "Per-slot solves routed through the resilience chain"),
         &reg.counter("sora_resilience_fallbacks_total",
-                     "Slots produced by a non-primary backend"),
+                     "Slots the primary stage did not answer cleanly"),
         &reg.counter("sora_resilience_degraded_slots_total",
                      "Slots served by graceful degradation (hold + repair)"),
         &reg.counter("sora_resilience_exhausted_total",
@@ -151,41 +152,34 @@ void append_failure(std::string& trail, const std::string& stage,
 solver::LpSolution solve_lp_with_fallback(const solver::LpModel& model,
                                           const solver::LpSolveOptions& lp,
                                           SolveOutcome* outcome) {
-  // Replicate solve_lp's kAuto dispatch so the retry really is the OTHER
-  // backend.
-  const bool primary_simplex =
-      lp.method == solver::LpMethod::kSimplex ||
-      (lp.method == solver::LpMethod::kAuto &&
-       model.num_rows() + model.num_vars() <= lp.simplex_size_limit);
-  // Simplex cost explodes with size; a few multiples past the auto-dispatch
-  // threshold "fall back to simplex" is a hang, not a rescue (the Fig.5-scale
-  // window LP, ~9400 rows+vars, runs for minutes). Past that point the retry
-  // is PDHG again with a much larger budget.
-  const bool simplex_viable =
-      model.num_rows() + model.num_vars() <= 8 * lp.simplex_size_limit;
+  const std::size_t size = model.num_rows() + model.num_vars();
+  const bool primary_simplex = size <= lp.simplex_size_limit;
+  // Simplex cost explodes with size; a few multiples past the size limit
+  // "fall back to simplex" is a hang, not a rescue (the Fig.5-scale window
+  // LP, ~9400 rows+vars, runs for minutes). Past that point the retry is
+  // PDHG again with a much larger budget.
+  const bool simplex_viable = size <= 8 * lp.simplex_size_limit;
 
-  const solver::LpMethod first =
-      primary_simplex ? solver::LpMethod::kSimplex : solver::LpMethod::kPdhg;
-  const solver::LpMethod second =
-      primary_simplex || !simplex_viable ? solver::LpMethod::kPdhg
-                                         : solver::LpMethod::kSimplex;
+  const SolveBackend first =
+      primary_simplex ? SolveBackend::kSimplex : SolveBackend::kPdhg;
+  const SolveBackend second = primary_simplex || !simplex_viable
+                                  ? SolveBackend::kPdhg
+                                  : SolveBackend::kSimplex;
 
-  const auto method_name = [](solver::LpMethod m) {
-    return m == solver::LpMethod::kSimplex ? "simplex" : "pdhg";
-  };
-  const auto attempt_one = [&](solver::LpMethod method,
+  const auto attempt_one = [&](SolveBackend backend,
                                std::size_t attempt) -> solver::LpSolution {
     solver::LpSolveOptions opts = lp;
-    opts.method = method;
     if (attempt > 0) {
       // Retry with a boosted budget: the first failure may simply have run
       // out of iterations on a hard basis / stalled PDHG tail. A same-backend
       // PDHG retry gets a bigger boost — more iterations is all it has.
       opts.simplex.max_iterations *= 2;
-      opts.pdhg.max_iterations *= method == first ? 8 : 2;
+      opts.pdhg.max_iterations *= backend == first ? 8 : 2;
       opts.pdhg.accept_factor = std::max(opts.pdhg.accept_factor, 10.0);
     }
-    solver::LpSolution sol = solver::solve_lp(model, opts);
+    solver::LpSolution sol = backend == SolveBackend::kSimplex
+                                 ? solver::solve_simplex(model, opts.simplex)
+                                 : solver::solve_pdhg(model, opts.pdhg);
     if (sol.ok() && !all_finite(sol.x)) {
       sol.status = solver::SolveStatus::kNumericalError;
       sol.detail += " [non-finite solution]";
@@ -202,27 +196,34 @@ solver::LpSolution solve_lp_with_fallback(const solver::LpModel& model,
   const bool verdict = sol.status == solver::SolveStatus::kPrimalInfeasible ||
                        sol.status == solver::SolveStatus::kDualInfeasible;
   if (!sol.ok())
-    append_failure(trail, method_name(first), sol.status, sol.detail);
+    append_failure(trail, to_string(first), sol.status, sol.detail);
   if (!sol.ok() && !verdict) {
-    SORA_LOG_WARN << "lp fallback: primary " << method_name(first)
+    SORA_LOG_WARN << "lp fallback: primary " << to_string(first)
                   << " failed (" << to_string(sol.status)
-                  << "), retrying with " << method_name(second)
+                  << "), retrying with " << to_string(second)
                   << (second == first ? " (boosted budget)" : "");
     sol = attempt_one(second, attempt++);
     if (!sol.ok())
-      append_failure(trail, method_name(second), sol.status, sol.detail);
+      append_failure(trail, to_string(second), sol.status, sol.detail);
   }
 
   if (outcome != nullptr) {
-    const solver::LpMethod used = attempt == 1 ? first : second;
     outcome->status = sol.status;
     outcome->attempts = attempt;
-    outcome->backend = used == solver::LpMethod::kSimplex
-                           ? SolveBackend::kSimplex
-                           : SolveBackend::kPdhg;
+    outcome->backend = attempt == 1 ? first : second;
     outcome->detail = trail;
   }
   return sol;
+}
+
+solver::LpSolveOptions window_lp_options(const solver::LpModel& model,
+                                         const solver::LpSolveOptions& lp) {
+  solver::LpSolveOptions opts = lp;
+  const std::size_t size = model.num_rows() + model.num_vars();
+  if (size > opts.simplex_size_limit)
+    opts.pdhg.max_iterations =
+        std::max<std::size_t>(opts.pdhg.max_iterations, 120 * size);
+  return opts;
 }
 
 void observe_outcome(const SolveOutcome& outcome) {

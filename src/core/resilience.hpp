@@ -61,8 +61,10 @@ struct SolveOutcome {
   std::string detail;              // failure trail, empty on clean solves
 
   bool ok() const { return status == solver::SolveStatus::kOptimal; }
-  /// The slot was produced by something other than the primary barrier.
-  bool fell_back() const { return attempts > 1 || degraded; }
+  /// The slot was not produced cleanly by the primary stage: a later stage
+  /// answered, or no stage did (a deadline-path slot whose repair failed
+  /// ran one stage and is not degraded, yet it fell back all the same).
+  bool fell_back() const { return attempts > 1 || degraded || !ok(); }
 };
 
 /// Chain configuration, carried inside RoaOptions / NTierRoaOptions.
@@ -127,17 +129,28 @@ bool all_finite(const linalg::Vec& x);
 void append_failure(std::string& trail, const std::string& stage,
                     solver::SolveStatus status, const std::string& detail);
 
-/// Solve `model` with the configured LP method, then retry the other backend
-/// (simplex <-> PDHG, with a boosted iteration budget) on an iteration
-/// limit, a numerical error or a non-finite answer. A kPrimalInfeasible or
-/// kDualInfeasible verdict is returned after the first attempt: it is an
-/// answer about the model, and PDHG, which cannot detect infeasibility,
-/// could only exhaust its budget on it. Never throws: the returned
-/// solution's status tells the story. When `outcome` is non-null it
-/// receives backend/attempt accounting.
+/// The one way code outside solver/ solves an LP. The first backend is the
+/// simplex when rows+vars is at most `lp.simplex_size_limit`, PDHG above.
+/// On an iteration limit, a numerical error or a non-finite answer it
+/// retries once with a boosted iteration budget: on the other backend
+/// (simplex <-> PDHG), except that a model over 8x the size limit retries
+/// PDHG. A kPrimalInfeasible or kDualInfeasible verdict is returned after
+/// the first attempt: it is an answer about the model, and PDHG, which
+/// cannot detect infeasibility, could only exhaust its budget on it. Never
+/// throws: the returned solution's status tells the story. When `outcome`
+/// is non-null it receives backend/attempt accounting.
 solver::LpSolution solve_lp_with_fallback(const solver::LpModel& model,
                                           const solver::LpSolveOptions& lp,
                                           SolveOutcome* outcome = nullptr);
+
+/// `lp` adjusted for a multi-slot window LP of `model`. PDHG's iteration
+/// count on a coupled window LP grows with the problem: the default 2e5
+/// budget that suits a per-slot LP stalls a few KKT digits short at Fig.5
+/// scale (72 slots, ~9400 rows+vars needs ~1e6). Above the simplex size
+/// limit the PDHG budget becomes max(max_iterations, 120 * (rows + vars));
+/// smaller windows keep `lp` untouched. Repair LPs keep the default budget.
+solver::LpSolveOptions window_lp_options(const solver::LpModel& model,
+                                         const solver::LpSolveOptions& lp);
 
 /// Record a finished slot outcome in the sora_resilience_* metrics.
 void observe_outcome(const SolveOutcome& outcome);

@@ -98,7 +98,7 @@ AdversarialInstance build_misreport_instance(const Scenario& scenario,
 
 solver::LpSolveOptions offline_lp_options(const EvalScale& scale) {
   solver::LpSolveOptions lp;
-  lp.method = solver::LpMethod::kPdhg;
+  // The offline LPs are past the simplex size limit, so PDHG answers them.
   // At full scale, trade a little accuracy for wall-clock: cost ratios in
   // the paper are reported to ~2 digits.
   lp.pdhg.eps_rel = scale.full ? 3e-5 : 2e-5;

@@ -111,7 +111,7 @@ SlotMetrics& slot_metrics() {
         &reg.counter("sora_slot_deadline_miss_total",
                      "Slots that overran the configured budget"),
         &reg.counter("sora_slot_fallback_total",
-                     "Slots produced by a non-primary backend"),
+                     "Slots the primary stage did not answer cleanly"),
         &reg.counter("sora_slot_degraded_total",
                      "Slots served by graceful degradation"),
         &reg.histogram("sora_slot_fallback_depth", "attempts",

@@ -2,38 +2,9 @@
 
 #include <cmath>
 
-#include "solver/presolve.hpp"
 #include "util/check.hpp"
-#include "util/logging.hpp"
 
 namespace sora::solver {
-namespace {
-
-LpSolution dispatch(const LpModel& model, const LpSolveOptions& options) {
-  LpMethod method = options.method;
-  if (method == LpMethod::kAuto) {
-    const std::size_t size = model.num_rows() + model.num_vars();
-    method = size <= options.simplex_size_limit ? LpMethod::kSimplex
-                                                : LpMethod::kPdhg;
-  }
-  switch (method) {
-    case LpMethod::kSimplex:
-      return solve_simplex(model, options.simplex);
-    case LpMethod::kPdhg:
-      return solve_pdhg(model, options.pdhg);
-    case LpMethod::kAuto:
-      break;
-  }
-  SORA_CHECK_MSG(false, "unreachable LP method");
-}
-
-}  // namespace
-
-LpSolution solve_lp(const LpModel& model, const LpSolveOptions& options) {
-  if (!options.presolve) return dispatch(model, options);
-  return solve_with_presolve(
-      model, [&options](const LpModel& m) { return dispatch(m, options); });
-}
 
 LpCrossCheck cross_check(const LpModel& model, const LpSolveOptions& options) {
   LpCrossCheck out;

@@ -1,6 +1,7 @@
-// Front door for LP solving: picks the simplex for small models and PDHG for
-// large ones, with an explicit override. Also provides the cross-validation
-// helper used by tests to keep the two solvers honest against each other.
+// Options for one LP solve (the backend size rule and each backend's
+// budgets), and the cross-validation helper tests use to keep the simplex
+// and PDHG honest against each other. Code outside solver/ solves LPs
+// through core::solve_lp_with_fallback, which picks the backend by size.
 #pragma once
 
 #include "solver/pdhg.hpp"
@@ -8,20 +9,12 @@
 
 namespace sora::solver {
 
-enum class LpMethod { kAuto, kSimplex, kPdhg };
-
 struct LpSolveOptions {
-  LpMethod method = LpMethod::kAuto;
-  /// kAuto uses the simplex when rows+vars is at most this.
+  /// The simplex answers first when rows+vars is at most this; PDHG above.
   std::size_t simplex_size_limit = 3000;
-  /// Run the presolve reductions first (fixed variables, singleton rows).
-  /// Pays off most on window LPs with pinned terminal slots.
-  bool presolve = false;
   SimplexOptions simplex;
   PdhgOptions pdhg;
 };
-
-LpSolution solve_lp(const LpModel& model, const LpSolveOptions& options = {});
 
 /// Both backends' answers on one model, for differential comparison.
 struct LpCrossCheck {

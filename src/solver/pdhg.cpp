@@ -6,7 +6,6 @@
 #include <cmath>
 
 #include "util/check.hpp"
-#include "util/logging.hpp"
 #include "util/timer.hpp"
 
 namespace sora::solver {
@@ -14,6 +13,14 @@ namespace {
 
 using linalg::SparseMatrix;
 using linalg::Vec;
+
+constexpr std::size_t kRuizIterations = 10;
+// Adaptive primal weight omega, updated at each restart in Pdhg::run:
+// log-space smoothing toward the observed dual/primal movement ratio, and
+// the range omega is clamped to.
+constexpr double kWeightSmoothing = 0.5;
+constexpr double kWeightMin = 1e-2;
+constexpr double kWeightMax = 1e2;
 
 struct ScaledProblem {
   SparseMatrix a;
@@ -90,7 +97,7 @@ class Pdhg {
   Pdhg(const LpModel& model, const PdhgOptions& options)
       : options_(options),
         model_(model),
-        scaled_(ruiz_scale(model, options.ruiz_iterations)) {
+        scaled_(ruiz_scale(model, kRuizIterations)) {
     n_ = scaled_.c.size();
     m_ = scaled_.row_lower.size();
 
@@ -182,12 +189,6 @@ class Pdhg {
         best_y = avg_better ? y_avg : y;
       }
 
-      if (options_.log_progress) {
-        SORA_LOG_DEBUG << "pdhg iter " << (iter + 1) << " kkt "
-                       << err.total() << " (p " << err.primal << " d "
-                       << err.dual << " gap " << err.gap << ")";
-      }
-
       if (converged(err)) {
         x = avg_better ? x_avg : x;
         y = avg_better ? y_avg : y;
@@ -217,27 +218,25 @@ class Pdhg {
         // space with smoothing, and clamped — the failure mode of naive
         // per-epoch rebalancing is the weight running away and freezing the
         // side that still has complementarity slack to burn off.
-        if (options_.adaptive_weight) {
-          double dx2 = 0.0, dy2 = 0.0;
-          for (std::size_t j = 0; j < n_; ++j) {
-            const double d = x[j] - x_anchor[j];
-            dx2 += d * d;
-          }
-          for (std::size_t r = 0; r < m_; ++r) {
-            const double d = y[r] - y_anchor[r];
-            dy2 += d * d;
-          }
-          if (dx2 > 1e-24 && dy2 > 1e-24) {
-            const double theta = options_.weight_smoothing;
-            const double target = 0.5 * std::log(dy2 / dx2);
-            const double next = clamp_to(
-                std::exp(theta * target + (1.0 - theta) * std::log(omega)),
-                options_.weight_min, options_.weight_max);
-            if (next != omega) {
-              rebalance(next / omega);
-              omega = next;
-              ++weight_updates;
-            }
+        double dx2 = 0.0, dy2 = 0.0;
+        for (std::size_t j = 0; j < n_; ++j) {
+          const double d = x[j] - x_anchor[j];
+          dx2 += d * d;
+        }
+        for (std::size_t r = 0; r < m_; ++r) {
+          const double d = y[r] - y_anchor[r];
+          dy2 += d * d;
+        }
+        if (dx2 > 1e-24 && dy2 > 1e-24) {
+          const double theta = kWeightSmoothing;
+          const double target = 0.5 * std::log(dy2 / dx2);
+          const double next = clamp_to(
+              std::exp(theta * target + (1.0 - theta) * std::log(omega)),
+              kWeightMin, kWeightMax);
+          if (next != omega) {
+            rebalance(next / omega);
+            omega = next;
+            ++weight_updates;
           }
         }
         x_anchor = x;

@@ -34,18 +34,6 @@ struct PdhgOptions {
   // (cost ratios) set this > 1.
   double accept_factor = 1.0;
   std::size_t restart_check_interval = 160;
-  std::size_t ruiz_iterations = 10;
-  // Adaptive primal weight omega: at each restart the primal/dual step
-  // diagonals are rebalanced toward the observed dual/primal movement ratio
-  // (log-space smoothing `weight_smoothing`, clamped to
-  // [weight_min, weight_max]). tau_j <- tau_j / omega, sigma_r <- sigma_r *
-  // omega keeps ||S^1/2 A T^1/2|| <= 1, so every restart is a valid fresh
-  // start. Disable to recover the fixed Pock–Chambolle diagonals.
-  bool adaptive_weight = true;
-  double weight_smoothing = 0.5;
-  double weight_min = 1e-2;
-  double weight_max = 1e2;
-  bool log_progress = false;
 };
 
 LpSolution solve_pdhg(const LpModel& model, const PdhgOptions& options = {});

@@ -8,7 +8,6 @@
 #include "linalg/matrix.hpp"
 #include "obs/obs.hpp"
 #include "util/check.hpp"
-#include "util/logging.hpp"
 #include "util/timer.hpp"
 
 namespace sora::solver {
@@ -17,6 +16,10 @@ namespace {
 using linalg::Lu;
 using linalg::Matrix;
 using linalg::Vec;
+
+constexpr double kFeasibilityTol = 1e-7;  // violation accepted as feasible
+constexpr double kOptimalityTol = 1e-7;   // reduced-cost threshold
+constexpr double kPivotTol = 1e-9;        // smallest acceptable pivot
 
 enum class VarStatus { kBasic, kAtLower, kAtUpper, kFree };
 
@@ -57,7 +60,7 @@ class SimplexSolver {
         finish(out, timer);
         return out;
       }
-      if (infeas > options_.feasibility_tol * (1.0 + rhs_scale_)) {
+      if (infeas > kFeasibilityTol * (1.0 + rhs_scale_)) {
         out.status = SolveStatus::kPrimalInfeasible;
         out.detail = "phase-1 optimum " + std::to_string(infeas);
         finish(out, timer);
@@ -157,8 +160,8 @@ class SimplexSolver {
       const std::size_t slack = n + r;
       const double lo = cols_.lower[slack];
       const double hi = cols_.upper[slack];
-      if (activity[r] >= lo - options_.feasibility_tol &&
-          activity[r] <= hi + options_.feasibility_tol) {
+      if (activity[r] >= lo - kFeasibilityTol &&
+          activity[r] <= hi + kFeasibilityTol) {
         // Slack can start basic at the exact activity.
         basis_[r] = slack;
         status_[slack] = VarStatus::kBasic;
@@ -207,7 +210,7 @@ class SimplexSolver {
       std::vector<bool> row_used(m_, false);
       for (std::size_t i = 0; i < m_; ++i) {
         const auto& [r, a] = cols_.cols[basis_[i]][0];
-        SORA_CHECK_MSG(std::fabs(a) > options_.pivot_tol && !row_used[r],
+        SORA_CHECK_MSG(std::fabs(a) > kPivotTol && !row_used[r],
                        "singular simplex basis");
         row_used[r] = true;
         binv_(i, r) = 1.0 / a;
@@ -278,12 +281,12 @@ class SimplexSolver {
   int improving_direction(std::size_t j, double d) const {
     switch (status_[j]) {
       case VarStatus::kAtLower:
-        return d < -options_.optimality_tol ? +1 : 0;
+        return d < -kOptimalityTol ? +1 : 0;
       case VarStatus::kAtUpper:
-        return d > options_.optimality_tol ? -1 : 0;
+        return d > kOptimalityTol ? -1 : 0;
       case VarStatus::kFree:
-        if (d < -options_.optimality_tol) return +1;
-        if (d > options_.optimality_tol) return -1;
+        if (d < -kOptimalityTol) return +1;
+        if (d > kOptimalityTol) return -1;
         return 0;
       case VarStatus::kBasic:
         return 0;
@@ -321,22 +324,8 @@ class SimplexSolver {
           direction = dir;
         }
       }
-      if (entering == cols_.size()) {
-        if (options_.log_progress && phase1) {
-          for (std::size_t j = 0; j < cols_.size(); ++j) {
-            if (status_[j] == VarStatus::kBasic) continue;
-            SORA_LOG_DEBUG << "  nb j=" << j << " status "
-                           << static_cast<int>(status_[j]) << " val "
-                           << value_[j] << " rc " << reduced_cost(cost, y, j)
-                           << " bounds [" << cols_.lower[j] << ","
-                           << cols_.upper[j] << "]";
-          }
-          for (std::size_t i = 0; i < m_; ++i)
-            SORA_LOG_DEBUG << "  basis[" << i << "]=" << basis_[i] << " val "
-                           << value_[basis_[i]];
-        }
+      if (entering == cols_.size())
         return SolveStatus::kOptimal;  // no improving column
-      }
 
       // ---- FTRAN: w = B^{-1} a_entering.
       Vec w(m_, 0.0);
@@ -353,7 +342,7 @@ class SimplexSolver {
 
       for (std::size_t i = 0; i < m_; ++i) {
         const double rate = -direction * w[i];  // d value_[basis_[i]] / dt
-        if (std::fabs(rate) <= options_.pivot_tol) continue;
+        if (std::fabs(rate) <= kPivotTol) continue;
         const std::size_t bj = basis_[i];
         const double v = value_[bj];
         double t;
@@ -415,10 +404,6 @@ class SimplexSolver {
       } else {
         ++stall;
       }
-      if (options_.log_progress && iter % 500 == 0) {
-        SORA_LOG_DEBUG << "simplex iter " << iter << " obj " << obj
-                       << (phase1 ? " (phase1)" : "");
-      }
       iterations_ = iter + 1;
     }
     return SolveStatus::kIterationLimit;
@@ -435,7 +420,7 @@ class SimplexSolver {
   // FTRAN vector of the entering column.
   void update_inverse(const Vec& w, std::size_t pos) {
     const double alpha = w[pos];
-    SORA_CHECK_MSG(std::fabs(alpha) > options_.pivot_tol, "tiny simplex pivot");
+    SORA_CHECK_MSG(std::fabs(alpha) > kPivotTol, "tiny simplex pivot");
     const double inv_alpha = 1.0 / alpha;
     double* prow = binv_.row_ptr(pos);
     for (std::size_t k = 0; k < m_; ++k) prow[k] *= inv_alpha;

@@ -22,11 +22,7 @@ namespace sora::solver {
 
 struct SimplexOptions {
   std::size_t max_iterations = 50000;
-  double feasibility_tol = 1e-7;   // bound/row violation accepted as feasible
-  double optimality_tol = 1e-7;    // reduced-cost threshold
-  double pivot_tol = 1e-9;         // smallest acceptable pivot magnitude
   std::size_t refactor_interval = 500;
-  bool log_progress = false;
 };
 
 LpSolution solve_simplex(const LpModel& model, const SimplexOptions& options = {});

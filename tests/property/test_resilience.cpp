@@ -126,7 +126,7 @@ TEST(FaultHook, LpFallbackRetriesOtherBackend) {
   const solver::LpModel model = builder.build();
 
   solver::LpSolveOptions opts;
-  opts.method = solver::LpMethod::kPdhg;
+  opts.simplex_size_limit = 1;  // size 2: PDHG first, simplex still viable
   opts.pdhg.max_iterations = 1;
   core::SolveOutcome outcome;
   const solver::LpSolution sol =

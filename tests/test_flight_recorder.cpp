@@ -190,12 +190,19 @@ TEST(FlightRecorderP1, WindowLpIterationLimitLeavesIncident) {
   rec.set_incident_dir(::testing::TempDir());
   rec.clear();
 
-  solver::LpSolveOptions opts;
-  opts.method = solver::LpMethod::kPdhg;  // primary PDHG...
-  opts.pdhg.max_iterations = 1;           // ...starved into iteration_limit
-  opts.simplex_size_limit = 1 << 20;      // keep the simplex rescue viable
   const auto inputs = core::InputSeries::truth(inst);
   const auto prev = core::Allocation::zeros(inst.num_edges());
+  const core::P1WindowLp window(inst, inputs, 0, inst.horizon, prev);
+  const std::size_t size =
+      window.model().num_rows() + window.model().num_vars();
+  solver::LpSolveOptions opts;
+  // Just below the window's rows + vars: PDHG answers first, and the
+  // simplex rescue stays viable (it needs size <= 8 * limit).
+  opts.simplex_size_limit = size - 1;
+  // The window budget rule lifts max_iterations to 120 * size, so starve
+  // PDHG with a tolerance no iterate can meet instead.
+  opts.pdhg.eps_rel = 0.0;
+  opts.pdhg.eps_abs = 0.0;
   const auto traj =
       solve_p1_window(inst, inputs, 0, inst.horizon, prev, nullptr, opts);
   ASSERT_TRUE(traj.has_value());  // the fallback rescued the solve

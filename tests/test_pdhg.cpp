@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "core/resilience.hpp"
 #include "solver/lp_solve.hpp"
 #include "solver/pdhg.hpp"
 #include "solver/simplex.hpp"
@@ -103,20 +104,29 @@ TEST_P(PdhgVsSimplex, ObjectivesAgree) {
 INSTANTIATE_TEST_SUITE_P(Sweep, PdhgVsSimplex, ::testing::Range(0, 20));
 
 TEST(LpSolve, AutoDispatchesBySize) {
+  // The LP front door picks its first backend by rows + vars (here 2)
+  // against simplex_size_limit; a clean solve needs one attempt.
   LpBuilder b;
   const auto x = b.add_variable(0.0, kInf, 1.0);
   b.add_ge({{x, 1.0}}, 1.0);
+  const LpModel model = b.build();
+
   LpSolveOptions small;
   small.simplex_size_limit = 1000;
-  const auto sol = solve_lp(b.build(), small);
+  core::SolveOutcome outcome;
+  const auto sol = core::solve_lp_with_fallback(model, small, &outcome);
   ASSERT_TRUE(sol.ok());
   EXPECT_NEAR(sol.objective, 1.0, 1e-6);
+  EXPECT_EQ(outcome.attempts, 1u);
+  EXPECT_EQ(outcome.backend, core::SolveBackend::kSimplex);
 
-  LpSolveOptions force_pdhg;
-  force_pdhg.method = LpMethod::kPdhg;
-  const auto sol2 = solve_lp(b.build(), force_pdhg);
+  LpSolveOptions large;
+  large.simplex_size_limit = 0;
+  const auto sol2 = core::solve_lp_with_fallback(model, large, &outcome);
   ASSERT_TRUE(sol2.ok());
   EXPECT_NEAR(sol2.objective, 1.0, 1e-4);
+  EXPECT_EQ(outcome.attempts, 1u);
+  EXPECT_EQ(outcome.backend, core::SolveBackend::kPdhg);
 }
 
 }  // namespace

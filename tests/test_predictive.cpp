@@ -18,7 +18,7 @@ using cloudnet::InstanceConfig;
 using cloudnet::WorkloadTrace;
 
 Instance make_instance(std::size_t horizon, double reconfig_weight,
-                       std::uint64_t seed) {
+                       std::uint64_t seed, bool model_tier1 = false) {
   util::Rng rng(seed);
   const WorkloadTrace trace = cloudnet::wikipedia_like(horizon, rng);
   InstanceConfig cfg;
@@ -27,6 +27,7 @@ Instance make_instance(std::size_t horizon, double reconfig_weight,
   cfg.sla_k = 2;
   cfg.reconfig_weight = reconfig_weight;
   cfg.seed = seed;
+  cfg.model_tier1 = model_tier1;
   return cloudnet::build_instance(cfg, trace);
 }
 
@@ -145,12 +146,20 @@ TEST(Controllers, Theorem4RegularizedBoundedByOnline) {
 }
 
 TEST(Controllers, ExactPredictionNeverTriggersRepair) {
-  const Instance inst = make_instance(8, 50.0, 9);
-  ControlOptions opts;
-  opts.window = 2;
-  EXPECT_EQ(run_fhc(inst, opts).repairs, 0u);
-  EXPECT_EQ(run_rhc(inst, opts).repairs, 0u);
-  EXPECT_EQ(run_rfhc(inst, opts).repairs, 0u);
+  // With the tier-1 term too: AFHC's average must carry z, or every slot
+  // comes back with z = 0 and is bought back by the repair.
+  for (const bool model_tier1 : {false, true}) {
+    SCOPED_TRACE(model_tier1 ? "with tier-1 term" : "without tier-1 term");
+    const Instance inst = make_instance(8, 50.0, 9, model_tier1);
+    ASSERT_EQ(inst.has_tier1(), model_tier1);
+    ControlOptions opts;
+    opts.window = 2;
+    EXPECT_EQ(run_fhc(inst, opts).repairs, 0u);
+    EXPECT_EQ(run_rhc(inst, opts).repairs, 0u);
+    EXPECT_EQ(run_rfhc(inst, opts).repairs, 0u);
+    EXPECT_EQ(run_rrhc(inst, opts).repairs, 0u);
+    EXPECT_EQ(run_afhc(inst, opts).repairs, 0u);
+  }
 }
 
 TEST(Controllers, NoisyPredictionsStayFeasible) {

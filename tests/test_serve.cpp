@@ -351,6 +351,17 @@ TEST(ServeDaemon, DeadlineMissDegradesInsteadOfCrashing) {
   EXPECT_EQ(daemon.stats().deadline_misses, inst.horizon);
   EXPECT_EQ(daemon.stats().degraded_slots, inst.horizon);
   EXPECT_EQ(daemon.slo_report().deadline_misses, inst.horizon);
+
+  // A late tick whose repair LP is infeasible publishes x_{t-1} unrepaired:
+  // not degraded, yet still a fallback slot.
+  Tick flood;
+  ASSERT_TRUE(parse_tick_line("tick " + std::to_string(inst.horizon) +
+                                  " 0:1e9",
+                              inst.num_tier1(), flood));
+  const SlotResult held = daemon.step(flood);
+  EXPECT_STREQ(held.backend, "hold_repair");
+  EXPECT_FALSE(held.degraded);
+  EXPECT_EQ(daemon.stats().fallback_slots, inst.horizon + 1);
 }
 
 // ---- over-capacity ticks ---------------------------------------------------

@@ -136,31 +136,6 @@ TEST(Ipm, AcceptableGapOnTinyBudget) {
   EXPECT_NEAR(r.x[0], 2.0, 0.05);
 }
 
-TEST(LpSolve, PresolvePathMatchesDirect) {
-  LpBuilder b;
-  const auto fixed = b.add_variable(2.0, 2.0, 3.0);
-  const auto y = b.add_variable(0.0, kInf, 1.0);
-  b.add_ge({{fixed, 1.0}, {y, 1.0}}, 6.0);
-  const LpModel model = b.build();
-  LpSolveOptions with;
-  with.presolve = true;
-  const auto a = solve_lp(model);
-  const auto c = solve_lp(model, with);
-  ASSERT_TRUE(a.ok() && c.ok());
-  EXPECT_NEAR(a.objective, c.objective, 1e-9);
-  EXPECT_NEAR(c.x[fixed], 2.0, 1e-12);
-}
-
-TEST(LpSolve, PresolveDetectsInfeasibility) {
-  LpBuilder b;
-  const auto x = b.add_variable(1.0, 1.0, 0.0);
-  b.add_ge({{x, 1.0}}, 5.0);
-  LpSolveOptions with;
-  with.presolve = true;
-  const auto sol = solve_lp(b.build(), with);
-  EXPECT_EQ(sol.status, SolveStatus::kPrimalInfeasible);
-}
-
 // Cross-solver sweep on equality-constrained transport-like LPs.
 class TransportSweep : public ::testing::TestWithParam<int> {};
 
