@@ -8,7 +8,6 @@
 #include "core/p2_subproblem.hpp"
 #include "core/roa.hpp"
 #include "eval/scenarios.hpp"
-#include "linalg/cholesky.hpp"
 #include "linalg/sparse.hpp"
 #include "linalg/sparse_cholesky.hpp"
 #include "obs/slo.hpp"
@@ -169,28 +168,8 @@ void BM_SparseSpmv(benchmark::State& state) {
 }
 BENCHMARK(BM_SparseSpmv)->Arg(1000)->Arg(10000)->Arg(100000);
 
-void BM_Cholesky(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  util::Rng rng(4);
-  linalg::Matrix a(n, n);
-  for (std::size_t r = 0; r < n; ++r)
-    for (std::size_t c = 0; c <= r; ++c) {
-      const double v = rng.normal() * 0.1;
-      a(r, c) = v;
-      a(c, r) = v;
-    }
-  for (std::size_t r = 0; r < n; ++r) a(r, r) += static_cast<double>(n);
-  for (auto _ : state) {
-    auto chol = linalg::Cholesky::factor(a);
-    benchmark::DoNotOptimize(chol.has_value());
-  }
-}
-BENCHMARK(BM_Cholesky)->Arg(64)->Arg(128)->Arg(256);
-
-// ---- Factorization kernels head-to-head: dense blocked Cholesky vs the
-// symbolic-once sparse Cholesky, and the matching add_AtDA assembly
-// kernels, on a banded SPD system (bandwidth 8, ~17 nnz/row) shaped like
-// the P2 normal matrices. The sparse benchmark times the numeric
+// ---- The symbolic-once sparse Cholesky on a banded SPD system (bandwidth
+// 8, ~17 nnz/row) shaped like the P2 normal matrices. It times the numeric
 // refactor + solve only — the symbolic analysis is hoisted out of the loop,
 // matching the per-Newton-step cost the IPM pays after the first solve.
 
@@ -206,20 +185,6 @@ linalg::SymSparse banded_spd(std::size_t n, std::size_t bandwidth,
   return linalg::SymSparse::from_lower_triplets(n, std::move(trips));
 }
 
-void BM_CholeskyDense(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const auto a = banded_spd(n, 8, 11).to_dense();
-  linalg::Matrix l(n, n, 0.0);
-  linalg::Vec b(n, 1.0);
-  for (auto _ : state) {
-    linalg::cholesky_factor_regularized_into(a, l, 1e-12, 1e16);
-    linalg::Vec x = b;
-    linalg::cholesky_solve_in_place(l, x);
-    benchmark::DoNotOptimize(x.data());
-  }
-}
-BENCHMARK(BM_CholeskyDense)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
-
 void BM_CholeskySparse(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const auto a = banded_spd(n, 8, 11);
@@ -234,45 +199,6 @@ void BM_CholeskySparse(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CholeskySparse)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
-
-// G with ~8 nonzeros per constraint row, m = 2n rows — the shape of the P2
-// constraint blocks. Both kernels accumulate G^T diag(w) G into a dense
-// (symmetric-seeded) Hessian buffer.
-
-linalg::Matrix random_constraints(std::size_t m, std::size_t n,
-                                  std::uint64_t seed) {
-  util::Rng rng(seed);
-  linalg::Matrix g(m, n, 0.0);
-  for (std::size_t r = 0; r < m; ++r)
-    for (std::size_t k = 0; k < 8; ++k)
-      g(r, rng.uniform_index(n)) = rng.normal();
-  return g;
-}
-
-void BM_AtDA_dense(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const auto g = random_constraints(2 * n, n, 13);
-  linalg::Vec w(2 * n, 1.5);
-  linalg::Matrix out(n, n, 0.0);
-  for (auto _ : state) {
-    linalg::add_AtDA(g, w, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-}
-BENCHMARK(BM_AtDA_dense)->Arg(64)->Arg(128)->Arg(256);
-
-void BM_AtDA_sparse(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const auto g =
-      linalg::SparseMatrix::from_dense(random_constraints(2 * n, n, 13));
-  linalg::Vec w(2 * n, 1.5);
-  linalg::Matrix out(n, n, 0.0);
-  for (auto _ : state) {
-    g.add_AtDA(w, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-}
-BENCHMARK(BM_AtDA_sparse)->Arg(64)->Arg(128)->Arg(256);
 
 // ---- Per-slot latency distribution across the online horizon. The slotted
 // loop cares about tail latency, not the mean: one slow slot delays every

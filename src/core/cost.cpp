@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/p1_model.hpp"
 #include "util/check.hpp"
 
 namespace sora::core {
@@ -23,19 +24,18 @@ Vec tier1_totals(const Instance& inst, const Vec& z) {
   return totals;
 }
 
-double slot_allocation_cost(const Instance& inst, std::size_t t,
+double slot_allocation_cost(const Instance& inst, const SlotInputs& in,
                             const Allocation& alloc) {
-  SORA_CHECK(t < inst.horizon);
   SORA_CHECK(alloc.x.size() == inst.num_edges());
   double cost = 0.0;
   for (std::size_t e = 0; e < inst.num_edges(); ++e) {
-    cost += inst.tier2_price[t][inst.edges[e].tier2] * alloc.x[e];
+    cost += in.price(inst.edges[e].tier2) * alloc.x[e];
     cost += inst.edge_price[e] * alloc.y[e];
   }
   if (inst.has_tier1()) {
     SORA_CHECK(alloc.z.size() == inst.num_edges());
     for (std::size_t e = 0; e < inst.num_edges(); ++e)
-      cost += inst.tier1_price[t][inst.edges[e].tier1] * alloc.z[e];
+      cost += in.t1_price(inst.edges[e].tier1) * alloc.z[e];
   }
   return cost;
 }
@@ -66,10 +66,12 @@ double reconfiguration_cost(const Instance& inst, const Allocation& prev,
 
 CostBreakdown total_cost(const Instance& inst, const Trajectory& traj) {
   SORA_CHECK(traj.horizon() <= inst.horizon);
+  const InputSeries truth = InputSeries::truth(inst);
   CostBreakdown cost;
   Allocation prev = Allocation::zeros(inst.num_edges());
   for (std::size_t t = 0; t < traj.horizon(); ++t) {
-    cost.allocation += slot_allocation_cost(inst, t, traj.slots[t]);
+    cost.allocation += slot_allocation_cost(
+        inst, SlotInputs::at(inst, truth, t), traj.slots[t]);
     cost.reconfiguration += reconfiguration_cost(inst, prev, traj.slots[t]);
     prev = traj.slots[t];
   }
@@ -78,12 +80,15 @@ CostBreakdown total_cost(const Instance& inst, const Trajectory& traj) {
 
 std::vector<double> cumulative_cost(const Instance& inst,
                                     const Trajectory& traj) {
+  SORA_CHECK(traj.horizon() <= inst.horizon);
+  const InputSeries truth = InputSeries::truth(inst);
   std::vector<double> curve;
   curve.reserve(traj.horizon());
   double acc = 0.0;
   Allocation prev = Allocation::zeros(inst.num_edges());
   for (std::size_t t = 0; t < traj.horizon(); ++t) {
-    acc += slot_allocation_cost(inst, t, traj.slots[t]) +
+    acc += slot_allocation_cost(inst, SlotInputs::at(inst, truth, t),
+                                traj.slots[t]) +
            reconfiguration_cost(inst, prev, traj.slots[t]);
     curve.push_back(acc);
     prev = traj.slots[t];

@@ -6,8 +6,12 @@
 
 namespace sora::core {
 
-/// Allocation cost of one slot: sum_e a_{i(e),t} x_e + sum_e c_e y_e.
-double slot_allocation_cost(const Instance& inst, std::size_t t,
+struct SlotInputs;  // core/p1_model.hpp
+
+/// Allocation cost of one slot at its price rows: sum_e a_{i(e)} x_e +
+/// sum_e c_e y_e (+ sum_e a'_{j(e)} z_e with the tier-1 term). A slot t of
+/// the instance is SlotInputs::at(inst, InputSeries::truth(inst), t).
+double slot_allocation_cost(const Instance& inst, const SlotInputs& in,
                             const Allocation& alloc);
 
 /// Reconfiguration cost between consecutive decisions:

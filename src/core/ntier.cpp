@@ -461,10 +461,6 @@ class NTierP2Objective : public solver::ConvexObjective {
   std::size_t yvar(std::size_t l) const {
     return flow_count_ + inst_.num_nodes() + l;
   }
-  std::size_t size() const {
-    return flow_count_ + inst_.num_nodes() + inst_.num_links();
-  }
-
   double value(const Vec& z) const override {
     double total = 0.0;
     for (std::size_t v = 0; v < inst_.num_nodes(); ++v) {
@@ -478,18 +474,6 @@ class NTierP2Objective : public solver::ConvexObjective {
                entropic_value(z[yvar(l)], prev_.link[l], options_.eps);
     }
     return total;
-  }
-
-  Vec gradient(const Vec& z) const override {
-    Vec g(size(), 0.0);
-    gradient_into(z, g);
-    return g;
-  }
-
-  Matrix hessian(const Vec& z) const override {
-    Matrix h(size(), size(), 0.0);
-    hessian_into(z, h);
-    return h;
   }
 
   void gradient_into(const Vec& z, Vec& g) const override {

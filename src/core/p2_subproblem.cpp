@@ -181,18 +181,6 @@ class P2Objective final : public solver::ConvexObjective {
     return total;
   }
 
-  Vec gradient(const Vec& v) const override {
-    Vec g(layout_.size(), 0.0);
-    gradient_into(v, g);
-    return g;
-  }
-
-  Matrix hessian(const Vec& v) const override {
-    Matrix h(layout_.size(), layout_.size(), 0.0);
-    hessian_into(v, h);
-    return h;
-  }
-
   void gradient_into(const Vec& v, Vec& g) const override {
     x_totals_into(v);
     for (std::size_t e = 0; e < layout_.num_edges; ++e) {

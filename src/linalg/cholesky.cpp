@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "util/check.hpp"
-#include "util/thread_pool.hpp"
 
 namespace sora::linalg {
 namespace {
@@ -45,13 +44,9 @@ bool cholesky_in_place(Matrix& a) {
         irow[j] = v / jrow[j];
       }
     }
-    // Trailing update: A22 -= L21 L21^T, lower triangle only. Row i writes
-    // only columns [jend, i] of row i and reads only the already-final panel
-    // columns [j0, jend) of rows <= i, so rows update independently; large
-    // trailing blocks fan out over the shared pool. Each entry's dot product
-    // is the identical statement sequence either way — the factor is bitwise
-    // the same at any thread count.
-    const auto update_row = [&a, j0, jend](std::size_t i) {
+    // Trailing update: A22 -= L21 L21^T, lower triangle only, one
+    // contiguous panel-row dot product per entry.
+    for (std::size_t i = jend; i < n; ++i) {
       double* irow = a.row_ptr(i);
       for (std::size_t c = jend; c <= i; ++c) {
         const double* crow = a.row_ptr(c);
@@ -59,13 +54,6 @@ bool cholesky_in_place(Matrix& a) {
         for (std::size_t k = j0; k < jend; ++k) s += irow[k] * crow[k];
         irow[c] -= s;
       }
-    };
-    constexpr std::size_t kParallelTrailingRows = 192;
-    if (n - jend >= kParallelTrailingRows) {
-      util::parallel_for(jend, n, update_row, 16,
-                         util::ForSchedule::kGuided);
-    } else {
-      for (std::size_t i = jend; i < n; ++i) update_row(i);
     }
   }
   // Zero the strict upper triangle so the factor is clean.
@@ -75,30 +63,6 @@ bool cholesky_in_place(Matrix& a) {
 }
 
 }  // namespace
-
-std::optional<Cholesky> Cholesky::factor(const Matrix& a) {
-  SORA_CHECK(a.rows() == a.cols());
-  Matrix l = a;
-  if (!cholesky_in_place(l)) return std::nullopt;
-  return Cholesky(std::move(l), 0.0);
-}
-
-Cholesky Cholesky::factor_regularized(const Matrix& a, double initial_shift,
-                                      double max_shift) {
-  SORA_CHECK(a.rows() == a.cols());
-  for (double v : a.data())
-    SORA_CHECK_MSG(std::isfinite(v), "non-finite entry in Cholesky input");
-  {
-    Matrix l = a;
-    if (cholesky_in_place(l)) return Cholesky(std::move(l), 0.0);
-  }
-  for (double shift = initial_shift; shift <= max_shift; shift *= 10.0) {
-    Matrix l = a;
-    for (std::size_t i = 0; i < l.rows(); ++i) l(i, i) += shift;
-    if (cholesky_in_place(l)) return Cholesky(std::move(l), shift);
-  }
-  SORA_CHECK_MSG(false, "Cholesky failed even with maximum diagonal shift");
-}
 
 double cholesky_factor_regularized_into(const Matrix& a, Matrix& l,
                                         double initial_shift,
@@ -132,27 +96,6 @@ void cholesky_solve_in_place(const Matrix& l, Vec& x) {
     for (std::size_t k = ii + 1; k < n; ++k) v -= l(k, ii) * x[k];
     x[ii] = v / l(ii, ii);
   }
-}
-
-Vec Cholesky::solve(const Vec& b) const {
-  const std::size_t n = l_.rows();
-  SORA_CHECK(b.size() == n);
-  Vec y(n);
-  // Forward: L y = b
-  for (std::size_t i = 0; i < n; ++i) {
-    double v = b[i];
-    const double* row = l_.row_ptr(i);
-    for (std::size_t k = 0; k < i; ++k) v -= row[k] * y[k];
-    y[i] = v / row[i];
-  }
-  // Backward: L^T x = y
-  Vec x(n);
-  for (std::size_t ii = n; ii-- > 0;) {
-    double v = y[ii];
-    for (std::size_t k = ii + 1; k < n; ++k) v -= l_(k, ii) * x[k];
-    x[ii] = v / l_(ii, ii);
-  }
-  return x;
 }
 
 }  // namespace sora::linalg

@@ -1,47 +1,19 @@
-// Cholesky factorization for the symmetric positive-definite Newton systems
-// of the interior-point solver. Includes a regularized variant that adds a
-// diagonal shift when the matrix is only positive semi-definite numerically.
+// Dense Cholesky factorization for the symmetric positive-definite Newton
+// systems of the interior-point solver's dense path (the tests' reference
+// and objectives without a Hessian pattern). The factor escalates a
+// diagonal shift when the matrix is only positive semi-definite
+// numerically.
 #pragma once
-
-#include <optional>
 
 #include "linalg/matrix.hpp"
 
 namespace sora::linalg {
 
-/// Lower-triangular Cholesky factor; solve() does the two triangular sweeps.
-class Cholesky {
- public:
-  /// Factor A (symmetric, only the lower triangle is read). Returns nullopt
-  /// if A is not numerically positive definite.
-  static std::optional<Cholesky> factor(const Matrix& a);
-
-  /// Factor A + shift*I, escalating shift by 10x (up to max_shift) until the
-  /// factorization succeeds. Used by the IPM when the Hessian is singular at
-  /// the boundary. Throws CheckError if even max_shift fails.
-  static Cholesky factor_regularized(const Matrix& a, double initial_shift,
-                                     double max_shift);
-
-  /// Solve A x = b.
-  Vec solve(const Vec& b) const;
-
-  /// The diagonal shift that was actually applied (0 for plain factor()).
-  double applied_shift() const { return shift_; }
-
-  std::size_t dim() const { return l_.rows(); }
-
- private:
-  explicit Cholesky(Matrix l, double shift) : l_(std::move(l)), shift_(shift) {}
-
-  Matrix l_;  // lower-triangular factor
-  double shift_ = 0.0;
-};
-
-/// Allocation-free variant for hot loops: copy `a` into the preallocated
-/// factor buffer `l` (same shape) and factor in place, escalating a diagonal
-/// shift by 10x (from initial_shift up to max_shift) until the factorization
-/// succeeds. Returns the applied shift; throws CheckError if even max_shift
-/// fails. No heap allocation when `l` already has a's shape.
+/// Copy `a` (symmetric; only the lower triangle is read) into the factor
+/// buffer `l` and factor it in place, first plain, then escalating a
+/// diagonal shift by 10x (from initial_shift up to max_shift) until the
+/// factorization succeeds. Returns the applied shift; throws CheckError if
+/// even max_shift fails. No heap allocation when `l` already has a's shape.
 double cholesky_factor_regularized_into(const Matrix& a, Matrix& l,
                                         double initial_shift,
                                         double max_shift);

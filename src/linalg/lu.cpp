@@ -62,31 +62,4 @@ Vec Lu::solve(const Vec& b) const {
   return x;
 }
 
-Vec Lu::solve_transpose(const Vec& b) const {
-  const std::size_t n = dim();
-  SORA_CHECK(b.size() == n);
-  // Solve U^T z = b (forward), then L^T w = z (backward), then x = P^T w.
-  Vec z(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double v = b[i];
-    for (std::size_t k = 0; k < i; ++k) v -= lu_(k, i) * z[k];
-    z[i] = v / lu_(i, i);
-  }
-  Vec w(n);
-  for (std::size_t ii = n; ii-- > 0;) {
-    double v = z[ii];
-    for (std::size_t k = ii + 1; k < n; ++k) v -= lu_(k, ii) * w[k];
-    w[ii] = v;
-  }
-  Vec x(n);
-  for (std::size_t i = 0; i < n; ++i) x[perm_[i]] = w[i];
-  return x;
-}
-
-std::optional<Vec> solve_linear(const Matrix& a, const Vec& b) {
-  auto lu = Lu::factor(a);
-  if (!lu.has_value()) return std::nullopt;
-  return lu->solve(b);
-}
-
 }  // namespace sora::linalg

@@ -1,5 +1,5 @@
 // Partial-pivot LU factorization. Used by the revised simplex for periodic
-// basis refactorization and by small generic linear solves.
+// basis refactorization.
 #pragma once
 
 #include <optional>
@@ -17,8 +17,6 @@ class Lu {
 
   /// Solve A x = b.
   Vec solve(const Vec& b) const;
-  /// Solve A^T x = b.
-  Vec solve_transpose(const Vec& b) const;
 
   std::size_t dim() const { return lu_.rows(); }
 
@@ -29,9 +27,5 @@ class Lu {
   Matrix lu_;                      // packed L (unit lower) and U
   std::vector<std::size_t> perm_;  // row permutation: row i of PA is perm_[i] of A
 };
-
-/// Convenience: solve A x = b once (factor + solve); returns nullopt on
-/// singular A.
-std::optional<Vec> solve_linear(const Matrix& a, const Vec& b);
 
 }  // namespace sora::linalg

@@ -1,7 +1,5 @@
 #include "linalg/matrix.hpp"
 
-#include <cmath>
-
 #include "util/check.hpp"
 
 namespace sora::linalg {
@@ -60,18 +58,6 @@ Matrix Matrix::transpose() const {
   for (std::size_t r = 0; r < rows_; ++r)
     for (std::size_t c = 0; c < cols_; ++c) t(c, r) = (*this)(r, c);
   return t;
-}
-
-void Matrix::add_diagonal(const Vec& d, double alpha) {
-  const std::size_t n = std::min(rows_, cols_);
-  SORA_CHECK(d.size() >= n);
-  for (std::size_t i = 0; i < n; ++i) (*this)(i, i) += alpha * d[i];
-}
-
-double Matrix::norm_frobenius() const {
-  double acc = 0.0;
-  for (double v : data_) acc += v * v;
-  return std::sqrt(acc);
 }
 
 void mirror_lower(Matrix& a) {

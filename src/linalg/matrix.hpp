@@ -40,12 +40,6 @@ class Matrix {
   Matrix multiply(const Matrix& b) const;
   Matrix transpose() const;
 
-  /// A += alpha * diag(d) applied to the leading square block.
-  void add_diagonal(const Vec& d, double alpha = 1.0);
-
-  /// Frobenius norm.
-  double norm_frobenius() const;
-
   const std::vector<double>& data() const { return data_; }
 
  private:

@@ -63,18 +63,6 @@ SymSparse SymSparse::from_dense_lower(const Matrix& a, double drop_tol) {
   return m;
 }
 
-double SymSparse::density() const {
-  if (n == 0) return 0.0;
-  std::size_t diag = 0;
-  for (std::size_t r = 0; r < n; ++r) {
-    const std::size_t end = row_ptr[r + 1];
-    if (end > row_ptr[r] && cols[end - 1] == r) ++diag;
-  }
-  const double full = 2.0 * static_cast<double>(nonzeros()) -
-                      static_cast<double>(diag);
-  return full / (static_cast<double>(n) * static_cast<double>(n));
-}
-
 Matrix SymSparse::to_dense() const {
   Matrix a(n, n, 0.0);
   for (std::size_t r = 0; r < n; ++r)

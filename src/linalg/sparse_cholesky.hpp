@@ -52,11 +52,6 @@ struct SymSparse {
 
   std::size_t nonzeros() const { return cols.size(); }
 
-  /// Fraction of structurally nonzero entries of the FULL symmetric matrix
-  /// (mirrored off-diagonals counted twice). Drives the sparse-vs-dense
-  /// switch in the barrier solver.
-  double density() const;
-
   /// Reconstruct the full dense symmetric matrix (tests / oracles).
   Matrix to_dense() const;
 };

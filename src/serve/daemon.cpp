@@ -49,22 +49,6 @@ std::uint64_t fnv1a_doubles(std::uint64_t hash, const core::Vec& v) {
   return hash;
 }
 
-// Allocation cost of one slot against an explicit price row (the streaming
-// counterpart of core::slot_allocation_cost, which indexes the horizon).
-double row_allocation_cost(const core::Instance& inst,
-                           const core::SlotInputs& in,
-                           const core::Allocation& alloc) {
-  double cost = 0.0;
-  for (std::size_t e = 0; e < inst.num_edges(); ++e) {
-    cost += in.price(inst.edges[e].tier2) * alloc.x[e];
-    cost += inst.edge_price[e] * alloc.y[e];
-  }
-  if (inst.has_tier1())
-    for (std::size_t e = 0; e < inst.num_edges(); ++e)
-      cost += in.t1_price(inst.edges[e].tier1) * alloc.z[e];
-  return cost;
-}
-
 }  // namespace
 
 ServeDaemon::ServeDaemon(const core::Instance& inst,
@@ -130,17 +114,18 @@ SlotResult ServeDaemon::step(const Tick& tick) {
   result.degraded = p2.outcome.degraded;
   result.deadline_miss = miss;
   result.latency_seconds = latency;
-  result.slot_cost = row_allocation_cost(inst_, in, p2.alloc) +
-                     core::reconfiguration_cost(inst_, prev_, p2.alloc);
+  const double alloc_cost = core::slot_allocation_cost(inst_, in, p2.alloc);
+  const double reconfig_cost =
+      core::reconfiguration_cost(inst_, prev_, p2.alloc);
+  result.slot_cost = alloc_cost + reconfig_cost;
   result.alloc_hash = hash_allocation(p2.alloc);
 
   stats_.slots += 1;
   if (p2.outcome.degraded) stats_.degraded_slots += 1;
   if (p2.outcome.fell_back()) stats_.fallback_slots += 1;
   if (miss) stats_.deadline_misses += 1;
-  stats_.cost.allocation += row_allocation_cost(inst_, in, p2.alloc);
-  stats_.cost.reconfiguration +=
-      core::reconfiguration_cost(inst_, prev_, p2.alloc);
+  stats_.cost.allocation += alloc_cost;
+  stats_.cost.reconfiguration += reconfig_cost;
   result.cumulative_cost = stats_.cost.total();
 
   prev_ = p2.alloc;

@@ -164,15 +164,16 @@ std::uint64_t fnv64(std::uint64_t h, std::uint64_t v) {
   return h * 1099511628211ULL;
 }
 
-// Decide dense vs sparse for this solve, (re)building the symbolic cache
-// when the structure signature changed (a new problem shape; the P2
-// workspaces keep one pattern for their lifetime). The signature covers the
-// problem shape, the objective's Hessian pattern, and the constraint pattern
-// (every row).
+// Whether this solve runs the sparse Newton system: always for a CSR G and
+// an objective with a Hessian pattern, unless the caller pins the dense one.
+// (Re)builds the symbolic cache when the structure signature changed (a new
+// problem shape; the P2 workspaces keep one pattern for their lifetime). The
+// signature covers the problem shape, the objective's Hessian pattern, and
+// the constraint pattern (every row).
 bool prepare_sparse_normal(const ConvexObjective& objective,
                            const SparseMatrix* g, std::size_t n,
                            const IpmOptions& options, SparseNormalCache& c) {
-  if (g == nullptr || n < options.sparse_min_dim) return false;
+  if (g == nullptr || options.dense_newton) return false;
   c.obj_pattern.clear();
   if (!objective.hessian_lower_structure(c.obj_pattern)) return false;
 
@@ -192,8 +193,8 @@ bool prepare_sparse_normal(const ConvexObjective& objective,
   }
 
   if (c.valid && sig == c.signature) {
-    if (c.use_sparse) ipm_metrics().symbolic_reuse->inc();
-    return c.use_sparse;
+    ipm_metrics().symbolic_reuse->inc();
+    return true;
   }
 
   // Build the lower-triangle pattern of t*H_f + G^T diag(w) G: the full
@@ -209,14 +210,8 @@ bool prepare_sparse_normal(const ConvexObjective& objective,
     for (std::size_t k1 = offsets[r]; k1 < offsets[r + 1]; ++k1)
       for (std::size_t k2 = offsets[r]; k2 <= k1; ++k2)
         trips.push_back({cols[k1], cols[k2], 0.0});
+  c.valid = false;
   c.normal = linalg::SymSparse::from_lower_triplets(n, std::move(trips));
-
-  c.signature = sig;
-  c.valid = true;
-  if (c.normal.density() > options.sparse_max_density) {
-    c.use_sparse = false;
-    return false;
-  }
 
   // Scatter maps: binary-search each source entry's slot in the assembled
   // pattern once, so per-Newton-step assembly is pure indexed adds.
@@ -239,7 +234,8 @@ bool prepare_sparse_normal(const ConvexObjective& objective,
 
   c.chol.analyze(c.normal);
   c.obj_vals.resize(c.obj_pattern.size());
-  c.use_sparse = true;
+  c.signature = sig;
+  c.valid = true;
   ipm_metrics().symbolic_builds->inc();
   ipm_metrics().factor_nonzeros->set(
       static_cast<double>(c.chol.factor_nonzeros()));
@@ -323,8 +319,8 @@ struct BarrierState {
     ws.dx.resize(n);
     ws.x_try.resize(n);
     ws.gt_inv_s.resize(n);
-    // Dense vs sparse normal equations (docs/SOLVERS.md): the sparse branch
-    // skips the n x n dense buffers entirely.
+    // Sparse vs dense Newton system (docs/SOLVERS.md): the sparse one skips
+    // the n x n dense buffers entirely.
     use_sparse =
         prepare_sparse_normal(objective, gm.csr(), n, options, ws.normal);
     if (!use_sparse) {

@@ -24,17 +24,19 @@
 // interior instead of throwing.
 //
 // Two constraint-matrix representations share one implementation:
-//   * CSR SparseMatrix — what every caller uses; the Newton system
-//     G^T diag(w) G is accumulated row by row over nonzeros only, and an
+//   * CSR SparseMatrix — what every caller uses. When the objective supplies
+//     its Hessian pattern (both P2 models do), the Newton matrix is scattered
+//     into a fixed lower-CSR pattern and factored by the sparse Cholesky
+//     (minimum-degree ordering, symbolic analysis once per pattern), and an
 //     IpmScratch keeps the inner Newton loop free of heap allocation across
 //     repeated solves;
 //   * dense Matrix — O(m n^2) Newton assembly, kept as the tests' reference
 //     for the CSR assembly (BarrierIpm.SparseMatchesDenseOverload).
-// Independently of G's form, the Newton matrix is factored densely below
-// IpmOptions::sparse_min_dim and by the sparse Cholesky (minimum-degree
-// ordering, symbolic analysis once per pattern) above it; the P2 tests'
-// reference configuration pins the dense factor at every size. One solve
-// runs one Newton loop (ipm.cpp's BarrierState) from start to finish.
+// The dense Newton system (dense Hessian, G^T diag(w) G accumulated into it,
+// blocked dense Cholesky) serves the dense overload, objectives without a
+// Hessian pattern, and the P2 tests' reference configuration, which sets
+// IpmOptions::dense_newton. One solve runs one Newton loop (ipm.cpp's
+// BarrierState) from start to finish.
 #pragma once
 
 #include <cstdint>
@@ -52,25 +54,20 @@ class ConvexObjective {
  public:
   virtual ~ConvexObjective() = default;
   virtual double value(const linalg::Vec& x) const = 0;
-  virtual linalg::Vec gradient(const linalg::Vec& x) const = 0;
-  virtual linalg::Matrix hessian(const linalg::Vec& x) const = 0;
 
-  /// Allocation-free variants for the hot Newton loop; `g`/`h` are
+  /// Gradient and dense Hessian at x, written into `g`/`h`, which are
   /// preallocated to the right shape and must be fully overwritten.
-  /// Defaults fall back to the allocating calls.
-  virtual void gradient_into(const linalg::Vec& x, linalg::Vec& g) const {
-    g = gradient(x);
-  }
-  virtual void hessian_into(const linalg::Vec& x, linalg::Matrix& h) const {
-    h = hessian(x);
-  }
+  virtual void gradient_into(const linalg::Vec& x, linalg::Vec& g) const = 0;
+  virtual void hessian_into(const linalg::Vec& x,
+                            linalg::Matrix& h) const = 0;
 
   /// Optional sparse-Hessian interface for the sparse normal-equations path.
   /// hessian_lower_structure appends the Hessian's sparsity pattern as
   /// (row, col) triplets (values ignored; upper-triangle entries are folded
   /// onto the lower triangle, duplicates allowed). The pattern must be FIXED
   /// for the lifetime of the objective — only values may change with x.
-  /// Returning false (the default) pins the solver to the dense path.
+  /// Returning false (the default) pins the solver to the dense Newton
+  /// system.
   virtual bool hessian_lower_structure(
       std::vector<linalg::Triplet>& pattern) const {
     (void)pattern;
@@ -96,15 +93,10 @@ struct IpmOptions {
   // Newton converges linearly near the end and a slightly relaxed gap is the
   // pragmatic stopping rule.
   double acceptable_gap = 1e-3;
-  // Sparse normal-equations switch (docs/SOLVERS.md "Normal-equations
-  // pipeline"): the symbolic-once sparse Cholesky takes over when the
-  // problem has at least sparse_min_dim variables, the CSR overload is in
-  // use, the objective implements hessian_lower_structure(), and the
-  // assembled normal matrix has density at most sparse_max_density. Below
-  // either threshold the blocked dense kernel wins on constant factors.
-  // Tests force the sparse path by dropping sparse_min_dim to 1.
-  std::size_t sparse_min_dim = 48;
-  double sparse_max_density = 0.45;
+  // Assemble and factor the Newton system densely even where the sparse
+  // Cholesky applies. Only the tests' reference configuration
+  // (testing::reference_roa_options) sets it.
+  bool dense_newton = false;
 };
 
 struct IpmResult {
@@ -126,8 +118,7 @@ struct IpmResult {
 /// scatters through precomputed index maps with no allocation.
 struct SparseNormalCache {
   std::uint64_t signature = 0;
-  bool valid = false;       // maps below match `signature`
-  bool use_sparse = false;  // the cached density-switch decision
+  bool valid = false;  // maps below match `signature`
   linalg::SymSparse normal;      // t*H_f + G^T diag(w) G, lower triangle
   linalg::SparseCholesky chol;
   std::vector<linalg::Triplet> obj_pattern;  // objective Hessian pattern

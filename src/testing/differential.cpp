@@ -1,7 +1,6 @@
 #include "testing/differential.hpp"
 
 #include <cmath>
-#include <limits>
 #include <sstream>
 
 #include "core/cost.hpp"
@@ -75,7 +74,7 @@ RoaOptions reference_roa_options() {
   RoaOptions options;
   options.warm_start = false;
   options.resilience.enabled = false;
-  options.ipm.sparse_min_dim = std::numeric_limits<std::size_t>::max();
+  options.ipm.dense_newton = true;
   return options;
 }
 

@@ -28,9 +28,10 @@ namespace sora::testing {
 
 /// The tests' reference configuration of the one P2 model: every slot
 /// cold-started, the fallback chain off (a failed solve throws instead of
-/// being masked), and the IPM pinned to its dense Newton path (Hessian
-/// through hessian_into, dense Cholesky) at any size. The cross-checks
-/// compare production configurations against it.
+/// being masked), and the IPM pinned to its dense Newton system (Hessian
+/// through hessian_into, dense Cholesky) by IpmOptions::dense_newton. The
+/// cross-checks compare production configurations, which factor sparse,
+/// against it.
 core::RoaOptions reference_roa_options();
 
 struct DiffOptions {

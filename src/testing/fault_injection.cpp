@@ -20,8 +20,7 @@ core::FaultKind rotate_kind(std::size_t index) {
 }
 
 // Events for one region, from its own child stream only: a pure function of
-// (master seed, region), so the fan-out order across pool workers cannot
-// change the schedule. Events never overlap within a region.
+// (master seed, region). Events never overlap within a region.
 std::vector<OutageEvent> region_events(std::size_t region, util::Rng rng,
                                        const RegionalOutagePlan& plan) {
   std::vector<OutageEvent> events;
@@ -65,8 +64,7 @@ FaultInjector::FaultInjector(const FaultPlan& plan) : plan_(plan) {
 }
 
 FaultInjector::FaultInjector(const cloudnet::Instance& inst,
-                             const RegionalOutagePlan& plan,
-                             util::ThreadPool& pool) {
+                             const RegionalOutagePlan& plan) {
   SORA_CHECK(inst.num_tier1() > 0);
   plan_.fault_rate = 0.0;  // unused by the correlated model
   plan_.seed = plan.seed;
@@ -81,24 +79,13 @@ FaultInjector::FaultInjector(const cloudnet::Instance& inst,
     for (const std::size_t e : inst.edges_of_tier1[j])
       sla_sets_[j].push_back(inst.edges[e].tier2);
 
-  // Per-region event streams, fanned out on the pool. Each region writes
-  // only its own vector and draws only from child(region), so the result is
-  // identical for any worker count (asserted by the property suite).
+  // Per-region event streams, each drawn from child(region) only, merged in
+  // region order: slot -> kind and slot -> dark clouds.
   const util::Rng master(plan.seed);
-  std::vector<std::vector<OutageEvent>> per_region(inst.num_tier1());
-  util::TaskGroup group(pool);
-  for (std::size_t j = 0; j < inst.num_tier1(); ++j) {
-    group.run([&, j] {
-      per_region[j] = region_events(j, master.child(j), plan);
-    });
-  }
-  group.wait();
-
-  // Serial merge in region order: slot -> kind and slot -> dark clouds.
   schedule_.assign(plan.max_slots, core::FaultKind::kNone);
   down_.assign(plan.max_slots, {});
   for (std::size_t j = 0; j < inst.num_tier1(); ++j) {
-    for (const OutageEvent& ev : per_region[j]) {
+    for (const OutageEvent& ev : region_events(j, master.child(j), plan)) {
       events_.push_back(ev);
       for (std::size_t t = ev.start; t < ev.start + ev.duration; ++t) {
         // Kind keyed on the slot index, not the merge order, so overlapping

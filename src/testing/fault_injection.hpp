@@ -19,8 +19,7 @@
 //     which sites lost their whole SLA set are queryable per slot, so tests
 //     can assert the resilience bound under spatial correlation instead of
 //     i.i.d. noise. Region streams derive from util::Rng::child(region), so
-//     the schedule is a pure function of (seed, topology) no matter how many
-//     pool workers build it.
+//     the schedule is a pure function of (seed, topology).
 //
 // The schedule is a pure function of the plan, so tests can compare a run's
 // SlotHealth accounting against `faulted(slot)` exactly. RAII: destruction
@@ -33,7 +32,6 @@
 
 #include "cloudnet/instance.hpp"
 #include "core/resilience.hpp"
-#include "util/thread_pool.hpp"
 
 namespace sora::testing {
 
@@ -73,10 +71,8 @@ class FaultInjector {
   explicit FaultInjector(const FaultPlan& plan);
 
   /// Topology-driven correlated schedule: regions are `inst`'s tier-1 sites,
-  /// and an outage covers the region's whole SLA set. Region event streams
-  /// are generated on `pool` (deterministically — see header comment).
-  FaultInjector(const cloudnet::Instance& inst, const RegionalOutagePlan& plan,
-                util::ThreadPool& pool = util::ThreadPool::shared());
+  /// and an outage covers the region's whole SLA set.
+  FaultInjector(const cloudnet::Instance& inst, const RegionalOutagePlan& plan);
   ~FaultInjector();
 
   FaultInjector(const FaultInjector&) = delete;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <exception>
 #include <memory>
 
 #include "obs/obs.hpp"
@@ -76,8 +77,6 @@ void ThreadPool::wait_idle() {
   idle_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
 }
 
-bool ThreadPool::in_worker() { return t_inside_worker; }
-
 void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;
@@ -126,61 +125,22 @@ ThreadPool& ThreadPool::shared() {
 }
 
 // ---------------------------------------------------------------------------
-// TaskGroup
-
-void TaskGroup::run(std::function<void()> fn) {
-  SORA_CHECK(fn != nullptr);
-  if (pool_.thread_count() == 1 || ThreadPool::in_worker()) {
-    // Inline path: single-thread pools gain nothing from the queue, and a
-    // pool worker must not block on its own pool.
-    try {
-      fn();
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!first_error_) first_error_ = std::current_exception();
-    }
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++pending_;
-  }
-  pool_.submit([this, fn = std::move(fn)] {
-    try {
-      fn();
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!first_error_) first_error_ = std::current_exception();
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    if (--pending_ == 0) done_cv_.notify_all();
-  });
-}
-
-void TaskGroup::wait() {
-  std::exception_ptr error;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [this] { return pending_ == 0; });
-    error = first_error_;
-    first_error_ = nullptr;
-  }
-  if (error) std::rethrow_exception(error);
-}
-
-void TaskGroup::wait_no_throw() {
-  std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [this] { return pending_ == 0; });
-}
-
-// ---------------------------------------------------------------------------
 // parallel_for
 
-namespace {
+void parallel_for(std::size_t begin, std::size_t end,
+                  const std::function<void(std::size_t)>& body,
+                  std::size_t grain) {
+  if (begin >= end) return;
+  grain = std::max<std::size_t>(grain, 1);
+  ThreadPool& pool = ThreadPool::shared();
 
-void parallel_for_static(std::size_t begin, std::size_t end,
-                         const std::function<void(std::size_t)>& body,
-                         std::size_t grain, ThreadPool& pool) {
+  // Serial fast path: tiny ranges, single-thread pools, or nested
+  // parallelism (see t_inside_worker) run inline.
+  if (end - begin <= grain || pool.thread_count() == 1 || t_inside_worker) {
+    for (std::size_t i = begin; i < end; ++i) body(i);
+    return;
+  }
+
   struct Shared {
     std::mutex mu;
     std::exception_ptr first_error;
@@ -224,103 +184,6 @@ void parallel_for_static(std::size_t begin, std::size_t end,
   std::unique_lock<std::mutex> lock(shared->mu);
   shared->done_cv.wait(lock, [&] { return shared->pending == 0; });
   if (shared->first_error) std::rethrow_exception(shared->first_error);
-}
-
-void parallel_for_guided(std::size_t begin, std::size_t end,
-                         const std::function<void(std::size_t)>& body,
-                         std::size_t min_grain, ThreadPool& pool) {
-  struct Shared {
-    std::atomic<std::size_t> next;
-    std::size_t end = 0;
-    std::size_t min_grain = 1;
-    std::size_t participants = 1;
-    std::atomic<bool> cancelled{false};
-    std::mutex mu;
-    std::exception_ptr first_error;
-    std::condition_variable done_cv;
-    std::size_t pending = 0;
-  };
-  auto shared = std::make_shared<Shared>();
-  shared->next.store(begin, std::memory_order_relaxed);
-  shared->end = end;
-  shared->min_grain = min_grain;
-  // The caller participates alongside the workers, so a 1-worker pool still
-  // gets two hands on the range.
-  shared->participants = pool.thread_count() + 1;
-
-  // Claim-and-run loop: each participant grabs a chunk sized to a fraction
-  // of the REMAINING range (classic guided scheduling), floored at
-  // min_grain. Early chunks are big (low scheduling overhead), late chunks
-  // small (the tail load-balances around any expensive index). The race
-  // between reading `remaining` and the fetch_add only affects chunk sizing,
-  // never coverage: indices are claimed exactly once by fetch_add.
-  const auto drain = [shared, &body] {
-    while (!shared->cancelled.load(std::memory_order_acquire)) {
-      const std::size_t cur = shared->next.load(std::memory_order_relaxed);
-      if (cur >= shared->end) break;
-      const std::size_t remaining = shared->end - cur;
-      const std::size_t step =
-          std::max(shared->min_grain, remaining / (2 * shared->participants));
-      const std::size_t lo = shared->next.fetch_add(step);
-      if (lo >= shared->end) break;
-      const std::size_t hi = std::min(shared->end, lo + step);
-      try {
-        for (std::size_t i = lo; i < hi; ++i) {
-          if (shared->cancelled.load(std::memory_order_relaxed)) break;
-          body(i);
-        }
-      } catch (...) {
-        shared->cancelled.store(true, std::memory_order_release);
-        std::lock_guard<std::mutex> lock(shared->mu);
-        if (!shared->first_error)
-          shared->first_error = std::current_exception();
-      }
-    }
-  };
-
-  // One drain task per worker is enough: each loops until the range is dry.
-  const std::size_t tasks = std::min(
-      pool.thread_count(),
-      (end - begin + min_grain - 1) / std::max<std::size_t>(min_grain, 1));
-  {
-    std::lock_guard<std::mutex> lock(shared->mu);
-    shared->pending = tasks;
-  }
-  for (std::size_t w = 0; w < tasks; ++w) {
-    pool.submit([shared, drain] {
-      drain();
-      std::lock_guard<std::mutex> lock(shared->mu);
-      if (--shared->pending == 0) shared->done_cv.notify_all();
-    });
-  }
-  drain();
-
-  std::unique_lock<std::mutex> lock(shared->mu);
-  shared->done_cv.wait(lock, [&] { return shared->pending == 0; });
-  if (shared->first_error) std::rethrow_exception(shared->first_error);
-}
-
-}  // namespace
-
-void parallel_for(std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& body,
-                  std::size_t grain, ForSchedule schedule) {
-  if (begin >= end) return;
-  grain = std::max<std::size_t>(grain, 1);
-  ThreadPool& pool = ThreadPool::shared();
-
-  // Serial fast path: tiny ranges, single-thread pools, or nested
-  // parallelism (see t_inside_worker) run inline.
-  if (end - begin <= grain || pool.thread_count() == 1 || t_inside_worker) {
-    for (std::size_t i = begin; i < end; ++i) body(i);
-    return;
-  }
-
-  if (schedule == ForSchedule::kGuided) {
-    parallel_for_guided(begin, end, body, grain, pool);
-  } else {
-    parallel_for_static(begin, end, body, grain, pool);
-  }
 }
 
 }  // namespace sora::util

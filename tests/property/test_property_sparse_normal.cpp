@@ -1,11 +1,10 @@
-// Sparse normal-equations property suite: with the density switch forced on
-// (sparse_min_dim = 1, sparse_max_density = 1), the symbolic-once sparse
-// Cholesky path must agree with the reference configuration (the same P2
-// model on the dense Newton path) on real P2 solves across all six
-// generated regimes, analyse its pattern exactly once per workspace across
-// a multi-slot ROA run (also on the paper and the scaled 32 x 256
-// topologies, where the factor must stay sparse), and survive
-// fault-injected runs through the resilience chain.
+// Sparse normal-equations property suite: the symbolic-once sparse
+// Cholesky path (the production configuration) must agree with the
+// reference configuration (the same P2 model on the dense Newton path) on
+// real P2 solves across all six generated regimes, analyse its pattern
+// exactly once per workspace across a multi-slot ROA run (also on the paper
+// and the scaled 32 x 256 topologies, where the factor must stay sparse),
+// and survive fault-injected runs through the resilience chain.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -22,13 +21,6 @@
 
 namespace sora::testing {
 namespace {
-
-core::RoaOptions forced_sparse_options() {
-  core::RoaOptions o;
-  o.ipm.sparse_min_dim = 1;
-  o.ipm.sparse_max_density = 1.0;
-  return o;
-}
 
 struct MetricsOn {
   MetricsOn() { obs::set_metrics_enabled(true); }
@@ -47,7 +39,7 @@ TEST(PropertySparseNormal, ForcedSparseMatchesDenseAcrossRegimes) {
 
       core::RoaOptions dense_opts = reference_roa_options();
       dense_opts.ipm.tol = 1e-9;
-      core::RoaOptions sparse_opts = forced_sparse_options();
+      core::RoaOptions sparse_opts;
       sparse_opts.ipm.tol = 1e-9;
 
       const core::InputSeries inputs = core::InputSeries::truth(inst);
@@ -86,7 +78,7 @@ TEST(PropertySparseNormal, SymbolicCacheReusedAcrossSlots) {
 
     const auto builds0 = builds.value();
     const auto reuse0 = reuse.value();
-    const core::RoaRun run = core::run_roa(inst, forced_sparse_options());
+    const core::RoaRun run = core::run_roa(inst, core::RoaOptions{});
     ASSERT_EQ(run.trajectory.horizon(), inst.horizon);
     EXPECT_TRUE(run.healthy());
     // One analysis for the workspace's fixed pattern, then every later slot
@@ -171,7 +163,7 @@ TEST(PropertySparseNormal, ForcedSparseSurvivesFaultInjection) {
       plan.forced_attempts = 1;
       FaultInjector injector(plan);
 
-      const core::RoaRun run = core::run_roa(inst, forced_sparse_options());
+      const core::RoaRun run = core::run_roa(inst, core::RoaOptions{});
       ASSERT_EQ(run.trajectory.horizon(), inst.horizon);
       EXPECT_TRUE(std::isfinite(run.cost.total()));
     }

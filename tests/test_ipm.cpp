@@ -27,13 +27,12 @@ class Quadratic : public ConvexObjective {
     }
     return v;
   }
-  Vec gradient(const Vec& x) const override {
-    Vec g(x.size());
+  void gradient_into(const Vec& x, Vec& g) const override {
     for (std::size_t i = 0; i < x.size(); ++i) g[i] = x[i] - target_[i];
-    return g;
   }
-  Matrix hessian(const Vec& x) const override {
-    return Matrix::identity(x.size());
+  void hessian_into(const Vec& x, Matrix& h) const override {
+    for (std::size_t r = 0; r < x.size(); ++r)
+      for (std::size_t c = 0; c < x.size(); ++c) h(r, c) = r == c ? 1.0 : 0.0;
   }
 
  private:
@@ -46,9 +45,10 @@ class LinearObjective : public ConvexObjective {
  public:
   explicit LinearObjective(Vec c) : c_(std::move(c)) {}
   double value(const Vec& x) const override { return linalg::dot(c_, x); }
-  Vec gradient(const Vec&) const override { return c_; }
-  Matrix hessian(const Vec& x) const override {
-    return Matrix(x.size(), x.size(), 0.0);
+  void gradient_into(const Vec&, Vec& g) const override { g = c_; }
+  void hessian_into(const Vec& x, Matrix& h) const override {
+    for (std::size_t r = 0; r < x.size(); ++r)
+      for (std::size_t c = 0; c < x.size(); ++c) h(r, c) = 0.0;
   }
 
  private:
@@ -65,16 +65,14 @@ class Entropic : public ConvexObjective {
       v += (x[i] + eps_) * std::log((x[i] + eps_) / (prev_[i] + eps_)) - x[i];
     return v;
   }
-  Vec gradient(const Vec& x) const override {
-    Vec g(x.size());
+  void gradient_into(const Vec& x, Vec& g) const override {
     for (std::size_t i = 0; i < x.size(); ++i)
       g[i] = std::log((x[i] + eps_) / (prev_[i] + eps_));
-    return g;
   }
-  Matrix hessian(const Vec& x) const override {
-    Matrix h(x.size(), x.size(), 0.0);
-    for (std::size_t i = 0; i < x.size(); ++i) h(i, i) = 1.0 / (x[i] + eps_);
-    return h;
+  void hessian_into(const Vec& x, Matrix& h) const override {
+    for (std::size_t r = 0; r < x.size(); ++r)
+      for (std::size_t c = 0; c < x.size(); ++c)
+        h(r, c) = r == c ? 1.0 / (x[r] + eps_) : 0.0;
   }
 
  private:
@@ -166,13 +164,11 @@ TEST(Ipm, EntropicMinimizerClosedForm) {
       return a_ * xv +
              w_ * ((xv + eps_) * std::log((xv + eps_) / (prev_ + eps_)) - xv);
     }
-    Vec gradient(const Vec& x) const override {
-      return {a_ + w_ * std::log((x[0] + eps_) / (prev_ + eps_))};
+    void gradient_into(const Vec& x, Vec& g) const override {
+      g[0] = a_ + w_ * std::log((x[0] + eps_) / (prev_ + eps_));
     }
-    Matrix hessian(const Vec& x) const override {
-      Matrix h(1, 1);
+    void hessian_into(const Vec& x, Matrix& h) const override {
       h(0, 0) = w_ / (x[0] + eps_);
-      return h;
     }
 
    private:
@@ -201,12 +197,13 @@ TEST(Ipm, EntropicVectorAgainstGridSearch) {
     double value(const Vec& x) const override {
       return reg_.value(x) + linalg::dot(c_, x);
     }
-    Vec gradient(const Vec& x) const override {
-      Vec g = reg_.gradient(x);
+    void gradient_into(const Vec& x, Vec& g) const override {
+      reg_.gradient_into(x, g);
       for (std::size_t i = 0; i < g.size(); ++i) g[i] += c_[i];
-      return g;
     }
-    Matrix hessian(const Vec& x) const override { return reg_.hessian(x); }
+    void hessian_into(const Vec& x, Matrix& h) const override {
+      reg_.hessian_into(x, h);
+    }
 
    private:
     const Entropic& reg_;

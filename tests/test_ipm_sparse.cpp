@@ -3,8 +3,9 @@
 // overload against the dense-Matrix reference overload, the P2Workspace on
 // the sparse factor against the tests' reference configuration of the same
 // model on the dense Newton path (primal, objective, and KKT multipliers),
-// the Newton-step counts on the reduced Fig.-5 instance, and the
-// empty-SLA-group guard in the even-split start.
+// the Newton-step counts and the once-per-workspace symbolic analysis on
+// the reduced Fig.-5 instance, and the empty-SLA-group guard in the
+// even-split start.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -15,6 +16,7 @@
 #include "eval/scenarios.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/sparse.hpp"
+#include "obs/obs.hpp"
 #include "solver/ipm.hpp"
 #include "testing/differential.hpp"
 #include "util/check.hpp"
@@ -143,16 +145,14 @@ class Entropic : public solver::ConvexObjective {
       v += (x[i] + eps_) * std::log((x[i] + eps_) / (prev_[i] + eps_)) - x[i];
     return v;
   }
-  Vec gradient(const Vec& x) const override {
-    Vec g(x.size());
+  void gradient_into(const Vec& x, Vec& g) const override {
     for (std::size_t i = 0; i < x.size(); ++i)
       g[i] = std::log((x[i] + eps_) / (prev_[i] + eps_));
-    return g;
   }
-  Matrix hessian(const Vec& x) const override {
-    Matrix h(x.size(), x.size(), 0.0);
-    for (std::size_t i = 0; i < x.size(); ++i) h(i, i) = 1.0 / (x[i] + eps_);
-    return h;
+  void hessian_into(const Vec& x, Matrix& h) const override {
+    for (std::size_t r = 0; r < x.size(); ++r)
+      for (std::size_t c = 0; c < x.size(); ++c)
+        h(r, c) = r == c ? 1.0 / (x[r] + eps_) : 0.0;
   }
 
  private:
@@ -199,19 +199,16 @@ TEST(BarrierIpm, SparseMatchesDenseOverload) {
     EXPECT_NEAR(rd.ineq_dual[i], rs.ineq_dual[i], 1e-6) << "row " << i;
 }
 
-// The P2 pipeline on randomized instances: the workspace forced onto the
-// sparse normal-equations factor (these n = 36 instances sit below the
-// default sparse_min_dim) vs the reference configuration on the dense
-// Newton path. At ipm.tol = 1e-9 both must agree on the primal, the
-// objective, and every named multiplier to 1e-6.
+// The P2 pipeline on randomized instances: the workspace on the sparse
+// Newton system vs the reference configuration on the dense one. At
+// ipm.tol = 1e-9 both must agree on the primal, the objective, and every
+// named multiplier to 1e-6.
 void expect_p2_paths_agree(const Instance& inst, std::size_t t,
                            const Allocation& prev) {
   RoaOptions dense_opts = testing::reference_roa_options();
   dense_opts.ipm.tol = 1e-9;
   RoaOptions sparse_opts;
   sparse_opts.ipm.tol = 1e-9;
-  sparse_opts.ipm.sparse_min_dim = 1;
-  sparse_opts.ipm.sparse_max_density = 1.0;
 
   const InputSeries inputs = InputSeries::truth(inst);
   const P2Solution a = solve_p2(inst, inputs, t, prev, dense_opts);
@@ -326,6 +323,41 @@ TEST(P2Pipeline, NewtonStepsOnReducedFig5Instance) {
     const P2Solution again = warm_ws.solve(inputs, 1, first);
     EXPECT_TRUE(again.timing.warm_started);
     EXPECT_LE(again.timing.newton_steps, 30u);
+  }
+}
+
+struct MetricsOn {
+  MetricsOn() { obs::set_metrics_enabled(true); }
+  ~MetricsOn() { obs::set_metrics_enabled(false); }
+};
+
+// The reduced Fig.-5 horizon (k = 1, n = 36: the instance behind Figs. 5, 6
+// and 8-10 and BM_RunRoaFig5SparseWarm) runs on the sparse Newton system:
+// the workspace analyses its pattern once, on slot 0, and every later slot
+// reuses that analysis.
+TEST(P2Pipeline, ReducedFig5HorizonAnalysesOnceAndReuses) {
+  MetricsOn guard;
+  auto& reg = obs::Registry::global();
+  auto& builds = reg.counter("sora_ipm_symbolic_builds");
+  auto& reuse = reg.counter("sora_ipm_symbolic_reuse");
+
+  eval::Scenario sc;
+  sc.reconfig_weight = 1e3;
+  sc.sla_k = 1;
+  const Instance inst = eval::build_eval_instance(sc, eval::EvalScale{});
+  const InputSeries inputs = InputSeries::truth(inst);
+  P2Workspace workspace(inst, {});
+  Allocation prev = Allocation::zeros(inst.num_edges());
+  const auto builds0 = builds.value();
+  for (std::size_t t = 0; t < inst.horizon; ++t) {
+    const auto reuse_before = reuse.value();
+    const P2Solution sol = workspace.solve(inputs, t, prev);
+    ASSERT_TRUE(sol.outcome.ok()) << "t=" << t;
+    EXPECT_EQ(builds.value() - builds0, 1u) << "t=" << t;
+    if (t > 0) {
+      EXPECT_GT(reuse.value(), reuse_before) << "t=" << t;
+    }
+    prev = sol.alloc;
   }
 }
 

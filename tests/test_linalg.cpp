@@ -7,6 +7,7 @@
 #include "linalg/matrix.hpp"
 #include "linalg/sparse.hpp"
 #include "linalg/vector_ops.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace sora::linalg {
@@ -69,7 +70,8 @@ TEST(Matrix, MatMulAgainstIdentity) {
 }
 
 TEST(Cholesky, FactorsAndSolvesSpd) {
-  // A = L0 L0^T with a known L0.
+  // A = L0 L0^T with a known L0: the plain factor succeeds (no shift) and
+  // reproduces L0.
   Matrix l0(3, 3);
   l0(0, 0) = 2.0;
   l0(1, 0) = -1.0;
@@ -78,10 +80,13 @@ TEST(Cholesky, FactorsAndSolvesSpd) {
   l0(2, 1) = 0.25;
   l0(2, 2) = 3.0;
   const Matrix a = l0.multiply(l0.transpose());
-  const auto chol = Cholesky::factor(a);
-  ASSERT_TRUE(chol.has_value());
+  Matrix l(3, 3, 0.0);
+  EXPECT_DOUBLE_EQ(cholesky_factor_regularized_into(a, l, 1e-12, 1e16), 0.0);
+  for (std::size_t r = 0; r < 3; ++r)
+    for (std::size_t c = 0; c < 3; ++c) EXPECT_NEAR(l(r, c), l0(r, c), 1e-12);
   const Vec b{1.0, 2.0, 3.0};
-  const Vec x = chol->solve(b);
+  Vec x = b;
+  cholesky_solve_in_place(l, x);
   const Vec r = a.multiply(x);
   for (int i = 0; i < 3; ++i) EXPECT_NEAR(r[i], b[i], 1e-12);
 }
@@ -91,7 +96,12 @@ TEST(Cholesky, RejectsIndefinite) {
   a(0, 0) = 1.0;
   a(0, 1) = a(1, 0) = 2.0;
   a(1, 1) = 1.0;  // eigenvalues 3, -1
-  EXPECT_FALSE(Cholesky::factor(a).has_value());
+  Matrix l(2, 2, 0.0);
+  // No shift below the negative eigenvalue's magnitude factors it...
+  EXPECT_THROW(cholesky_factor_regularized_into(a, l, 1e-12, 0.5),
+               util::CheckError);
+  // ...so the plain factor was rejected and the escalation reaches 1.
+  EXPECT_GE(cholesky_factor_regularized_into(a, l, 1e-12, 1e16), 1.0);
 }
 
 TEST(Cholesky, RegularizedShiftsSingular) {
@@ -99,9 +109,10 @@ TEST(Cholesky, RegularizedShiftsSingular) {
   a(0, 0) = 1.0;
   a(0, 1) = a(1, 0) = 1.0;
   a(1, 1) = 1.0;
-  const Cholesky chol = Cholesky::factor_regularized(a, 1e-10, 1.0);
-  EXPECT_GT(chol.applied_shift(), 0.0);
-  const Vec x = chol.solve({1.0, 1.0});
+  Matrix l(2, 2, 0.0);
+  EXPECT_GT(cholesky_factor_regularized_into(a, l, 1e-10, 1.0), 0.0);
+  Vec x{1.0, 1.0};
+  cholesky_solve_in_place(l, x);
   EXPECT_TRUE(std::isfinite(x[0]) && std::isfinite(x[1]));
 }
 
@@ -119,10 +130,6 @@ TEST(Lu, SolvesRandomSystems) {
     const Vec x = lu->solve(b);
     const Vec r = a.multiply(x);
     for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(r[i], b[i], 1e-9);
-
-    const Vec xt = lu->solve_transpose(b);
-    const Vec rt = a.multiply_transpose(xt);
-    for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(rt[i], b[i], 1e-9);
   }
 }
 

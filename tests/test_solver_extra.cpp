@@ -118,11 +118,11 @@ TEST(Ipm, AcceptableGapOnTinyBudget) {
     double value(const linalg::Vec& x) const override {
       return 0.5 * (x[0] - 2.0) * (x[0] - 2.0);
     }
-    linalg::Vec gradient(const linalg::Vec& x) const override {
-      return {x[0] - 2.0};
+    void gradient_into(const linalg::Vec& x, linalg::Vec& g) const override {
+      g[0] = x[0] - 2.0;
     }
-    linalg::Matrix hessian(const linalg::Vec&) const override {
-      return linalg::Matrix::identity(1);
+    void hessian_into(const linalg::Vec&, linalg::Matrix& h) const override {
+      h(0, 0) = 1.0;
     }
   } f;
   linalg::Matrix g(2, 1, 0.0);

@@ -63,13 +63,6 @@ TEST(SymSparse, FoldsDedupesAndKeepsZeros) {
   EXPECT_DOUBLE_EQ(d(0, 0), 0.0);
 }
 
-TEST(SymSparse, DensityCountsMirroredEntries) {
-  // 2x2 with one diagonal and one off-diagonal entry: the full symmetric
-  // matrix has 3 of 4 slots populated.
-  const auto a = SymSparse::from_lower_triplets(2, {{0, 0, 1.0}, {1, 0, 1.0}});
-  EXPECT_NEAR(a.density(), 0.75, 1e-12);
-}
-
 TEST(SymSparse, DenseRoundTrip) {
   util::Rng rng(31);
   Matrix d(5, 5, 0.0);
@@ -252,9 +245,9 @@ TEST(SparseCholesky, FactorThrowsOnNonFiniteValues) {
 
 TEST(BlockedDenseCholesky, MatchesKnownSolutionPastTileWidth) {
   // n = 150 crosses two 64-wide panel boundaries, exercising the diagonal
-  // block, the panel solve, and the trailing syrk update; n = 320 leaves
-  // 256 trailing rows after the first panel, enough for the update to fan
-  // out over the thread pool (the TSan CI job runs this test).
+  // block, the panel solve, and the trailing syrk update, and ends on a
+  // partial panel; n = 320 is five full panels, so its last one has no
+  // trailing block.
   util::Rng rng(53);
   for (const std::size_t n : {150u, 320u}) {
     const SymSparse sp = random_spd(n, 0.3, rng);
@@ -315,7 +308,7 @@ TEST(DenseKernels, AddAtDAMatchesNaive) {
 }
 
 // Diagonal quadratic objective implementing the sparse-Hessian interface,
-// for driving the barrier solver's sparse normal-equations branch directly.
+// for driving the barrier solver's sparse Newton system directly.
 class DiagQuadratic : public solver::ConvexObjective {
  public:
   explicit DiagQuadratic(Vec d) : d_(std::move(d)) {}
@@ -325,15 +318,12 @@ class DiagQuadratic : public solver::ConvexObjective {
       v += 0.5 * d_[i] * x[i] * x[i] - x[i];
     return v;
   }
-  Vec gradient(const Vec& x) const override {
-    Vec g(x.size());
+  void gradient_into(const Vec& x, Vec& g) const override {
     for (std::size_t i = 0; i < x.size(); ++i) g[i] = d_[i] * x[i] - 1.0;
-    return g;
   }
-  Matrix hessian(const Vec& x) const override {
-    Matrix h(x.size(), x.size(), 0.0);
-    for (std::size_t i = 0; i < x.size(); ++i) h(i, i) = d_[i];
-    return h;
+  void hessian_into(const Vec& x, Matrix& h) const override {
+    for (std::size_t r = 0; r < x.size(); ++r)
+      for (std::size_t c = 0; c < x.size(); ++c) h(r, c) = r == c ? d_[r] : 0.0;
   }
   bool hessian_lower_structure(
       std::vector<Triplet>& pattern) const override {
@@ -377,11 +367,8 @@ TEST(BarrierSparseNormal, ForcedSparsePathMatchesDenseAndReusesSymbolic) {
   const DiagQuadratic objective(d);
   const Vec x0(n, 0.5);
 
-  solver::IpmOptions dense_opts;
-  dense_opts.tol = 1e-9;
-  solver::IpmOptions sparse_opts = dense_opts;
-  sparse_opts.sparse_min_dim = 1;
-  sparse_opts.sparse_max_density = 1.0;
+  solver::IpmOptions opts;
+  opts.tol = 1e-9;
 
   auto& reg = obs::Registry::global();
   auto& builds = reg.counter("sora_ipm_symbolic_builds");
@@ -389,12 +376,10 @@ TEST(BarrierSparseNormal, ForcedSparsePathMatchesDenseAndReusesSymbolic) {
   const auto builds0 = builds.value();
   const auto reuse0 = reuse.value();
 
-  const auto rd = solver::solve_barrier(objective, gd, h, x0, dense_opts);
+  const auto rd = solver::solve_barrier(objective, gd, h, x0, opts);
   solver::IpmScratch scratch;
-  const auto rs1 =
-      solver::solve_barrier(objective, gs, h, x0, sparse_opts, &scratch);
-  const auto rs2 =
-      solver::solve_barrier(objective, gs, h, x0, sparse_opts, &scratch);
+  const auto rs1 = solver::solve_barrier(objective, gs, h, x0, opts, &scratch);
+  const auto rs2 = solver::solve_barrier(objective, gs, h, x0, opts, &scratch);
   ASSERT_TRUE(rd.ok());
   ASSERT_TRUE(rs1.ok());
   ASSERT_TRUE(rs2.ok());
@@ -408,9 +393,10 @@ TEST(BarrierSparseNormal, ForcedSparsePathMatchesDenseAndReusesSymbolic) {
   EXPECT_GE(reuse.value(), reuse0 + 1);
 }
 
-TEST(BarrierSparseNormal, DensityGuardKeepsDensePath) {
-  // A fully dense constraint block must trip the density switch and stay on
-  // the dense kernel (no symbolic build).
+TEST(BarrierSparseNormal, DenseRowStillFactorsSparse) {
+  // A constraint row over every variable makes the Newton matrix fully
+  // dense. The CSR overload still factors it sparse (one symbolic analysis)
+  // and agrees with the dense-G overload.
   MetricsOn guard;
   util::Rng rng(71);
   const std::size_t n = 8;
@@ -422,15 +408,16 @@ TEST(BarrierSparseNormal, DensityGuardKeepsDensePath) {
   const auto gs = SparseMatrix::from_dense(gd);
   Vec d(n, 1.0);
   const DiagQuadratic objective(d);
+  const Vec x0(n, 0.1);
 
-  solver::IpmOptions opts;
-  opts.sparse_min_dim = 1;
-  opts.sparse_max_density = 0.2;  // the dense row pushes density above this
   auto& builds = obs::Registry::global().counter("sora_ipm_symbolic_builds");
   const auto before = builds.value();
-  const auto r = solver::solve_barrier(objective, gs, h, Vec(n, 0.1), opts);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(builds.value(), before);
+  const auto rs = solver::solve_barrier(objective, gs, h, x0);
+  EXPECT_EQ(builds.value(), before + 1);
+  const auto rd = solver::solve_barrier(objective, gd, h, x0);
+  ASSERT_TRUE(rs.ok());
+  ASSERT_TRUE(rd.ok());
+  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(rs.x[i], rd.x[i], 1e-6) << i;
 }
 
 }  // namespace

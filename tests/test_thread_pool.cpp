@@ -142,128 +142,5 @@ TEST(ThreadPool, ManyWaitersUnderLoad) {
   EXPECT_EQ(total.load(), 4 * 50);
 }
 
-// ---------------------------------------------------------------------------
-// Guided scheduling (ForSchedule::kGuided) — the blocked dense Cholesky's
-// trailing update, whose row lengths grow with the row index.
-
-TEST(ThreadPool, GuidedCoversRangeExactlyOnce) {
-  for (const std::size_t grain : {1u, 3u, 16u, 1000u}) {
-    std::vector<std::atomic<int>> hits(509);
-    parallel_for(
-        0, hits.size(), [&hits](std::size_t i) { hits[i].fetch_add(1); },
-        grain, ForSchedule::kGuided);
-    for (std::size_t i = 0; i < hits.size(); ++i)
-      EXPECT_EQ(hits[i].load(), 1) << "grain " << grain << " index " << i;
-  }
-}
-
-TEST(ThreadPool, GuidedEmptyAndSingletonRanges) {
-  std::atomic<int> touched{0};
-  parallel_for(
-      7, 7, [&touched](std::size_t) { touched.fetch_add(1); }, 1,
-      ForSchedule::kGuided);
-  EXPECT_EQ(touched.load(), 0);
-  parallel_for(
-      7, 8, [&touched](std::size_t i) { touched.fetch_add(i == 7 ? 1 : 100); },
-      1, ForSchedule::kGuided);
-  EXPECT_EQ(touched.load(), 1);
-}
-
-TEST(ThreadPool, GuidedHeterogeneousCostsCoverEverything) {
-  // Wildly uneven per-index costs (a few expensive indices among many cheap
-  // ones). Guided chunking must still run every index exactly once and
-  // return.
-  std::vector<std::atomic<int>> hits(128);
-  parallel_for(
-      0, hits.size(),
-      [&hits](std::size_t i) {
-        if (i % 31 == 0)
-          std::this_thread::sleep_for(std::chrono::microseconds(500));
-        hits[i].fetch_add(1);
-      },
-      1, ForSchedule::kGuided);
-  for (std::size_t i = 0; i < hits.size(); ++i)
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-}
-
-TEST(ThreadPool, GuidedPropagatesException) {
-  std::atomic<int> completed{0};
-  try {
-    parallel_for(
-        0, 256,
-        [&completed](std::size_t i) {
-          if (i == 77) throw std::runtime_error("guided boom");
-          completed.fetch_add(1);
-        },
-        1, ForSchedule::kGuided);
-    FAIL() << "expected the body exception to be rethrown";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "guided boom");
-  }
-  std::atomic<int> after{0};
-  parallel_for(
-      0, 8, [&after](std::size_t) { after.fetch_add(1); }, 1,
-      ForSchedule::kGuided);
-  EXPECT_EQ(after.load(), 8);
-}
-
-TEST(ThreadPool, GuidedNestsInsideWorkerTasks) {
-  // A guided loop issued from inside a pool worker (a large dense factor
-  // inside an outer sweep task) must not deadlock: the caller participates via the
-  // shared cursor instead of blocking on its own pool.
-  std::atomic<int> inner{0};
-  TaskGroup group;
-  group.run([&inner] {
-    parallel_for(
-        0, 64, [&inner](std::size_t) { inner.fetch_add(1); }, 1,
-        ForSchedule::kGuided);
-  });
-  group.wait();
-  EXPECT_EQ(inner.load(), 64);
-}
-
-// ---------------------------------------------------------------------------
-// TaskGroup — the waitable nested-task primitive under the fan-out.
-
-TEST(TaskGroup, RunsAndIsReusableAfterWait) {
-  TaskGroup group;
-  std::atomic<int> total{0};
-  for (int i = 0; i < 32; ++i) group.run([&total] { total.fetch_add(1); });
-  group.wait();
-  EXPECT_EQ(total.load(), 32);
-  for (int i = 0; i < 16; ++i) group.run([&total] { total.fetch_add(1); });
-  group.wait();
-  EXPECT_EQ(total.load(), 48);
-}
-
-TEST(TaskGroup, WaitRethrowsFirstError) {
-  TaskGroup group;
-  std::atomic<int> survived{0};
-  for (int i = 0; i < 16; ++i)
-    group.run([&survived, i] {
-      if (i == 5) throw std::runtime_error("group boom");
-      survived.fetch_add(1);
-    });
-  EXPECT_THROW(group.wait(), std::runtime_error);
-  // The group is clean after the rethrow and usable again.
-  group.run([&survived] { survived.fetch_add(1); });
-  group.wait();
-  EXPECT_EQ(survived.load(), 16);
-}
-
-TEST(TaskGroup, DestructorWaitsWithoutThrowing) {
-  std::atomic<int> done{0};
-  {
-    TaskGroup group;
-    for (int i = 0; i < 24; ++i)
-      group.run([&done, i] {
-        if (i == 3) throw std::runtime_error("swallowed at destruction");
-        done.fetch_add(1);
-      });
-    // No wait(): the destructor must drain and swallow the error.
-  }
-  EXPECT_EQ(done.load(), 23);
-}
-
 }  // namespace
 }  // namespace sora::util

@@ -61,7 +61,8 @@ TEST(Tier1, AllocationCostIncludesZ) {
   Allocation a = Allocation::zeros(inst.num_edges());
   a.z[0] = 2.0;
   const std::size_t j = inst.edges[0].tier1;
-  EXPECT_NEAR(slot_allocation_cost(inst, 0, a),
+  EXPECT_NEAR(slot_allocation_cost(
+                  inst, SlotInputs::at(inst, InputSeries::truth(inst), 0), a),
               2.0 * inst.tier1_price[0][j], 1e-12);
 }
 
