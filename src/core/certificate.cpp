@@ -68,12 +68,19 @@ CertificateReport verify_competitive_certificate(const Instance& inst,
   const P3Layout layout{E, I, J, with_z};
   const auto inputs = InputSeries::truth(inst);
 
-  // ---- Run ROA, keeping the per-slot KKT multipliers.
+  // ---- Run ROA, keeping the per-slot KKT multipliers. One cold-started
+  // workspace analyses the Newton pattern once for the whole horizon.
+  RoaOptions cold = options;
+  cold.warm_start = false;
+  P2Workspace workspace(inst, cold);
   std::vector<P2Solution> slots;
   slots.reserve(T);
   Allocation prev = Allocation::zeros(E);
   for (std::size_t t = 0; t < T; ++t) {
-    slots.push_back(solve_p2(inst, inputs, t, prev, options));
+    slots.push_back(workspace.solve(inputs, t, prev));
+    SORA_CHECK_MSG(slots.back().outcome.ok(),
+                   "P2 infeasible at t=" + std::to_string(t) + ": " +
+                       slots.back().outcome.detail);
     prev = slots.back().alloc;
   }
   Trajectory traj;

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numbers>
+#include <optional>
 
+#include "core/control_loop.hpp"
 #include "core/regularizer.hpp"
 #include "core/resilience.hpp"
 #include "linalg/matrix.hpp"
@@ -43,12 +44,8 @@ const std::vector<std::size_t>& NTierInstance::admissible_links(
 void NTierInstance::finalize() {
   SORA_CHECK(num_tiers >= 2 && tier_sizes.size() == num_tiers);
   out_links.assign(num_nodes(), {});
-  in_links.assign(num_nodes(), {});
-  for (std::size_t l = 0; l < links.size(); ++l) {
-    const auto& link = links[l];
-    out_links[node_key(link.tier, link.from)].push_back(l);
-    in_links[node_key(link.tier + 1, link.to)].push_back(l);
-  }
+  for (std::size_t l = 0; l < links.size(); ++l)
+    out_links[node_key(links[l].tier, links[l].from)].push_back(l);
   // Per-commodity admissible links: BFS from the tier-0 node.
   admissible_.assign(num_demands(), {});
   for (std::size_t j = 0; j < num_demands(); ++j) {
@@ -175,7 +172,7 @@ double ntier_total_cost(const NTierInstance& inst,
                         const NTierTrajectory& traj) {
   SORA_CHECK(traj.slots.size() <= inst.horizon);
   double cost = 0.0;
-  NTierAllocation prev{Vec(inst.num_nodes(), 0.0), Vec(inst.num_links(), 0.0)};
+  NTierAllocation prev = NTierAllocation::zeros(inst);
   for (std::size_t t = 0; t < traj.slots.size(); ++t) {
     const auto& a = traj.slots[t];
     for (std::size_t v = 0; v < inst.num_nodes(); ++v) {
@@ -194,6 +191,9 @@ double ntier_total_cost(const NTierInstance& inst,
 }
 
 namespace {
+
+// A [t][entity] input series: the instance's own or a forecast.
+using Series = std::vector<std::vector<double>>;
 
 // Commodity-flow variable indexing: per commodity j, only its admissible
 // links get variables.
@@ -214,23 +214,46 @@ struct FlowIndex {
   }
 };
 
-// Append the flow/routing constraints for one slot to an LpBuilder, with
-// variable index translators supplied by the caller.
-template <typename FlowVar, typename NodeVar, typename LinkVar>
+constexpr std::size_t kNoColumn = static_cast<std::size_t>(-1);
+
+// Where one slot's variables sit in an LP: commodity j's flow on its pos-th
+// admissible link is column flow + offset[j][pos], node v's resource
+// node + v, link l's resource link + l, commodity j's coverage shortage
+// shortage + j. kNoColumn leaves that term out of the rows.
+struct RoutingColumns {
+  std::size_t flow = 0;
+  std::size_t node = kNoColumn;
+  std::size_t link = kNoColumn;
+  std::size_t shortage = kNoColumn;
+};
+
+// The routing rows of one slot, for the slot polyhedron, the window LP, the
+// violation LP and the repair LP:
+//   coverage      [short_j] + j's out-flow at its tier-0 node >= lambda_j
+//   conservation  j's out-flow - in-flow at each intermediate node >= 0
+//   node          [x_v] - inflow at v        >= -held.node[v]
+//   link          [y_l] - total flow on l    >= -held.link[l]
+// `held` (null: none) is a resource level already in place. A row left with
+// no term is dropped, except a coverage row.
 void add_routing_rows(const NTierInstance& inst, const Vec& demand_row,
-                      LpBuilder& b, const FlowIndex& fidx, FlowVar fvar,
-                      NodeVar xvar, LinkVar yvar) {
-  // Coverage: commodity j's tier-0 out-flow >= lambda_j.
+                      const NTierAllocation* held, const FlowIndex& fidx,
+                      const RoutingColumns& cols, LpBuilder& b) {
+  const auto flow = [&](std::size_t j, std::size_t pos) {
+    return cols.flow + fidx.offset[j][pos];
+  };
+  const auto add_row = [&](const std::vector<LinTerm>& terms, double rhs) {
+    if (!terms.empty()) b.add_ge(terms, rhs);
+  };
   for (std::size_t j = 0; j < inst.num_demands(); ++j) {
     std::vector<LinTerm> terms;
+    if (cols.shortage != kNoColumn) terms.push_back({cols.shortage + j, 1.0});
     for (std::size_t pos = 0; pos < fidx.link_of[j].size(); ++pos) {
       const auto& link = inst.links[fidx.link_of[j][pos]];
       if (link.tier == 0 && link.from == j)
-        terms.push_back({fvar(j, pos), 1.0});
+        terms.push_back({flow(j, pos), 1.0});
     }
     b.add_ge(terms, demand_row[j]);
   }
-  // Conservation (no-vanish): at each intermediate node, out >= in.
   for (std::size_t j = 0; j < inst.num_demands(); ++j) {
     for (std::size_t n = 1; n + 1 < inst.num_tiers; ++n) {
       for (std::size_t v = 0; v < inst.tier_sizes[n]; ++v) {
@@ -238,56 +261,37 @@ void add_routing_rows(const NTierInstance& inst, const Vec& demand_row,
         for (std::size_t pos = 0; pos < fidx.link_of[j].size(); ++pos) {
           const auto& link = inst.links[fidx.link_of[j][pos]];
           if (link.tier == n && link.from == v)
-            terms.push_back({fvar(j, pos), 1.0});
+            terms.push_back({flow(j, pos), 1.0});
           else if (link.tier + 1 == n && link.to == v)
-            terms.push_back({fvar(j, pos), -1.0});
+            terms.push_back({flow(j, pos), -1.0});
         }
-        if (!terms.empty()) b.add_ge(terms, 0.0);
+        add_row(terms, 0.0);
       }
     }
   }
-  // Node resource covers inflow; link resource covers total flow.
   for (std::size_t n = 1; n < inst.num_tiers; ++n) {
     for (std::size_t v = 0; v < inst.tier_sizes[n]; ++v) {
-      std::vector<LinTerm> terms{{xvar(inst.node_key(n, v)), 1.0}};
+      const std::size_t key = inst.node_key(n, v);
+      std::vector<LinTerm> terms;
+      if (cols.node != kNoColumn) terms.push_back({cols.node + key, 1.0});
       for (std::size_t j = 0; j < inst.num_demands(); ++j)
         for (std::size_t pos = 0; pos < fidx.link_of[j].size(); ++pos) {
           const auto& link = inst.links[fidx.link_of[j][pos]];
           if (link.tier + 1 == n && link.to == v)
-            terms.push_back({fvar(j, pos), -1.0});
+            terms.push_back({flow(j, pos), -1.0});
         }
-      b.add_ge(terms, 0.0);
+      add_row(terms, held != nullptr ? -held->node[key] : 0.0);
     }
   }
   for (std::size_t l = 0; l < inst.num_links(); ++l) {
-    std::vector<LinTerm> terms{{yvar(l), 1.0}};
+    std::vector<LinTerm> terms;
+    if (cols.link != kNoColumn) terms.push_back({cols.link + l, 1.0});
     for (std::size_t j = 0; j < inst.num_demands(); ++j)
       for (std::size_t pos = 0; pos < fidx.link_of[j].size(); ++pos)
-        if (fidx.link_of[j][pos] == l) terms.push_back({fvar(j, pos), -1.0});
-    b.add_ge(terms, 0.0);
+        if (fidx.link_of[j][pos] == l) terms.push_back({flow(j, pos), -1.0});
+    add_row(terms, held != nullptr ? -held->link[l] : 0.0);
   }
 }
-
-// Resolved input series: the instance's own or a forecast override.
-struct InputsView {
-  const NTierInstance& inst;
-  const NTierInputs* inputs;
-  double lambda(std::size_t t, std::size_t j) const {
-    return inputs != nullptr && inputs->demand != nullptr
-               ? (*inputs->demand)[t][j]
-               : inst.demand[t][j];
-  }
-  double price(std::size_t t, std::size_t v) const {
-    return inputs != nullptr && inputs->node_price != nullptr
-               ? (*inputs->node_price)[t][v]
-               : inst.node_price[t][v];
-  }
-  Vec demand_row(std::size_t t) const {
-    Vec row(inst.num_demands());
-    for (std::size_t j = 0; j < row.size(); ++j) row[j] = lambda(t, j);
-    return row;
-  }
-};
 
 // A commodity with positive demand but no admissible links (a dead-end
 // tier-0 node, or one cut off from the top tier) makes every formulation
@@ -304,28 +308,21 @@ void check_demand_reachable(const NTierInstance& inst, const Vec& demand_row,
   }
 }
 
-// Window LP over [t0, t1). Layout per slot: [f | x | y | u | w]. When
-// `terminal` is set, the final slot's resources are pinned to it.
-//
-// Failure handling: the LP is retried on the alternate backend by
-// solve_lp_with_fallback. If both fail and `window_ok` is null, a
-// recoverable CheckError is thrown; otherwise *window_ok is cleared and the
-// window degrades to holding `prev` (the applier's repair step restores
-// coverage slot by slot).
-NTierTrajectory solve_ntier_window(const NTierInstance& inst,
-                                   const InputsView& view, std::size_t t0,
-                                   std::size_t t1,
-                                   const NTierAllocation& prev,
-                                   const NTierAllocation* terminal,
-                                   const solver::LpSolveOptions& lp,
-                                   bool* window_ok = nullptr) {
+// Window LP over [t0, t1) on the given demand/node-price series. Layout per
+// slot: [f | x | y | u | w]. When `terminal` is set, the final slot's
+// resources are pinned to it. nullopt when the LP fails on both backends
+// (e.g. a forecast no allocation can cover).
+std::optional<NTierTrajectory> solve_ntier_window(
+    const NTierInstance& inst, const Series& demand, const Series& price,
+    std::size_t t0, std::size_t t1, const NTierAllocation& prev,
+    const NTierAllocation* terminal, const solver::LpSolveOptions& lp) {
   const FlowIndex fidx(inst);
   const std::size_t V = inst.num_nodes();
   const std::size_t L = inst.num_links();
   const std::size_t stride = fidx.count + 2 * V + 2 * L;
   const std::size_t window = t1 - t0;
   for (std::size_t t = t0; t < t1; ++t)
-    check_demand_reachable(inst, view.demand_row(t), t);
+    check_demand_reachable(inst, demand[t], t);
 
   LpBuilder b;
   for (std::size_t rel = 0; rel < window; ++rel) {
@@ -336,8 +333,7 @@ NTierTrajectory solve_ntier_window(const NTierInstance& inst,
     for (std::size_t v = 0; v < V; ++v) {
       const double fix = pinned ? terminal->node[v] : -1.0;
       b.add_variable(pinned ? fix : 0.0,
-                     pinned ? fix : inst.node_capacity[v],
-                     view.price(t, v));
+                     pinned ? fix : inst.node_capacity[v], price[t][v]);
     }
     for (std::size_t l = 0; l < L; ++l) {
       const double fix = pinned ? terminal->link[l] : -1.0;
@@ -350,42 +346,25 @@ NTierTrajectory solve_ntier_window(const NTierInstance& inst,
     for (std::size_t l = 0; l < L; ++l)
       b.add_variable(0.0, kInf, inst.link_reconfig[l]);  // w
   }
-  auto fvar_at = [&](std::size_t rel) {
-    return [&fidx, rel, stride](std::size_t j, std::size_t pos) {
-      return rel * stride + fidx.offset[j][pos];
-    };
-  };
-  auto xvar_at = [&](std::size_t rel) {
-    return [&fidx, rel, stride](std::size_t v) {
-      return rel * stride + fidx.count + v;
-    };
-  };
-  auto yvar_at = [&](std::size_t rel) {
-    return [&fidx, rel, stride, V](std::size_t l) {
-      return rel * stride + fidx.count + V + l;
-    };
-  };
-  auto uvar = [&](std::size_t rel, std::size_t v) {
-    return rel * stride + fidx.count + V + L + v;
-  };
-  auto wvar = [&](std::size_t rel, std::size_t l) {
-    return rel * stride + fidx.count + 2 * V + L + l;
+  // Slot rel's columns past its flows: x_v at v, y_l at V + l, u_v at
+  // V + L + v, w_l at 2V + L + l.
+  const auto col = [&](std::size_t rel, std::size_t offset) {
+    return rel * stride + fidx.count + offset;
   };
 
   for (std::size_t rel = 0; rel < window; ++rel) {
-    const std::size_t t = t0 + rel;
-    add_routing_rows(inst, view.demand_row(t), b, fidx, fvar_at(rel),
-                     xvar_at(rel), yvar_at(rel));
-    for (std::size_t v = 0; v < V; ++v) {
-      std::vector<LinTerm> terms{{uvar(rel, v), 1.0},
-                                 {xvar_at(rel)(v), -1.0}};
-      if (rel > 0) terms.push_back({xvar_at(rel - 1)(v), 1.0});
+    add_routing_rows(inst, demand[t0 + rel], nullptr, fidx,
+                     {rel * stride, col(rel, 0), col(rel, V)}, b);
+    for (std::size_t v = 0; v < V; ++v) {  // u >= [x_t - x_{t-1}]^+
+      std::vector<LinTerm> terms{{col(rel, V + L + v), 1.0},
+                                 {col(rel, v), -1.0}};
+      if (rel > 0) terms.push_back({col(rel - 1, v), 1.0});
       b.add_ge(terms, rel > 0 ? 0.0 : -prev.node[v]);
     }
-    for (std::size_t l = 0; l < L; ++l) {
-      std::vector<LinTerm> terms{{wvar(rel, l), 1.0},
-                                 {yvar_at(rel)(l), -1.0}};
-      if (rel > 0) terms.push_back({yvar_at(rel - 1)(l), 1.0});
+    for (std::size_t l = 0; l < L; ++l) {  // w >= [y_t - y_{t-1}]^+
+      std::vector<LinTerm> terms{{col(rel, 2 * V + L + l), 1.0},
+                                 {col(rel, V + l), -1.0}};
+      if (rel > 0) terms.push_back({col(rel - 1, V + l), 1.0});
       b.add_ge(terms, rel > 0 ? 0.0 : -prev.link[l]);
     }
   }
@@ -401,41 +380,101 @@ NTierTrajectory solve_ntier_window(const NTierInstance& inst,
                   "window[" + std::to_string(t0) + "," + std::to_string(t1) +
                       ") size=" + std::to_string(size));
   if (!sol.ok()) {
-    if (window_ok != nullptr) {
-      *window_ok = false;
-      SORA_LOG_WARN << "ntier: window LP failed over [" << t0 << ", " << t1
-                    << ") (" << solver::to_string(sol.status)
-                    << "); holding the previous allocation";
-      NTierTrajectory held;
-      held.slots.assign(window, prev);
-      return held;
-    }
-    SORA_CHECK_MSG(false, "n-tier window LP failed: " + sol.detail);
+    SORA_LOG_WARN << "ntier: window LP failed over [" << t0 << ", " << t1
+                  << ") (" << solver::to_string(sol.status) << " "
+                  << sol.detail << ")";
+    return std::nullopt;
   }
-  if (window_ok != nullptr) *window_ok = true;
 
   NTierTrajectory traj;
   for (std::size_t rel = 0; rel < window; ++rel) {
-    NTierAllocation a{Vec(V, 0.0), Vec(L, 0.0)};
+    NTierAllocation a = NTierAllocation::zeros(inst);
     for (std::size_t v = 0; v < V; ++v)
-      a.node[v] = std::max(0.0, sol.x[xvar_at(rel)(v)]);
+      a.node[v] = std::max(0.0, sol.x[col(rel, v)]);
     for (std::size_t l = 0; l < L; ++l)
-      a.link[l] = std::max(0.0, sol.x[yvar_at(rel)(l)]);
+      a.link[l] = std::max(0.0, sol.x[col(rel, V + l)]);
     traj.slots.push_back(std::move(a));
   }
   return traj;
 }
 
-// The bodies of ntier_slot_violation and ntier_repair, against a given
-// demand row / the inputs of `view` instead of the instance's own; defined
-// next to them below.
+// The worst violation of `alloc` against slot t's capacities and the
+// coverage of `demand_row`: the least total shortage of a routing inside
+// the (x, y) resources, by LP.
 double coverage_violation(const NTierInstance& inst, const Vec& demand_row,
-                          std::size_t t, const NTierAllocation& alloc);
-NTierAllocation repair_against(const NTierInstance& inst,
-                               const InputsView& view, std::size_t t,
-                               const NTierAllocation& planned,
-                               const solver::LpSolveOptions& lp,
-                               bool* repaired, SolveOutcome* outcome);
+                          std::size_t t, const NTierAllocation& alloc) {
+  double worst = 0.0;
+  NTierAllocation held = alloc;
+  for (std::size_t v = 0; v < inst.num_nodes(); ++v) {
+    worst = std::max(worst, alloc.node[v] - inst.node_capacity[v]);
+    worst = std::max(worst, -alloc.node[v]);
+    held.node[v] = std::max(0.0, alloc.node[v]);
+  }
+  for (std::size_t l = 0; l < inst.num_links(); ++l) {
+    worst = std::max(worst, alloc.link[l] - inst.link_capacity[l]);
+    worst = std::max(worst, -alloc.link[l]);
+    held.link[l] = std::max(0.0, alloc.link[l]);
+  }
+  const FlowIndex fidx(inst);
+  LpBuilder b;
+  for (std::size_t f = 0; f < fidx.count; ++f) b.add_variable(0.0, kInf, 0.0);
+  for (std::size_t j = 0; j < inst.num_demands(); ++j)
+    b.add_variable(0.0, kInf, 1.0);  // shortage
+  RoutingColumns cols;
+  cols.shortage = fidx.count;
+  add_routing_rows(inst, demand_row, &held, fidx, cols, b);
+  const auto sol = solve_lp_with_fallback(b.build(), solver::LpSolveOptions{});
+  if (!sol.ok()) {
+    // Can't prove feasibility: report "maximally violated" so the caller's
+    // repair step runs (it solves an independent LP) instead of aborting.
+    SORA_LOG_WARN << "ntier: violation LP failed at t=" << t << " ("
+                  << solver::to_string(sol.status)
+                  << "); treating the slot as violated";
+    return kInf;
+  }
+  return std::max(worst, sol.objective);
+}
+
+// The body of ntier_repair against the given demand/node-price rows: the
+// cheapest additive (dx, dy) that lets a routing of `demand_row` fit inside
+// planned + (dx, dy), paying allocation + reconfiguration on the push. A
+// failed LP leaves `planned` in place and reports it in the outcome.
+AppliedSlot<NTierAllocation> repair_against(const NTierInstance& inst,
+                                            const Vec& demand_row,
+                                            const Vec& price_row,
+                                            std::size_t t,
+                                            const NTierAllocation& planned,
+                                            const solver::LpSolveOptions& lp) {
+  AppliedSlot<NTierAllocation> rep{planned, false, {}};
+  rep.outcome.status = solver::SolveStatus::kOptimal;
+  rep.outcome.backend = SolveBackend::kHoldRepair;
+  if (coverage_violation(inst, demand_row, t, planned) <= 1e-7) return rep;
+  rep.repaired = true;
+
+  const FlowIndex fidx(inst);
+  const std::size_t V = inst.num_nodes();
+  const std::size_t L = inst.num_links();
+  LpBuilder b;
+  for (std::size_t f = 0; f < fidx.count; ++f) b.add_variable(0.0, kInf, 0.0);
+  for (std::size_t v = 0; v < V; ++v)
+    b.add_variable(0.0, std::max(0.0, inst.node_capacity[v] - planned.node[v]),
+                   price_row[v] + inst.node_reconfig[v]);
+  for (std::size_t l = 0; l < L; ++l)
+    b.add_variable(0.0, std::max(0.0, inst.link_capacity[l] - planned.link[l]),
+                   inst.link_price[l] + inst.link_reconfig[l]);
+  add_routing_rows(inst, demand_row, &planned, fidx,
+                   {0, fidx.count, fidx.count + V}, b);
+
+  const auto sol = solve_lp_with_fallback(b.build(), lp, &rep.outcome);
+  rep.outcome.backend = SolveBackend::kHoldRepair;
+  if (!sol.ok()) return rep;
+  rep.outcome.repair_cost_delta = sol.objective;
+  for (std::size_t v = 0; v < V; ++v)
+    rep.alloc.node[v] += std::max(0.0, sol.x[fidx.count + v]);
+  for (std::size_t l = 0; l < L; ++l)
+    rep.alloc.link[l] += std::max(0.0, sol.x[fidx.count + V + l]);
+  return rep;
+}
 
 // P2-N objective: linear prices + per-node/per-link entropic terms.
 class NTierP2Objective : public solver::ConvexObjective {
@@ -534,96 +573,6 @@ class NTierP2Objective : public solver::ConvexObjective {
   Vec node_weight_, link_weight_;
 };
 
-double coverage_violation(const NTierInstance& inst, const Vec& demand_row,
-                          std::size_t t, const NTierAllocation& alloc) {
-  double worst = 0.0;
-  for (std::size_t v = 0; v < inst.num_nodes(); ++v) {
-    worst = std::max(worst, alloc.node[v] - inst.node_capacity[v]);
-    worst = std::max(worst, -alloc.node[v]);
-  }
-  for (std::size_t l = 0; l < inst.num_links(); ++l) {
-    worst = std::max(worst, alloc.link[l] - inst.link_capacity[l]);
-    worst = std::max(worst, -alloc.link[l]);
-  }
-  // Coverage: minimize total shortage of a routing within (x, y).
-  const FlowIndex fidx(inst);
-  LpBuilder b;
-  for (std::size_t f = 0; f < fidx.count; ++f) b.add_variable(0.0, kInf, 0.0);
-  std::vector<std::size_t> shortage(inst.num_demands());
-  for (std::size_t j = 0; j < inst.num_demands(); ++j)
-    shortage[j] = b.add_variable(0.0, kInf, 1.0);
-  auto fvar = [&fidx](std::size_t j, std::size_t pos) {
-    return fidx.offset[j][pos];
-  };
-  // Coverage with shortage slack.
-  for (std::size_t j = 0; j < inst.num_demands(); ++j) {
-    std::vector<LinTerm> terms{{shortage[j], 1.0}};
-    for (std::size_t pos = 0; pos < fidx.link_of[j].size(); ++pos) {
-      const auto& link = inst.links[fidx.link_of[j][pos]];
-      if (link.tier == 0 && link.from == j)
-        terms.push_back({fvar(j, pos), 1.0});
-    }
-    b.add_ge(terms, demand_row[j]);
-  }
-  // Conservation out >= in.
-  for (std::size_t j = 0; j < inst.num_demands(); ++j) {
-    for (std::size_t n = 1; n + 1 < inst.num_tiers; ++n) {
-      for (std::size_t v = 0; v < inst.tier_sizes[n]; ++v) {
-        std::vector<LinTerm> terms;
-        for (std::size_t pos = 0; pos < fidx.link_of[j].size(); ++pos) {
-          const auto& link = inst.links[fidx.link_of[j][pos]];
-          if (link.tier == n && link.from == v)
-            terms.push_back({fvar(j, pos), 1.0});
-          else if (link.tier + 1 == n && link.to == v)
-            terms.push_back({fvar(j, pos), -1.0});
-        }
-        if (!terms.empty()) b.add_ge(terms, 0.0);
-      }
-    }
-  }
-  // Resource limits from the given allocation.
-  for (std::size_t n = 1; n < inst.num_tiers; ++n)
-    for (std::size_t v = 0; v < inst.tier_sizes[n]; ++v) {
-      std::vector<LinTerm> terms;
-      for (std::size_t j = 0; j < inst.num_demands(); ++j)
-        for (std::size_t pos = 0; pos < fidx.link_of[j].size(); ++pos) {
-          const auto& link = inst.links[fidx.link_of[j][pos]];
-          if (link.tier + 1 == n && link.to == v)
-            terms.push_back({fvar(j, pos), 1.0});
-        }
-      if (!terms.empty())
-        b.add_le(terms, std::max(0.0, alloc.node[inst.node_key(n, v)]));
-    }
-  for (std::size_t l = 0; l < inst.num_links(); ++l) {
-    std::vector<LinTerm> terms;
-    for (std::size_t j = 0; j < inst.num_demands(); ++j)
-      for (std::size_t pos = 0; pos < fidx.link_of[j].size(); ++pos)
-        if (fidx.link_of[j][pos] == l) terms.push_back({fvar(j, pos), 1.0});
-    if (!terms.empty()) b.add_le(terms, std::max(0.0, alloc.link[l]));
-  }
-  SolveOutcome lp_outcome;
-  const auto sol =
-      solve_lp_with_fallback(b.build(), solver::LpSolveOptions{}, &lp_outcome);
-  if (!sol.ok()) {
-    // Can't prove feasibility: report "maximally violated" so the caller's
-    // repair step runs (it solves an independent LP) instead of aborting.
-    SORA_LOG_WARN << "ntier: violation LP failed at t=" << t << " ("
-                  << solver::to_string(sol.status)
-                  << "); treating the slot as violated";
-    return kInf;
-  }
-  return std::max(worst, sol.objective);
-}
-
-}  // namespace
-
-double ntier_slot_violation(const NTierInstance& inst, std::size_t t,
-                            const NTierAllocation& alloc) {
-  return coverage_violation(inst, inst.demand[t], t, alloc);
-}
-
-namespace {
-
 // Per-run solver for the regularized slot subproblems P2-N(t). The routing
 // polyhedron's structure depends only on the network, so the CSR constraint
 // matrix is assembled ONCE; each slot patches the coverage right-hand sides
@@ -635,28 +584,28 @@ class NTierSlotSolver {
     build_constraints();
   }
 
-  NTierAllocation solve(const InputsView& view, std::size_t t,
-                        const NTierAllocation& prev,
+  // Slot t through the chain on the given demand/node-price rows: the even
+  // spread, else phase-I; one cold barrier solve when the polyhedron has a
+  // strict interior; then hold x_{t-1} + repair.
+  NTierAllocation solve(const Vec& demand_row, const Vec& price_row,
+                        std::size_t t, const NTierAllocation& prev,
                         SolveOutcome* outcome_out = nullptr) {
     SORA_TRACE_SPAN("ntier/slot");
     util::Timer timer;
-    const Vec demand_row = view.demand_row(t);
     check_demand_reachable(inst_, demand_row, t);
-    for (std::size_t v = 0; v < inst_.num_nodes(); ++v)
-      price_row_[v] = view.price(t, v);
     for (std::size_t j = 0; j < inst_.num_demands(); ++j)
       // A linkless commodity's coverage row has no flow variables, so
       // "0 >= 0" would leave the barrier without a strict interior. Its
       // demand is zero (check_demand_reachable above); relax the empty row.
-      h_[coverage_h_[j]] =
-          fidx_.link_of[j].empty() ? 1.0 : -demand_row[j];
+      h_[j] = fidx_.link_of[j].empty() ? 1.0 : -demand_row[j];
 
-    const NTierP2Objective objective(inst_, price_row_, prev, options_,
+    const NTierP2Objective objective(inst_, price_row, prev, options_,
                                      fidx_.count);
 
     // Strictly feasible start: even spread with tier-increasing inflation so
     // every "out >= in" row is strictly slack.
-    Vec z(num_vars(), 1e-7);
+    Vec z(fidx_.count, 1e-7);
+    z.resize(fidx_.count + inst_.num_nodes() + inst_.num_links(), 0.0);
     for (std::size_t j = 0; j < inst_.num_demands(); ++j) {
       // Push commodity j's demand through its admissible links evenly,
       // inflating by 1% per tier.
@@ -685,10 +634,6 @@ class NTierSlotSolver {
       }
     }
     // Resources strictly above the implied flows.
-    for (std::size_t v = 0; v < inst_.num_nodes(); ++v)
-      z[objective.xvar(v)] = 0.0;
-    for (std::size_t l = 0; l < inst_.num_links(); ++l)
-      z[objective.yvar(l)] = 0.0;
     for (std::size_t j = 0; j < inst_.num_demands(); ++j)
       for (std::size_t pos = 0; pos < fidx_.link_of[j].size(); ++pos) {
         const double f = z[fidx_.offset[j][pos]];
@@ -701,14 +646,8 @@ class NTierSlotSolver {
     for (std::size_t l = 0; l < inst_.num_links(); ++l)
       z[objective.yvar(l)] = z[objective.yvar(l)] * 1.01 + 1e-6;
 
-    // The chain: the even spread, else phase-I; one cold barrier solve when
-    // the polyhedron has a strict interior; then hold x_{t-1} + repair.
-    SolveOutcome outcome;
-    outcome.backend = SolveBackend::kColdIpm;
-    std::size_t attempt = 0;
-    bool solved = false;
-    NTierAllocation a{Vec(inst_.num_nodes(), 0.0),
-                      Vec(inst_.num_links(), 0.0)};
+    SlotChain chain("ntier", t, options_.resilience);
+    NTierAllocation a = NTierAllocation::zeros(inst_);
     g_.multiply_into(z, slack_);
     double min_slack = kInf;
     for (std::size_t r = 0; r < h_.size(); ++r)
@@ -721,15 +660,7 @@ class NTierSlotSolver {
     if (start.ok()) {
       solver::IpmResult result = solver::solve_barrier(
           objective, g_, h_, start.x, options_.ipm, &scratch_);
-      apply_fault(consult_fault_hook(t, attempt), result.status, result.x);
-      if (result.ok() && !all_finite(result.x)) {
-        result.status = solver::SolveStatus::kNumericalError;
-        result.detail += result.detail.empty() ? "non-finite solution"
-                                               : " [non-finite solution]";
-      }
-      outcome.status = result.status;
-      solved = result.ok();
-      if (solved) {
+      if (chain.barrier(SolveBackend::kColdIpm, result)) {
         for (std::size_t v = 0; v < inst_.num_nodes(); ++v)
           a.node[v] = inst_.node_capacity[v] > 0.0
                           ? std::max(0.0, result.x[objective.xvar(v)])
@@ -738,62 +669,37 @@ class NTierSlotSolver {
           a.link[l] = inst_.link_capacity[l] > 0.0
                           ? std::max(0.0, result.x[objective.yvar(l)])
                           : 0.0;
-      } else {
-        append_failure(outcome.detail, to_string(SolveBackend::kColdIpm),
-                       result.status, result.detail);
       }
     } else {
-      outcome.status = start.status;
-      append_failure(outcome.detail, to_string(SolveBackend::kColdIpm),
-                     start.status, start.detail);
+      chain.no_start(SolveBackend::kColdIpm, start);
     }
-    ++attempt;
-    SORA_CHECK_MSG(solved || options_.resilience.enabled,
-                   "n-tier P2 failed at t=" + std::to_string(t) + ": " +
-                       outcome.detail);
-    if (!solved) {
-      // Terminal stage, never fault-injected: hold x_{t-1} and repair
-      // coverage of the demand this chain plans with (a forecast under
-      // RFHC/RRHC; the controllers repair their applied decisions against
-      // the truth). A failed repair publishes x_{t-1}.
-      SORA_LOG_WARN << "ntier: P2 barrier failed at t=" << t << " ("
-                    << outcome.detail << "); holding x_{t-1}";
-      ++attempt;
-      SolveOutcome rep;
-      a = repair_against(inst_, view, t, prev, solver::LpSolveOptions{},
-                         nullptr, &rep);
-      outcome.backend = SolveBackend::kHoldRepair;
-      outcome.status = rep.status;
-      if (rep.ok()) {
-        outcome.degraded = true;
-        outcome.repair_cost_delta = rep.repair_cost_delta;
-      } else {
-        append_failure(outcome.detail, to_string(SolveBackend::kHoldRepair),
-                       rep.status, rep.detail);
-      }
+    if (!chain.solved()) {
+      // Hold x_{t-1} and repair coverage of the demand this chain plans
+      // with (a forecast under RFHC/RRHC; the controllers repair their
+      // applied decisions against the truth). A failed repair publishes
+      // x_{t-1}.
+      AppliedSlot<NTierAllocation> rep =
+          repair_against(inst_, demand_row, price_row, t, prev, {});
+      a = std::move(rep.alloc);
+      chain.hold_and_repair(rep.outcome);
     }
-    outcome.attempts = attempt;
-    observe_outcome(outcome);
+    const SolveOutcome outcome = chain.finish();
     record_flight("ntier_slot", t, outcome, timer.seconds());
     if (outcome_out != nullptr) *outcome_out = outcome;
     return a;
   }
 
  private:
-  std::size_t num_vars() const {
-    return fidx_.count + inst_.num_nodes() + inst_.num_links();
-  }
-
   void build_constraints() {
     // Constraint polyhedron via an LpBuilder (reusing the routing rows) with
     // placeholder zero demands, then converted to CSR G z <= h. Coverage
-    // rows are the first num_demands() >= rows; their right-hand sides are
-    // the only slot-dependent part, patched in solve().
+    // rows are the first num_demands() rows; their right-hand sides are the
+    // only slot-dependent part, patched in solve().
     // Zero-capacity resources (tier-0 nodes, unreachable links) have an
     // empty strict interior at [0, 0]; give them a tiny slack bound for the
     // barrier and zero them on extraction.
     constexpr double kTinyBound = 1e-4;
-    const std::size_t n = num_vars();
+    const std::size_t n = fidx_.count + inst_.num_nodes() + inst_.num_links();
     LpBuilder b;
     for (std::size_t f = 0; f < fidx_.count; ++f)
       b.add_variable(0.0, kInf, 0.0);
@@ -801,36 +707,20 @@ class NTierSlotSolver {
       b.add_variable(0.0, std::max(inst_.node_capacity[v], kTinyBound), 0.0);
     for (std::size_t l = 0; l < inst_.num_links(); ++l)
       b.add_variable(0.0, std::max(inst_.link_capacity[l], kTinyBound), 0.0);
-    const std::size_t V = inst_.num_nodes();
-    add_routing_rows(
-        inst_, Vec(inst_.num_demands(), 0.0), b, fidx_,
-        [this](std::size_t j, std::size_t pos) {
-          return fidx_.offset[j][pos];
-        },
-        [this](std::size_t v) { return fidx_.count + v; },
-        [this, V](std::size_t l) { return fidx_.count + V + l; });
+    add_routing_rows(inst_, Vec(inst_.num_demands(), 0.0), nullptr, fidx_,
+                     {0, fidx_.count, fidx_.count + inst_.num_nodes()}, b);
     const solver::LpModel cons = b.build();
 
+    // Every routing row is a >= row: a z >= l becomes -a z <= -l.
     std::vector<linalg::Triplet> trips;
     std::size_t r = 0;
-    coverage_h_.assign(inst_.num_demands(), static_cast<std::size_t>(-1));
     const auto& offs = cons.a.row_offsets();
     const auto& cidx = cons.a.col_indices();
     const auto& cval = cons.a.values();
-    for (std::size_t lp_r = 0; lp_r < cons.num_rows(); ++lp_r) {
-      if (std::isfinite(cons.row_lower[lp_r])) {  // a z >= l  ->  -a z <= -l
-        for (std::size_t kk = offs[lp_r]; kk < offs[lp_r + 1]; ++kk)
-          trips.push_back({r, cidx[kk], -cval[kk]});
-        h_.push_back(-cons.row_lower[lp_r]);
-        if (lp_r < inst_.num_demands()) coverage_h_[lp_r] = r;
-        ++r;
-      }
-      if (std::isfinite(cons.row_upper[lp_r])) {
-        for (std::size_t kk = offs[lp_r]; kk < offs[lp_r + 1]; ++kk)
-          trips.push_back({r, cidx[kk], cval[kk]});
-        h_.push_back(cons.row_upper[lp_r]);
-        ++r;
-      }
+    for (; r < cons.num_rows(); ++r) {
+      for (std::size_t kk = offs[r]; kk < offs[r + 1]; ++kk)
+        trips.push_back({r, cidx[kk], -cval[kk]});
+      h_.push_back(-cons.row_lower[r]);
     }
     for (std::size_t c2 = 0; c2 < n; ++c2) {
       if (std::isfinite(cons.var_lower[c2])) {
@@ -846,7 +736,6 @@ class NTierSlotSolver {
     }
     g_ = linalg::SparseMatrix::from_triplets(r, n, std::move(trips));
     slack_.assign(r, 0.0);
-    price_row_.assign(inst_.num_nodes(), 0.0);
   }
 
   const NTierInstance& inst_;
@@ -854,43 +743,98 @@ class NTierSlotSolver {
   FlowIndex fidx_;
   linalg::SparseMatrix g_;
   Vec h_;
-  std::vector<std::size_t> coverage_h_;  // h index of commodity j's coverage
-  Vec price_row_;
   Vec slack_;  // G z scratch for the start's strict-interior test
   solver::IpmScratch scratch_;
 };
 
+// The n-tier model's pieces for the Sec.-IV loops (control_loop.hpp): the
+// forecast series, the window LP, the slot chain and the repair.
+class NTierModel {
+ public:
+  using Alloc = NTierAllocation;
+  using Plan = NTierTrajectory;
+  using Run = NTierControlRun;
+
+  NTierModel(const NTierInstance& inst, const NTierControlOptions& options)
+      : inst_(inst), options_(options), demand_(inst.demand),
+        price_(inst.node_price) {
+    add_forecast_noise(options.prediction, demand_, price_);
+  }
+
+  std::size_t horizon() const { return inst_.horizon; }
+  NTierAllocation zeros() const { return NTierAllocation::zeros(inst_); }
+  void observe(std::size_t t) {
+    demand_[t] = inst_.demand[t];
+    price_[t] = inst_.node_price[t];
+  }
+
+  std::optional<NTierTrajectory> window(std::size_t t0, std::size_t t1,
+                                        const NTierAllocation& prev,
+                                        const NTierAllocation* pin) const {
+    return solve_ntier_window(inst_, demand_, price_, t0, t1, prev, pin,
+                              options_.lp);
+  }
+
+  NTierAllocation chain_step(std::size_t t, const NTierAllocation& prev) {
+    if (!slot_solver_) slot_solver_.emplace(inst_, options_.roa);
+    return slot_solver_->solve(demand_[t], price_[t], t, prev);
+  }
+
+  AppliedSlot<NTierAllocation> apply(std::size_t t,
+                                     const NTierAllocation& planned) const {
+    return repair_against(inst_, inst_.demand[t], inst_.node_price[t], t,
+                          planned, options_.lp);
+  }
+
+  void finish(NTierControlRun& run) const {
+    run.cost = ntier_total_cost(inst_, run.trajectory);
+  }
+
+ private:
+  const NTierInstance& inst_;
+  const NTierControlOptions& options_;
+  Series demand_, price_;
+  std::optional<NTierSlotSolver> slot_solver_;
+};
+
 }  // namespace
+
+double ntier_slot_violation(const NTierInstance& inst, std::size_t t,
+                            const NTierAllocation& alloc) {
+  return coverage_violation(inst, inst.demand[t], t, alloc);
+}
+
+NTierAllocation ntier_repair(const NTierInstance& inst, std::size_t t,
+                             const NTierAllocation& planned,
+                             const solver::LpSolveOptions& lp,
+                             bool* repaired) {
+  AppliedSlot<NTierAllocation> rep = repair_against(
+      inst, inst.demand[t], inst.node_price[t], t, planned, lp);
+  SORA_CHECK_MSG(rep.outcome.ok(), "n-tier repair LP failed at t=" +
+                                       std::to_string(t) + ": " +
+                                       rep.outcome.detail);
+  if (repaired != nullptr) *repaired = rep.repaired;
+  return std::move(rep.alloc);
+}
 
 NTierTrajectory run_ntier_roa(const NTierInstance& inst,
                               const NTierRoaOptions& options,
-                              const NTierInputs* inputs,
                               NTierRoaHealth* health) {
   SORA_TRACE_SPAN("ntier/run");
-  const InputsView view{inst, inputs};
   NTierSlotSolver solver(inst, options);
   NTierTrajectory traj;
-  NTierAllocation prev{Vec(inst.num_nodes(), 0.0), Vec(inst.num_links(), 0.0)};
+  NTierAllocation prev = NTierAllocation::zeros(inst);
   obs::SlotSloTracker slo(options.slo);
   static obs::Counter* slots = &obs::Registry::global().counter(
       "sora_ntier_slots_total", "N-tier ROA slots solved");
   for (std::size_t t = 0; t < inst.horizon; ++t) {
     SolveOutcome outcome;
     util::Timer slot_timer;
-    prev = solver.solve(view, t, prev, &outcome);
+    prev = solver.solve(inst.demand[t], inst.node_price[t], t, prev, &outcome);
     const double slot_seconds = slot_timer.seconds();
     slo.record(to_slot_sample(outcome, slot_seconds));
     traj.slots.push_back(prev);
-    if (health != nullptr) {
-      health->slot_health.push_back(SlotHealth{t, outcome.status,
-                                               outcome.backend,
-                                               outcome.attempts,
-                                               outcome.degraded,
-                                               outcome.repair_cost_delta});
-      if (outcome.fell_back()) ++health->fallback_slots;
-      if (outcome.degraded) ++health->degraded_slots;
-      health->repair_cost_delta += outcome.repair_cost_delta;
-    }
+    if (health != nullptr) health->record(t, outcome);
     if (obs::metrics_enabled()) slots->inc();
   }
   if (health != nullptr) health->slo = slo.report();
@@ -899,339 +843,51 @@ NTierTrajectory run_ntier_roa(const NTierInstance& inst,
 
 NTierTrajectory run_ntier_greedy(const NTierInstance& inst,
                                  const solver::LpSolveOptions& lp) {
-  const InputsView view{inst, nullptr};
   NTierTrajectory traj;
-  NTierAllocation prev{Vec(inst.num_nodes(), 0.0), Vec(inst.num_links(), 0.0)};
+  NTierAllocation prev = NTierAllocation::zeros(inst);
   for (std::size_t t = 0; t < inst.horizon; ++t) {
-    NTierTrajectory slot =
-        solve_ntier_window(inst, view, t, t + 1, prev, nullptr, lp);
-    prev = slot.slots[0];
-    traj.slots.push_back(std::move(slot.slots[0]));
+    std::optional<NTierTrajectory> slot = solve_ntier_window(
+        inst, inst.demand, inst.node_price, t, t + 1, prev, nullptr, lp);
+    SORA_CHECK_MSG(slot.has_value(),
+                   "n-tier one-shot LP failed at t=" + std::to_string(t));
+    prev = slot->slots[0];
+    traj.slots.push_back(std::move(slot->slots[0]));
   }
   return traj;
 }
 
 NTierTrajectory run_ntier_offline(const NTierInstance& inst,
                                   const solver::LpSolveOptions& lp) {
-  const InputsView view{inst, nullptr};
-  const NTierAllocation zero{Vec(inst.num_nodes(), 0.0),
-                             Vec(inst.num_links(), 0.0)};
-  return solve_ntier_window(inst, view, 0, inst.horizon, zero, nullptr, lp);
+  std::optional<NTierTrajectory> traj =
+      solve_ntier_window(inst, inst.demand, inst.node_price, 0, inst.horizon,
+                         NTierAllocation::zeros(inst), nullptr, lp);
+  SORA_CHECK_MSG(traj.has_value(), "n-tier offline LP failed");
+  return std::move(*traj);
 }
-
-namespace {
-
-NTierAllocation repair_against(const NTierInstance& inst,
-                               const InputsView& view, std::size_t t,
-                               const NTierAllocation& planned,
-                               const solver::LpSolveOptions& lp,
-                               bool* repaired, SolveOutcome* outcome) {
-  if (repaired != nullptr) *repaired = false;
-  if (outcome != nullptr) {
-    *outcome = SolveOutcome{};
-    outcome->status = solver::SolveStatus::kOptimal;
-    outcome->backend = SolveBackend::kHoldRepair;
-  }
-  const Vec demand_row = view.demand_row(t);
-  if (coverage_violation(inst, demand_row, t, planned) <= 1e-7)
-    return planned;
-  if (repaired != nullptr) *repaired = true;
-
-  // Minimal additive buy: route the demand with resources planned +
-  // (dx, dy), paying allocation + reconfiguration on the deltas.
-  const FlowIndex fidx(inst);
-  const std::size_t V = inst.num_nodes();
-  const std::size_t L = inst.num_links();
-  LpBuilder b;
-  for (std::size_t f = 0; f < fidx.count; ++f) b.add_variable(0.0, kInf, 0.0);
-  for (std::size_t v = 0; v < V; ++v) {
-    const double headroom =
-        std::max(0.0, inst.node_capacity[v] - planned.node[v]);
-    b.add_variable(0.0, headroom, view.price(t, v) + inst.node_reconfig[v]);
-  }
-  for (std::size_t l = 0; l < L; ++l) {
-    const double headroom =
-        std::max(0.0, inst.link_capacity[l] - planned.link[l]);
-    b.add_variable(0.0, headroom,
-                   inst.link_price[l] + inst.link_reconfig[l]);
-  }
-  // Routing rows against the EFFECTIVE resources planned + delta: the node
-  // and link rows become x_planned + dx >= inflow, i.e. dx >= inflow - plan.
-  // add_routing_rows writes "resource - inflow >= 0" with the resource
-  // variable's coefficient +1, so shifting the rhs is equivalent; we emulate
-  // it by passing delta vars and then correcting the rows' rhs via extra
-  // constant terms — easiest done by building the rows manually here.
-  auto fvar = [&fidx](std::size_t j, std::size_t pos) {
-    return fidx.offset[j][pos];
-  };
-  auto dxvar = [&fidx](std::size_t v) { return fidx.count + v; };
-  auto dyvar = [&fidx, V](std::size_t l) { return fidx.count + V + l; };
-
-  for (std::size_t j = 0; j < inst.num_demands(); ++j) {
-    std::vector<LinTerm> terms;
-    for (std::size_t pos = 0; pos < fidx.link_of[j].size(); ++pos) {
-      const auto& link = inst.links[fidx.link_of[j][pos]];
-      if (link.tier == 0 && link.from == j)
-        terms.push_back({fvar(j, pos), 1.0});
-    }
-    b.add_ge(terms, demand_row[j]);
-  }
-  for (std::size_t j = 0; j < inst.num_demands(); ++j)
-    for (std::size_t n = 1; n + 1 < inst.num_tiers; ++n)
-      for (std::size_t v = 0; v < inst.tier_sizes[n]; ++v) {
-        std::vector<LinTerm> terms;
-        for (std::size_t pos = 0; pos < fidx.link_of[j].size(); ++pos) {
-          const auto& link = inst.links[fidx.link_of[j][pos]];
-          if (link.tier == n && link.from == v)
-            terms.push_back({fvar(j, pos), 1.0});
-          else if (link.tier + 1 == n && link.to == v)
-            terms.push_back({fvar(j, pos), -1.0});
-        }
-        if (!terms.empty()) b.add_ge(terms, 0.0);
-      }
-  for (std::size_t n = 1; n < inst.num_tiers; ++n)
-    for (std::size_t v = 0; v < inst.tier_sizes[n]; ++v) {
-      const std::size_t key = inst.node_key(n, v);
-      std::vector<LinTerm> terms{{dxvar(key), 1.0}};
-      for (std::size_t j = 0; j < inst.num_demands(); ++j)
-        for (std::size_t pos = 0; pos < fidx.link_of[j].size(); ++pos) {
-          const auto& link = inst.links[fidx.link_of[j][pos]];
-          if (link.tier + 1 == n && link.to == v)
-            terms.push_back({fvar(j, pos), -1.0});
-        }
-      b.add_ge(terms, -planned.node[key]);
-    }
-  for (std::size_t l = 0; l < L; ++l) {
-    std::vector<LinTerm> terms{{dyvar(l), 1.0}};
-    for (std::size_t j = 0; j < inst.num_demands(); ++j)
-      for (std::size_t pos = 0; pos < fidx.link_of[j].size(); ++pos)
-        if (fidx.link_of[j][pos] == l) terms.push_back({fvar(j, pos), -1.0});
-    b.add_ge(terms, -planned.link[l]);
-  }
-
-  SolveOutcome lp_outcome;
-  const auto sol = solve_lp_with_fallback(b.build(), lp, &lp_outcome);
-  if (!sol.ok()) {
-    if (outcome != nullptr) {
-      *outcome = lp_outcome;
-      SORA_LOG_ERROR << "ntier: repair LP failed at t=" << t << " ("
-                     << solver::to_string(sol.status)
-                     << "); returning the planned allocation unrepaired";
-      return planned;
-    }
-    SORA_CHECK_MSG(false, "n-tier repair LP failed at t=" +
-                              std::to_string(t) + ": " + sol.detail);
-  }
-  if (outcome != nullptr) {
-    *outcome = lp_outcome;
-    outcome->backend = SolveBackend::kHoldRepair;
-    outcome->repair_cost_delta = sol.objective;
-  }
-  NTierAllocation out = planned;
-  for (std::size_t v = 0; v < V; ++v)
-    out.node[v] += std::max(0.0, sol.x[dxvar(v)]);
-  for (std::size_t l = 0; l < L; ++l)
-    out.link[l] += std::max(0.0, sol.x[dyvar(l)]);
-  return out;
-}
-
-}  // namespace
-
-NTierAllocation ntier_repair(const NTierInstance& inst, std::size_t t,
-                             const NTierAllocation& planned,
-                             const solver::LpSolveOptions& lp,
-                             bool* repaired, SolveOutcome* outcome) {
-  return repair_against(inst, InputsView{inst, nullptr}, t, planned, lp,
-                        repaired, outcome);
-}
-
-namespace {
-
-// Forecast series for the N-tier controllers (zero-mean Gaussian noise,
-// sd = error_pct * temporal mean, mirroring the two-tier model).
-struct NTierForecast {
-  std::vector<std::vector<double>> demand;
-  std::vector<std::vector<double>> node_price;
-
-  NTierForecast(const NTierInstance& inst, double error_pct,
-                std::uint64_t seed)
-      : demand(inst.demand), node_price(inst.node_price) {
-    if (error_pct <= 0.0) return;
-    util::Rng rng(seed);
-    for (std::size_t j = 0; j < inst.num_demands(); ++j) {
-      double mean = 0.0;
-      for (std::size_t t = 0; t < inst.horizon; ++t) mean += inst.demand[t][j];
-      mean /= static_cast<double>(inst.horizon);
-      for (std::size_t t = 0; t < inst.horizon; ++t)
-        demand[t][j] = std::max(
-            0.0, demand[t][j] + rng.normal(0.0, error_pct * mean));
-    }
-    for (std::size_t v = 0; v < inst.num_nodes(); ++v) {
-      double mean = 0.0;
-      for (std::size_t t = 0; t < inst.horizon; ++t)
-        mean += inst.node_price[t][v];
-      mean /= static_cast<double>(inst.horizon);
-      for (std::size_t t = 0; t < inst.horizon; ++t)
-        node_price[t][v] = std::max(
-            1e-3, node_price[t][v] + rng.normal(0.0, error_pct * mean));
-    }
-  }
-
-  void observe(const NTierInstance& inst, std::size_t t) {
-    demand[t] = inst.demand[t];
-    node_price[t] = inst.node_price[t];
-  }
-
-  NTierInputs inputs() const { return {&demand, &node_price}; }
-};
-
-struct NTierApplier {
-  const NTierInstance& inst;
-  const solver::LpSolveOptions& lp;
-  NTierControlRun run;
-  NTierAllocation prev;
-
-  NTierApplier(const NTierInstance& inst_, const solver::LpSolveOptions& lp_,
-               std::string name)
-      : inst(inst_), lp(lp_),
-        prev{Vec(inst_.num_nodes(), 0.0), Vec(inst_.num_links(), 0.0)} {
-    run.algorithm = std::move(name);
-  }
-
-  void apply(std::size_t t, const NTierAllocation& planned) {
-    bool repaired = false;
-    SolveOutcome rep;
-    NTierAllocation final_alloc =
-        ntier_repair(inst, t, planned, lp, &repaired, &rep);
-    if (repaired) ++run.repairs;
-    if (!rep.ok()) {
-      // A failed repair must not kill the run: apply the planned decision
-      // unrepaired and account the slot as a failed repair.
-      ++run.failed_repairs;
-    }
-    prev = final_alloc;
-    run.trajectory.slots.push_back(std::move(final_alloc));
-  }
-
-  NTierControlRun finish() {
-    run.cost = ntier_total_cost(inst, run.trajectory);
-    return std::move(run);
-  }
-};
-
-}  // namespace
 
 NTierControlRun run_ntier_fhc(const NTierInstance& inst,
                               const NTierControlOptions& options) {
-  SORA_CHECK(options.window >= 1);
-  NTierForecast forecast(inst, options.error_pct, options.noise_seed);
-  NTierApplier applier(inst, options.lp, "FHC");
-  for (std::size_t t0 = 0; t0 < inst.horizon; t0 += options.window) {
-    const std::size_t t1 = std::min(inst.horizon, t0 + options.window);
-    forecast.observe(inst, t0);
-    const NTierInputs in = forecast.inputs();
-    const InputsView view{inst, &in};
-    bool window_ok = true;
-    const NTierTrajectory block =
-        solve_ntier_window(inst, view, t0, t1, applier.prev, nullptr,
-                           options.lp, &window_ok);
-    if (!window_ok) applier.run.degraded_slots += block.slots.size();
-    for (std::size_t rel = 0; rel < block.slots.size(); ++rel)
-      applier.apply(t0 + rel, block.slots[rel]);
-  }
-  return applier.finish();
+  NTierModel model(inst, options);
+  return run_window_loop(model, "FHC", options.window, options.window,
+                         options.roa.slo);
 }
 
 NTierControlRun run_ntier_rhc(const NTierInstance& inst,
                               const NTierControlOptions& options) {
-  SORA_CHECK(options.window >= 1);
-  NTierForecast forecast(inst, options.error_pct, options.noise_seed);
-  NTierApplier applier(inst, options.lp, "RHC");
-  for (std::size_t t = 0; t < inst.horizon; ++t) {
-    const std::size_t t1 = std::min(inst.horizon, t + options.window);
-    forecast.observe(inst, t);
-    const NTierInputs in = forecast.inputs();
-    const InputsView view{inst, &in};
-    bool window_ok = true;
-    const NTierTrajectory window =
-        solve_ntier_window(inst, view, t, t1, applier.prev, nullptr,
-                           options.lp, &window_ok);
-    if (!window_ok) ++applier.run.degraded_slots;
-    applier.apply(t, window.slots[0]);
-  }
-  return applier.finish();
+  NTierModel model(inst, options);
+  return run_window_loop(model, "RHC", options.window, 1, options.roa.slo);
 }
 
 NTierControlRun run_ntier_rfhc(const NTierInstance& inst,
                                const NTierControlOptions& options) {
-  SORA_CHECK(options.window >= 1);
-  NTierForecast forecast(inst, options.error_pct, options.noise_seed);
-  NTierApplier applier(inst, options.lp, "RFHC");
-  NTierSlotSolver slot_solver(inst, options.roa);
-  for (std::size_t t0 = 0; t0 < inst.horizon; t0 += options.window) {
-    const std::size_t t1 = std::min(inst.horizon, t0 + options.window);
-    forecast.observe(inst, t0);
-    const NTierInputs in = forecast.inputs();
-    const InputsView view{inst, &in};
-    // Regularized chain across the block.
-    std::vector<NTierAllocation> chain;
-    NTierAllocation chain_prev = applier.prev;
-    for (std::size_t t = t0; t < t1; ++t) {
-      SolveOutcome oc;
-      chain_prev = slot_solver.solve(view, t, chain_prev, &oc);
-      if (oc.degraded) ++applier.run.degraded_slots;
-      chain.push_back(chain_prev);
-    }
-    if (t1 - t0 == 1) {
-      applier.apply(t0, chain[0]);
-      continue;
-    }
-    bool window_ok = true;
-    const NTierTrajectory block = solve_ntier_window(
-        inst, view, t0, t1, applier.prev, &chain.back(), options.lp,
-        &window_ok);
-    if (!window_ok) applier.run.degraded_slots += block.slots.size();
-    for (std::size_t rel = 0; rel < block.slots.size(); ++rel)
-      applier.apply(t0 + rel, block.slots[rel]);
-  }
-  return applier.finish();
+  NTierModel model(inst, options);
+  return run_rfhc_loop(model, options.window, options.roa.slo);
 }
 
 NTierControlRun run_ntier_rrhc(const NTierInstance& inst,
                                const NTierControlOptions& options) {
-  SORA_CHECK(options.window >= 1);
-  const std::size_t w = options.window;
-  NTierForecast forecast(inst, options.error_pct, options.noise_seed);
-  forecast.observe(inst, 0);
-
-  std::vector<NTierAllocation> chain;
-  NTierAllocation chain_prev{Vec(inst.num_nodes(), 0.0),
-                             Vec(inst.num_links(), 0.0)};
-  NTierApplier applier(inst, options.lp, "RRHC");
-  NTierSlotSolver slot_solver(inst, options.roa);
-  for (std::size_t t = 0; t < inst.horizon; ++t) {
-    forecast.observe(inst, t);
-    const NTierInputs in = forecast.inputs();
-    const InputsView view{inst, &in};
-    const std::size_t t1 = std::min(inst.horizon, t + w);
-    while (chain.size() < t1) {
-      SolveOutcome oc;
-      chain_prev = slot_solver.solve(view, chain.size(), chain_prev, &oc);
-      if (oc.degraded) ++applier.run.degraded_slots;
-      chain.push_back(chain_prev);
-    }
-    if (t1 - t == 1) {
-      applier.apply(t, chain[t]);
-      continue;
-    }
-    bool window_ok = true;
-    const NTierTrajectory window = solve_ntier_window(
-        inst, view, t, t1, applier.prev, &chain[t1 - 1], options.lp,
-        &window_ok);
-    if (!window_ok) ++applier.run.degraded_slots;
-    applier.apply(t, window.slots[0]);
-  }
-  return applier.finish();
+  NTierModel model(inst, options);
+  return run_rrhc_loop(model, options.window, options.roa.slo);
 }
 
 }  // namespace sora::core

@@ -22,12 +22,17 @@
 // N-tier competitive constant lives in the paper's supplementary material;
 // this module provides the executable generalization plus the offline and
 // greedy baselines for comparison.
+//
+// The module keeps only the model's own parts (instance, objective, slot
+// polyhedron, window/violation/repair LPs, whose routing rows one generator
+// writes); the slot chain's bookkeeping is core::SlotChain and the Sec.-IV
+// controllers are the loops of control_loop.hpp.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
+#include "core/forecast.hpp"
 #include "core/resilience.hpp"
 #include "linalg/vector_ops.hpp"
 #include "solver/ipm.hpp"
@@ -47,7 +52,6 @@ struct NTierInstance {
   std::vector<std::size_t> tier_sizes;             // nodes per tier
   std::vector<NTierLink> links;                    // all links, all tiers
   std::vector<std::vector<std::size_t>> out_links; // node key -> link ids
-  std::vector<std::vector<std::size_t>> in_links;  // node key -> link ids
 
   std::size_t horizon = 0;
   std::vector<std::vector<double>> demand;      // [t][tier0 node]
@@ -77,7 +81,6 @@ struct NTierConfig {
   std::size_t sla_k = 2;            // out-degree per node toward next tier
   double capacity_margin = 1.25;
   double reconfig_weight = 1e3;
-  std::uint64_t seed = 1;
 };
 
 /// Synthetic N-tier instance: ring-adjacent SLA subsets, diurnal demands
@@ -91,6 +94,11 @@ NTierInstance build_ntier_instance(const NTierConfig& config,
 struct NTierAllocation {
   linalg::Vec node;  // x_v by node key (tier-0 entries unused, zero)
   linalg::Vec link;  // y_l
+
+  static NTierAllocation zeros(const NTierInstance& inst) {
+    return {linalg::Vec(inst.num_nodes(), 0.0),
+            linalg::Vec(inst.num_links(), 0.0)};
+  }
 };
 
 struct NTierTrajectory {
@@ -123,29 +131,12 @@ double ntier_total_cost(const NTierInstance& inst,
 double ntier_slot_violation(const NTierInstance& inst, std::size_t t,
                             const NTierAllocation& alloc);
 
-/// Regularized online algorithm (per-slot convex subproblems). When
-/// `inputs` is non-null it supplies (possibly forecast) demand/node-price
-/// series in place of the instance's own.
-struct NTierInputs {
-  const std::vector<std::vector<double>>* demand = nullptr;      // [t][j]
-  const std::vector<std::vector<double>>* node_price = nullptr;  // [t][v]
-};
+/// Per-slot solver health of an n-tier ROA run, as RoaRun's.
+using NTierRoaHealth = ChainHealth;
 
-/// Aggregated per-slot solver health of an n-tier ROA run (mirrors the
-/// two-tier RoaRun health fields).
-struct NTierRoaHealth {
-  std::vector<SlotHealth> slot_health;
-  std::size_t fallback_slots = 0;
-  std::size_t degraded_slots = 0;
-  double repair_cost_delta = 0.0;
-  // Slot-level SLO rollup (latency quantiles + deadline accounting against
-  // NTierRoaOptions::slo). See obs/slo.hpp.
-  obs::SlotSloReport slo;
-};
-
+/// Regularized online algorithm (per-slot convex subproblems P2-N(t)).
 NTierTrajectory run_ntier_roa(const NTierInstance& inst,
                               const NTierRoaOptions& options = {},
-                              const NTierInputs* inputs = nullptr,
                               NTierRoaHealth* health = nullptr);
 
 /// Greedy sequence of one-shot LPs.
@@ -157,11 +148,15 @@ NTierTrajectory run_ntier_offline(const NTierInstance& inst,
                                   const solver::LpSolveOptions& lp = {});
 
 // ---- Predictive control on the N-tier model (Sec. IV generalized) ----
+//
+// The two-tier controllers' loops (control_loop.hpp, described in
+// predictive.hpp) over this model's window LP, P2-N chain and repair. The
+// forecast noises the demand and node-price series as make_predictions
+// does the two-tier ones (same function, same RNG draw order).
 
 struct NTierControlOptions {
   std::size_t window = 4;
-  double error_pct = 0.0;      // forecast noise (fraction of temporal mean)
-  std::uint64_t noise_seed = 1;
+  PredictionModel prediction;  // error_pct == 0 -> exact predictions
   NTierRoaOptions roa;         // regularized inner solves (RFHC/RRHC)
   solver::LpSolveOptions lp;   // window LPs
 };
@@ -169,13 +164,13 @@ struct NTierControlOptions {
 struct NTierControlRun {
   std::string algorithm;
   NTierTrajectory trajectory;
-  double cost = 0.0;
-  std::size_t repairs = 0;
-  // Resilience accounting: slots planned by holding the previous decision
-  // after a window-LP / chain failure, and repairs whose LP itself failed
-  // (the planned decision was applied unrepaired).
+  double cost = 0.0;           // against the true inputs
+  std::size_t repairs = 0;     // slots where the repair LP had to add capacity
+  // Slots planned by holding the applied decision after a failed window LP.
   std::size_t degraded_slots = 0;
+  // Slots whose repair LP failed: the plan was applied unrepaired.
   std::size_t failed_repairs = 0;
+  obs::SlotSloReport slo;      // as ControlRun::slo
 };
 
 NTierControlRun run_ntier_fhc(const NTierInstance& inst,
@@ -188,14 +183,11 @@ NTierControlRun run_ntier_rrhc(const NTierInstance& inst,
                                const NTierControlOptions& options);
 
 /// Minimal additive repair: extra (node, link) resources so that a routing
-/// of the TRUE demand at slot t fits inside the allocation. Exposed for
-/// tests. When `outcome` is null a failed repair LP throws CheckError;
-/// when non-null the failure is reported there and `planned` is returned
-/// unchanged (the callers count it as a failed repair instead of dying).
+/// of the TRUE demand at slot t fits inside the allocation, the controllers'
+/// repair step. Exposed for tests; a failed repair LP throws CheckError.
 NTierAllocation ntier_repair(const NTierInstance& inst, std::size_t t,
                              const NTierAllocation& planned,
                              const solver::LpSolveOptions& lp = {},
-                             bool* repaired = nullptr,
-                             SolveOutcome* outcome = nullptr);
+                             bool* repaired = nullptr);
 
 }  // namespace sora::core

@@ -591,23 +591,11 @@ struct P2Workspace::Impl {
     return false;
   }
 
-  // Zero-fill the named multipliers: hold + repair produces no KKT
-  // certificate for P2.
-  void zero_duals(P2Solution& out) const {
-    out.rho.assign(layout.num_edges, 0.0);
-    out.phi.assign(layout.num_edges, 0.0);
-    out.sigma.assign(layout.num_edges, 0.0);
-    out.gamma.assign(inst.num_tier1(), 0.0);
-  }
-
   // Terminal stage: hold x_{t-1} and repair coverage (repair_coverage).
-  // Never fault-injected. The held-and-repaired point — x_{t-1} itself when
-  // the repair LP fails, which the !ok() status reports — becomes the next
-  // warm-start seed.
-  bool hold_and_repair(const SlotInputs& in, const Allocation& prev,
-                       P2Solution& out, SolveOutcome& outcome,
-                       std::size_t& attempt) {
-    ++attempt;
+  // The held-and-repaired point — x_{t-1} itself when the repair LP fails,
+  // which the returned outcome reports — becomes the next warm-start seed.
+  SolveOutcome hold(const SlotInputs& in, const Allocation& prev,
+                    P2Solution& out) {
     CoverageRepair rep = repair_coverage(inst, in, prev);
     Vec point(layout.size(), 0.0);
     for (std::size_t e = 0; e < layout.num_edges; ++e) {
@@ -620,19 +608,9 @@ struct P2Workspace::Impl {
     out.s = std::move(rep.s);
     out.objective = objective.value(point);
     out.newton_steps = 0;
-    zero_duals(out);
     last_opt = std::move(point);
     has_last = true;
-    outcome.backend = SolveBackend::kHoldRepair;
-    outcome.status = rep.outcome.status;
-    if (!rep.outcome.ok()) {
-      append_failure(outcome.detail, to_string(SolveBackend::kHoldRepair),
-                     rep.outcome.status, rep.outcome.detail);
-      return false;
-    }
-    outcome.degraded = true;
-    outcome.repair_cost_delta = rep.outcome.repair_cost_delta;
-    return true;
+    return rep.outcome;
   }
 
   // One slot through the chain: a barrier solve per start the slot has
@@ -658,43 +636,19 @@ struct P2Workspace::Impl {
       objective.begin_slot(in, prev);
     }
 
-    SolveOutcome outcome;
-    std::size_t attempt = 0;
+    SlotChain chain("p2", in.slot, options.resilience);
     solver::IpmResult result;
     P2Solution out;
     bool warm = false;
-    bool solved = false;
-
-    // One barrier attempt: solve, let the fault hook interfere, demote
-    // non-finite "optimal" answers, and record the failure trail.
-    const auto barrier_attempt = [&](const Vec& x0,
-                                     const solver::IpmOptions& o,
-                                     SolveBackend backend) {
+    const auto barrier = [&](const Vec& x0, const solver::IpmOptions& o,
+                             SolveBackend backend) {
       {
         SORA_TRACE_SPAN("p2/barrier");
         util::ScopedTimer solve_timer(&solve_seconds);
         result =
             solver::solve_barrier(objective, poly.g, poly.h, x0, o, &scratch);
       }
-      apply_fault(consult_fault_hook(in.slot, attempt), result.status,
-                  result.x);
-      if (result.ok() && !all_finite(result.x)) {
-        result.status = solver::SolveStatus::kNumericalError;
-        result.detail += result.detail.empty() ? "non-finite solution"
-                                               : " [non-finite solution]";
-      }
-      ++attempt;
-      outcome.backend = backend;
-      outcome.status = result.status;
-      if (!result.ok())
-        append_failure(outcome.detail, to_string(backend), result.status,
-                       result.detail);
-      return result.ok();
-    };
-    const auto fail_fast = [&] {
-      SORA_CHECK_MSG(solved || options.resilience.enabled,
-                     "P2 barrier solve failed at t=" +
-                         std::to_string(in.slot) + ": " + outcome.detail);
+      chain.barrier(backend, result);
     };
 
     if (solve) {
@@ -710,40 +664,31 @@ struct P2Workspace::Impl {
         // within a modest gap of the warm point.
         solver::IpmOptions ipm = options.ipm;
         ipm.t0 = std::max(ipm.t0, static_cast<double>(poly.g.rows()) / 1e-2);
-        solved = barrier_attempt(start, ipm, SolveBackend::kWarmIpm);
-        fail_fast();
+        barrier(start, ipm, SolveBackend::kWarmIpm);
       }
-      if (!solved) {
+      if (!chain.solved()) {
         solver::StrictStart cold;
         {
           SORA_TRACE_SPAN("p2/start");
           util::ScopedTimer build_timer(&build_seconds);
           cold = poly.strict_point(anchor);
         }
-        if (cold.ok()) {
-          solved =
-              barrier_attempt(cold.x, options.ipm, SolveBackend::kColdIpm);
-        } else {
-          ++attempt;
-          outcome.backend = SolveBackend::kColdIpm;
-          outcome.status = cold.status;
-          append_failure(outcome.detail, to_string(SolveBackend::kColdIpm),
-                         cold.status, cold.detail);
-        }
-        fail_fast();
+        if (cold.ok())
+          barrier(cold.x, options.ipm, SolveBackend::kColdIpm);
+        else
+          chain.no_start(SolveBackend::kColdIpm, cold);
       }
     }
 
-    if (solved) {
+    // Named KKT multipliers: zero after hold + repair, which produces no
+    // KKT certificate for P2, and on an edgeless cloud's padded (3c) row.
+    const std::size_t E = layout.num_edges;
+    out.rho.assign(E, 0.0);
+    out.phi.assign(E, 0.0);
+    out.sigma.assign(E, 0.0);
+    out.gamma.assign(inst.num_tier1(), 0.0);
+    if (chain.solved()) {
       extract_primal(layout, result, out);
-
-      // Named KKT multipliers; an edgeless cloud's padded (3c) row reports
-      // zero.
-      const std::size_t E = layout.num_edges;
-      out.rho.assign(E, 0.0);
-      out.phi.assign(E, 0.0);
-      out.sigma.assign(E, 0.0);
-      out.gamma.assign(inst.num_tier1(), 0.0);
       for (std::size_t e = 0; e < E; ++e) {
         out.rho[e] = result.ineq_dual[poly.rho_row[e]];
         out.phi[e] = result.ineq_dual[poly.phi_row[e]];
@@ -756,20 +701,12 @@ struct P2Workspace::Impl {
       last_opt = result.x;
       has_last = true;
     } else {
-      if (solve)
-        SORA_LOG_WARN << "p2: barrier failed at t=" << in.slot << " ("
-                      << outcome.detail << "); holding x_{t-1}";
       SORA_TRACE_SPAN("p2/degrade");
       util::ScopedTimer repair_timer(&solve_seconds);
-      solved = hold_and_repair(in, prev, out, outcome, attempt);
+      chain.hold_and_repair(hold(in, prev, out));
     }
-    if (!solved)
-      SORA_LOG_ERROR << "p2: chain exhausted at t=" << in.slot << " ("
-                     << outcome.detail << "); publishing x_{t-1}";
 
-    outcome.attempts = attempt;
-    out.outcome = outcome;
-    observe_outcome(outcome);
+    out.outcome = chain.finish();
     out.timing.build_seconds = build_seconds;
     out.timing.solve_seconds = solve_seconds;
     out.timing.newton_steps = out.newton_steps;

@@ -19,24 +19,22 @@
 // planning under-covers the true demand, core::repair_coverage adds just
 // enough resources (the practical "reactive scaling" step; exact
 // predictions never trigger it). A window LP that fails (a forecast no
-// allocation can cover) plans nothing: the controller holds its applied
-// decision over the slots that window was to plan, repairing each against
-// the truth.
+// allocation can cover) plans nothing: the controller holds its latest
+// applied decision over the slots that window was to plan, slot by slot,
+// repairing each against the truth.
+//
+// Each controller is one loop in control_loop.hpp over a model adapter;
+// the n-tier controllers (ntier.hpp) run the same loops.
 #pragma once
 
-#include <cstdint>
 #include <string>
 
+#include "core/forecast.hpp"
 #include "core/p1_model.hpp"
 #include "core/p2_subproblem.hpp"
 #include "core/types.hpp"
 
 namespace sora::core {
-
-struct PredictionModel {
-  double error_pct = 0.0;   // noise sd as a fraction of the temporal mean
-  std::uint64_t seed = 1;
-};
 
 /// Materialized (possibly noisy) forecast series.
 struct PredictedInputs {

@@ -7,6 +7,7 @@
 #include <mutex>
 
 #include "obs/obs.hpp"
+#include "util/check.hpp"
 #include "util/logging.hpp"
 
 namespace sora::core {
@@ -83,6 +84,17 @@ const ResilienceMetrics& resilience_metrics() {
   return metrics;
 }
 
+// Append one failed stage to a fallback trail ("; "-separated) as
+// "stage: status" or "stage: status (detail)". The status name leads
+// because classify_anomaly and post-mortem grepping key on tokens like
+// "iteration_limit", which the solvers' own details do not carry.
+void append_failure(std::string& trail, const std::string& stage,
+                    solver::SolveStatus status, const std::string& detail) {
+  if (!trail.empty()) trail += "; ";
+  trail += stage + ": " + solver::to_string(status);
+  if (!detail.empty()) trail += " (" + detail + ")";
+}
+
 }  // namespace
 
 void set_fault_hook(FaultHook hook) {
@@ -137,13 +149,6 @@ bool all_finite(const linalg::Vec& x) {
   for (const double v : x)
     if (!std::isfinite(v)) return false;
   return true;
-}
-
-void append_failure(std::string& trail, const std::string& stage,
-                    solver::SolveStatus status, const std::string& detail) {
-  if (!trail.empty()) trail += "; ";
-  trail += stage + ": " + solver::to_string(status);
-  if (!detail.empty()) trail += " (" + detail + ")";
 }
 
 // ---------------------------------------------------------------------------
@@ -237,6 +242,77 @@ void observe_outcome(const SolveOutcome& outcome) {
   obs::Counter* backend =
       metrics.backend[static_cast<std::size_t>(outcome.backend)];
   if (backend != nullptr) backend->inc();
+}
+
+void ChainHealth::record(std::size_t slot, const SolveOutcome& outcome) {
+  slot_health.push_back(SlotHealth{slot, outcome.status, outcome.backend,
+                                   outcome.attempts, outcome.degraded,
+                                   outcome.repair_cost_delta});
+  if (outcome.fell_back()) ++fallback_slots;
+  if (outcome.degraded) ++degraded_slots;
+  repair_cost_delta += outcome.repair_cost_delta;
+}
+
+// ---------------------------------------------------------------------------
+// One slot's chain.
+
+SlotChain::SlotChain(const char* model, std::size_t slot,
+                     const ResilienceOptions& resilience)
+    : model_(model), slot_(slot), fail_fast_(!resilience.enabled) {}
+
+bool SlotChain::barrier(SolveBackend backend, solver::IpmResult& result) {
+  apply_fault(consult_fault_hook(slot_, attempt_), result.status, result.x);
+  if (result.ok() && !all_finite(result.x)) {
+    result.status = solver::SolveStatus::kNumericalError;
+    result.detail += result.detail.empty() ? "non-finite solution"
+                                           : " [non-finite solution]";
+  }
+  stage(backend, result.status, result.detail);
+  return solved_;
+}
+
+void SlotChain::no_start(SolveBackend backend,
+                         const solver::StrictStart& start) {
+  stage(backend, start.status, start.detail);
+}
+
+void SlotChain::stage(SolveBackend backend, solver::SolveStatus status,
+                      const std::string& detail) {
+  ++attempt_;
+  outcome_.backend = backend;
+  outcome_.status = status;
+  solved_ = outcome_.ok();
+  if (solved_) return;
+  append_failure(outcome_.detail, to_string(backend), status, detail);
+  SORA_CHECK_MSG(!fail_fast_, std::string(model_) +
+                                  ": barrier solve failed at t=" +
+                                  std::to_string(slot_) + ": " +
+                                  outcome_.detail);
+}
+
+void SlotChain::hold_and_repair(const SolveOutcome& repair) {
+  if (attempt_ > 0)
+    SORA_LOG_WARN << model_ << ": barrier failed at t=" << slot_ << " ("
+                  << outcome_.detail << "); holding x_{t-1}";
+  ++attempt_;
+  outcome_.backend = SolveBackend::kHoldRepair;
+  outcome_.status = repair.status;
+  solved_ = repair.ok();
+  if (solved_) {
+    outcome_.degraded = true;
+    outcome_.repair_cost_delta = repair.repair_cost_delta;
+    return;
+  }
+  append_failure(outcome_.detail, to_string(SolveBackend::kHoldRepair),
+                 repair.status, repair.detail);
+  SORA_LOG_ERROR << model_ << ": chain exhausted at t=" << slot_ << " ("
+                 << outcome_.detail << "); publishing x_{t-1}";
+}
+
+SolveOutcome SlotChain::finish() {
+  outcome_.attempts = attempt_;
+  observe_outcome(outcome_);
+  return outcome_;
 }
 
 // ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@
 // Every per-slot solve (two-tier P2(t), the n-tier slot subproblem, and the
 // LP repairs) returns through a SolveOutcome that carries the final
 // SolveStatus, the backend that produced the decision, and how many stages
-// were tried. Each P2 model runs one chain:
+// were tried. Each P2 model runs one chain, with its stage bookkeeping in
+// SlotChain below:
 //
 //   strict start (the model's anchor, else phase-I)
 //     -> one barrier solve per start the slot has (two-tier: warm, then
@@ -27,10 +28,12 @@
 #include <cstddef>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "linalg/vector_ops.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/slo.hpp"
+#include "solver/ipm.hpp"
 #include "solver/lp.hpp"
 #include "solver/lp_solve.hpp"
 #include "solver/solution.hpp"
@@ -72,7 +75,7 @@ struct ResilienceOptions {
   bool enabled = true;  // false: the first failed stage throws (fail-fast)
 };
 
-/// Per-slot health record aggregated into RoaRun (and the n-tier runs).
+/// Per-slot health record aggregated into ChainHealth.
 struct SlotHealth {
   std::size_t slot = 0;
   solver::SolveStatus status = solver::SolveStatus::kNumericalError;
@@ -80,6 +83,24 @@ struct SlotHealth {
   std::size_t attempts = 0;
   bool degraded = false;
   double repair_cost_delta = 0.0;
+};
+
+/// Per-slot solver health of a ROA run (two-tier RoaRun, n-tier
+/// NTierRoaHealth) plus horizon-level aggregates. A healthy run has every
+/// slot kOptimal on its primary stage and zero counters here.
+struct ChainHealth {
+  std::vector<SlotHealth> slot_health;
+  std::size_t fallback_slots = 0;  // not produced cleanly by the primary
+  std::size_t degraded_slots = 0;  // hold + repair (coverage kept,
+                                   // optimality given up)
+  double repair_cost_delta = 0.0;  // summed cost of the degradation repairs
+  // Slot-level SLO rollup (latency quantiles, deadline hit/miss against the
+  // options' slo.budget_seconds). Always populated; see obs/slo.hpp.
+  obs::SlotSloReport slo;
+
+  /// Account slot `slot`'s finished outcome.
+  void record(std::size_t slot, const SolveOutcome& outcome);
+  bool healthy() const { return fallback_slots == 0 && degraded_slots == 0; }
 };
 
 // ---------------------------------------------------------------------------
@@ -121,14 +142,6 @@ void apply_fault(FaultKind kind, solver::SolveStatus& status, linalg::Vec& x);
 /// demoted to kNumericalError by the chain.
 bool all_finite(const linalg::Vec& x);
 
-/// Append one failed stage to a fallback trail ("; "-separated) as
-/// "stage: status" or "stage: status (detail)". Every chain writes its trail
-/// through this: the status name leads because classify_anomaly and
-/// post-mortem grepping key on tokens like "iteration_limit", which the
-/// solvers' own details (KKT gaps, budget diagnostics) do not carry.
-void append_failure(std::string& trail, const std::string& stage,
-                    solver::SolveStatus status, const std::string& detail);
-
 /// The one way code outside solver/ solves an LP. The first backend is the
 /// simplex when rows+vars is at most `lp.simplex_size_limit`, PDHG above.
 /// On an iteration limit, a numerical error or a non-finite answer it
@@ -154,6 +167,43 @@ solver::LpSolveOptions window_lp_options(const solver::LpModel& model,
 
 /// Record a finished slot outcome in the sora_resilience_* metrics.
 void observe_outcome(const SolveOutcome& outcome);
+
+/// The stage bookkeeping of one slot's chain, shared by both P2 models. The
+/// model runs its starts, barrier solves and repair, and reports each stage
+/// here in order; SlotChain numbers the attempts, lets the fault hook
+/// interfere with each barrier answer, keeps the failure trail, throws on a
+/// failed stage when resilience is disabled, and observes the outcome.
+class SlotChain {
+ public:
+  /// `model` prefixes the log and error lines ("p2", "ntier").
+  SlotChain(const char* model, std::size_t slot,
+            const ResilienceOptions& resilience);
+
+  /// One barrier solve by `backend`: the fault hook may override `result`
+  /// and a non-finite "optimal" answer is demoted to kNumericalError.
+  /// Returns result.ok().
+  bool barrier(SolveBackend backend, solver::IpmResult& result);
+  /// A barrier stage the slot has no strictly feasible start for.
+  void no_start(SolveBackend backend, const solver::StrictStart& start);
+  /// The terminal stage (never fault-injected): x_{t-1} held and repaired,
+  /// with the repair LP's outcome.
+  void hold_and_repair(const SolveOutcome& repair);
+
+  bool solved() const { return solved_; }  // the last stage produced the slot
+  /// The final outcome, observed in the sora_resilience_* metrics.
+  SolveOutcome finish();
+
+ private:
+  void stage(SolveBackend backend, solver::SolveStatus status,
+             const std::string& detail);
+
+  const char* model_;
+  std::size_t slot_;
+  bool fail_fast_;
+  std::size_t attempt_ = 0;
+  bool solved_ = false;
+  SolveOutcome outcome_;
+};
 
 // ---------------------------------------------------------------------------
 // Obs-layer bridge (SLO samples + flight recorder). obs sits below core in

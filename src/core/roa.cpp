@@ -55,8 +55,7 @@ double reconfig_magnitude(const Allocation& prev, const Allocation& cur) {
 
 }  // namespace
 
-RoaRun run_roa_with_inputs(const Instance& inst, const InputSeries& inputs,
-                           const RoaOptions& options) {
+RoaRun run_roa(const Instance& inst, const RoaOptions& options) {
   RoaRun run;
   {
     SORA_TRACE_SPAN("roa/run");
@@ -68,6 +67,7 @@ RoaRun run_roa_with_inputs(const Instance& inst, const InputSeries& inputs,
     run.slot_timings.reserve(inst.horizon);
     run.slot_health.reserve(inst.horizon);
     P2Workspace workspace(inst, options);
+    const InputSeries truth = InputSeries::truth(inst);
     obs::SlotSloTracker slo(options.slo);
     Allocation prev = Allocation::zeros(inst.num_edges());
     for (std::size_t t = 0; t < inst.horizon; ++t) {
@@ -75,7 +75,7 @@ RoaRun run_roa_with_inputs(const Instance& inst, const InputSeries& inputs,
       util::Timer slot_timer;
       // The batch loop drives the same re-entrant streaming entry point as
       // the serving daemon: one SlotInputs row view per slot.
-      P2Solution p2 = workspace.step(SlotInputs::at(inst, inputs, t), prev);
+      P2Solution p2 = workspace.step(SlotInputs::at(inst, truth, t), prev);
       const double slot_seconds = slot_timer.seconds();
       slo.record(to_slot_sample(p2.outcome, slot_seconds));
       record_flight("p2_slot", t, p2.outcome, slot_seconds);
@@ -83,14 +83,7 @@ RoaRun run_roa_with_inputs(const Instance& inst, const InputSeries& inputs,
       run.build_seconds += p2.timing.build_seconds;
       run.barrier_seconds += p2.timing.solve_seconds;
       run.slot_timings.push_back(p2.timing);
-      run.slot_health.push_back(SlotHealth{t, p2.outcome.status,
-                                           p2.outcome.backend,
-                                           p2.outcome.attempts,
-                                           p2.outcome.degraded,
-                                           p2.outcome.repair_cost_delta});
-      if (p2.outcome.fell_back()) ++run.fallback_slots;
-      if (p2.outcome.degraded) ++run.degraded_slots;
-      run.repair_cost_delta += p2.outcome.repair_cost_delta;
+      run.record(t, p2.outcome);
       if (obs_on) {
         const RoaMetrics& metrics = roa_metrics();
         metrics.slots->inc();
@@ -113,10 +106,6 @@ RoaRun run_roa_with_inputs(const Instance& inst, const InputSeries& inputs,
     if (obs_on) roa_metrics().runs->inc();
   }
   return run;
-}
-
-RoaRun run_roa(const Instance& inst, const RoaOptions& options) {
-  return run_roa_with_inputs(inst, InputSeries::truth(inst), options);
 }
 
 }  // namespace sora::core

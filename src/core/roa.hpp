@@ -12,7 +12,9 @@
 
 namespace sora::core {
 
-struct RoaRun {
+/// A ROA run: the trajectory, its cost and timing, and (ChainHealth) the
+/// per-slot solver health from the resilience chain.
+struct RoaRun : ChainHealth {
   Trajectory trajectory;
   CostBreakdown cost;       // evaluated against the TRUE instance inputs
   double solve_seconds = 0.0;
@@ -24,30 +26,9 @@ struct RoaRun {
   std::vector<P2Timing> slot_timings;
   double build_seconds = 0.0;
   double barrier_seconds = 0.0;
-
-  // Per-slot solver health from the resilience chain (status, producing
-  // backend, chain depth), plus horizon-level aggregates. A healthy run has
-  // every slot kOptimal on the primary barrier and zero counters here.
-  std::vector<SlotHealth> slot_health;
-  std::size_t fallback_slots = 0;  // produced by a non-primary backend
-  std::size_t degraded_slots = 0;  // hold + repair (coverage kept, optimality
-                                   // given up)
-  double repair_cost_delta = 0.0;  // summed cost of the degradation repairs
-
-  // Slot-level SLO rollup (latency quantiles, deadline hit/miss against
-  // RoaOptions::slo.budget_seconds). Always populated; see obs/slo.hpp.
-  obs::SlotSloReport slo;
-
-  bool healthy() const { return fallback_slots == 0 && degraded_slots == 0; }
 };
 
 /// Run ROA over the whole horizon with true inputs.
 RoaRun run_roa(const Instance& inst, const RoaOptions& options = {});
-
-/// Run ROA with a supplied input view (used by the regularized predictive
-/// controllers, which feed predicted inputs). Costs are still evaluated on
-/// the true instance.
-RoaRun run_roa_with_inputs(const Instance& inst, const InputSeries& inputs,
-                           const RoaOptions& options = {});
 
 }  // namespace sora::core

@@ -200,7 +200,6 @@ core::NTierInstance generate_ntier_instance(const GeneratorConfig& cfg) {
   nc.capacity_margin = cfg.regime == Regime::kCapacitySaturated
                            ? size_rng.uniform(1.07, 1.15)
                            : size_rng.uniform(1.2, 1.6);
-  nc.seed = cfg.seed;
 
   const std::size_t horizon =
       draw_size(size_rng, 2, std::max<std::size_t>(2, cfg.max_horizon));

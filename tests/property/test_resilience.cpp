@@ -363,7 +363,7 @@ TEST(ResilienceProperty, NTierFaultedRunsComplete) {
 
     core::NTierRoaHealth health;
     const core::NTierTrajectory traj =
-        core::run_ntier_roa(inst, {}, nullptr, &health);
+        core::run_ntier_roa(inst, {}, &health);
     ASSERT_EQ(traj.slots.size(), inst.horizon);
     ASSERT_EQ(health.slot_health.size(), inst.horizon);
 
@@ -400,7 +400,7 @@ TEST(ResilienceProperty, NTierDeepFaultsDegradeButCover) {
 
   core::NTierRoaHealth health;
   const core::NTierTrajectory traj =
-      core::run_ntier_roa(inst, {}, nullptr, &health);
+      core::run_ntier_roa(inst, {}, &health);
   ASSERT_EQ(traj.slots.size(), inst.horizon);
 
   for (std::size_t t = 0; t < inst.horizon; ++t) {
@@ -426,8 +426,7 @@ TEST(ResilienceProperty, NTierPhaseOneStartKeepsTheBarrier) {
 
   core::NTierControlOptions opt;
   opt.window = 2;
-  opt.error_pct = 0.15;
-  opt.noise_seed = 20;
+  opt.prediction = {0.15, 20};
   obs::FlightRecorder& rec = obs::FlightRecorder::global();
   rec.set_incident_dir("");
   rec.clear();
@@ -505,6 +504,44 @@ TEST(ResilienceProperty, PredictiveControllersSurviveInfeasibleForecasts) {
       EXPECT_EQ(run.failed_repairs, 0u);
       const auto report = check_trajectory(inst, run.trajectory);
       EXPECT_TRUE(report.ok()) << report.summary();
+      held += run.degraded_slots;
+    }
+    EXPECT_GT(held, 0u) << "no window failed: the instance no longer "
+                           "exercises the held-window path";
+  }
+}
+
+// The same forecast noise on a saturated n-tier instance: the n-tier
+// controllers run the same loops, so each holds its latest applied decision
+// over a failed window, repaired against the truth, and finishes the
+// horizon.
+TEST(ResilienceProperty, NTierPredictiveControllersSurviveInfeasibleForecasts) {
+  GeneratorConfig cfg;
+  cfg.regime = Regime::kCapacitySaturated;
+  cfg.seed = 35;
+  cfg.max_horizon = 24;
+  SCOPED_TRACE(cfg.describe());
+  const core::NTierInstance inst = generate_ntier_instance(cfg);
+
+  using Controller = core::NTierControlRun (*)(
+      const core::NTierInstance&, const core::NTierControlOptions&);
+  for (const std::size_t window : {std::size_t{2}, std::size_t{4}}) {
+    core::NTierControlOptions opt;
+    opt.window = window;
+    opt.prediction = {0.15, 35};
+    std::size_t held = 0;
+    for (const Controller controller :
+         {&core::run_ntier_fhc, &core::run_ntier_rhc, &core::run_ntier_rfhc,
+          &core::run_ntier_rrhc}) {
+      const core::NTierControlRun run = controller(inst, opt);
+      SCOPED_TRACE(run.algorithm + " w=" + std::to_string(window));
+      ASSERT_EQ(run.trajectory.slots.size(), inst.horizon);
+      EXPECT_TRUE(std::isfinite(run.cost));
+      EXPECT_EQ(run.failed_repairs, 0u);
+      for (std::size_t t = 0; t < inst.horizon; ++t)
+        EXPECT_LE(core::ntier_slot_violation(inst, t, run.trajectory.slots[t]),
+                  1e-4)
+            << "t=" << t;
       held += run.degraded_slots;
     }
     EXPECT_GT(held, 0u) << "no window failed: the instance no longer "

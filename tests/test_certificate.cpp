@@ -6,6 +6,7 @@
 
 #include "baselines/offline.hpp"
 #include "core/certificate.hpp"
+#include "obs/obs.hpp"
 #include "util/rng.hpp"
 
 namespace sora::core {
@@ -73,6 +74,20 @@ TEST(Certificate, WorksWithTierOneTerm) {
   const auto report = verify_competitive_certificate(inst, tight_options());
   EXPECT_LE(report.max_dual_violation, 2e-2);
   EXPECT_TRUE(report.consistent(2e-2));
+}
+
+// The certificate's ROA pass runs every slot through one workspace: one
+// symbolic analysis of the Newton pattern per call, not one per slot.
+TEST(Certificate, AnalysesNewtonPatternOnce) {
+  const Instance inst = make_instance(6, 50.0, 1);
+  obs::set_metrics_enabled(true);
+  const obs::Counter& builds =
+      obs::Registry::global().counter("sora_ipm_symbolic_builds");
+  const auto before = builds.value();
+  verify_competitive_certificate(inst, tight_options());
+  const auto after = builds.value();
+  obs::set_metrics_enabled(false);
+  EXPECT_EQ(after - before, 1u);
 }
 
 // Sweep: the certificate stays consistent across eps and SLA settings.

@@ -64,8 +64,7 @@ TEST(NTierPredictive, NoisyForecastsStayFeasible) {
   const auto inst = make_3tier(6, 80.0, 4);
   NTierControlOptions opts;
   opts.window = 2;
-  opts.error_pct = 0.15;
-  opts.noise_seed = 99;
+  opts.prediction = {0.15, 99};
   for (const auto& run :
        {run_ntier_rhc(inst, opts), run_ntier_rrhc(inst, opts)}) {
     for (std::size_t t = 0; t < inst.horizon; ++t)
