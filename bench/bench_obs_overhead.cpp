@@ -85,17 +85,14 @@ int main() {
       gated.push_back(t.seconds());
     }
     {
-      // The slot-SLO hot path: a full SlotSample build plus the gated
-      // record, exactly what roa.cpp/ntier.cpp pay per slot when metrics
-      // are off. Held to the same disabled-path tolerance.
+      // The slot-SLO hot path: the gated global record, exactly what a
+      // slot loop pays per slot when metrics are off. Held to the same
+      // disabled-path tolerance.
       Timer t;
       double acc = 1.0;
       for (int c = 0; c < kChunks; ++c) {
         acc = kernel_chunk(acc);
-        obs::SlotSample sample;
-        sample.latency_seconds = acc;
-        sample.backend_name = "bench";
-        obs::record_slot_sample(sample);
+        obs::record_slot(acc, 0.0);
       }
       guard = guard + acc;
       slo_gated.push_back(t.seconds());

@@ -78,13 +78,7 @@ class Applier {
       latency += window_share_seconds_;
       --window_slots_left_;
     }
-    obs::SlotSample sample;
-    sample.latency_seconds = latency;
-    sample.backend_name = "window_lp";
-    sample.attempts = rep.repaired ? 2 : 1;
-    sample.fell_back = rep.repaired;
-    sample.degraded = !rep.outcome.ok();  // plan applied unrepaired
-    slo_.record(sample);
+    slo_.record(latency);
     if (rep.repaired || !rep.outcome.ok())
       record_flight("predictive_repair", t, rep.outcome, latency);
     prev_ = rep.alloc;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "core/p1_model.hpp"
 #include "util/check.hpp"
@@ -96,11 +97,26 @@ std::vector<double> cumulative_cost(const Instance& inst,
   return curve;
 }
 
-double slot_violation(const Instance& inst, std::size_t t,
-                      const Allocation& alloc) {
-  double worst = 0.0;
+void for_each_p1_row(const Instance& inst, std::size_t t,
+                     const Allocation& alloc,
+                     const std::function<void(const P1Row&)>& visit) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // Every comparison with NaN is false, so a row that read one must say so.
+  const auto row = [&visit](const char* name, const char* scope,
+                            std::size_t index, double excess) {
+    visit({name, scope, index, std::isnan(excess) ? kInf : excess});
+  };
+  const auto entry = [&row](const char* scope, std::size_t e, double v) {
+    row("finite", scope, e, std::isfinite(v) ? 0.0 : kInf);
+    row("nonnegativity(1e)", scope, e, -v);
+  };
   const bool with_z = inst.has_tier1();
-  // Coverage (1a): sum_{i in I_j} min(x, y[, z]) >= lambda_jt.
+  for (std::size_t e = 0; e < inst.num_edges(); ++e) {
+    entry("x edge", e, alloc.x[e]);
+    entry("y edge", e, alloc.y[e]);
+    if (with_z) entry("z edge", e, alloc.z[e]);
+    row("edge-capacity(1c)", "edge", e, alloc.y[e] - inst.edge_capacity[e]);
+  }
   for (std::size_t j = 0; j < inst.num_tier1(); ++j) {
     double covered = 0.0;
     for (const std::size_t e : inst.edges_of_tier1[j]) {
@@ -108,24 +124,24 @@ double slot_violation(const Instance& inst, std::size_t t,
       if (with_z) m = std::min(m, alloc.z[e]);
       covered += m;
     }
-    worst = std::max(worst, inst.demand[t][j] - covered);
+    row("coverage(1a)", "tier-1", j, inst.demand[t][j] - covered);
   }
-  // Capacities (1b), (1c), (1d).
   const Vec totals = tier2_totals(inst, alloc.x);
   for (std::size_t i = 0; i < inst.num_tier2(); ++i)
-    worst = std::max(worst, totals[i] - inst.tier2_capacity[i]);
-  for (std::size_t e = 0; e < inst.num_edges(); ++e) {
-    worst = std::max(worst, alloc.y[e] - inst.edge_capacity[e]);
-    worst = std::max(worst, -alloc.x[e]);
-    worst = std::max(worst, -alloc.y[e]);
-  }
+    row("tier2-capacity(1b)", "tier-2", i, totals[i] - inst.tier2_capacity[i]);
   if (with_z) {
     const Vec t1 = tier1_totals(inst, alloc.z);
     for (std::size_t j = 0; j < inst.num_tier1(); ++j)
-      worst = std::max(worst, t1[j] - inst.tier1_capacity[j]);
-    for (std::size_t e = 0; e < inst.num_edges(); ++e)
-      worst = std::max(worst, -alloc.z[e]);
+      row("tier1-capacity(1d)", "tier-1", j, t1[j] - inst.tier1_capacity[j]);
   }
+}
+
+double slot_violation(const Instance& inst, std::size_t t,
+                      const Allocation& alloc) {
+  double worst = 0.0;
+  for_each_p1_row(inst, t, alloc, [&worst](const P1Row& row) {
+    worst = std::max(worst, row.excess);
+  });
   return worst;
 }
 

@@ -2,6 +2,8 @@
 // [.]^+ reconfiguration model).
 #pragma once
 
+#include <functional>
+
 #include "core/types.hpp"
 
 namespace sora::core {
@@ -28,8 +30,26 @@ CostBreakdown total_cost(const Instance& inst, const Trajectory& traj);
 std::vector<double> cumulative_cost(const Instance& inst,
                                     const Trajectory& traj);
 
-/// Worst violation of P1's constraints at slot t (coverage (1a), capacities
-/// (1b)/(1c), nonnegativity); 0 when feasible.
+/// One row of P1 at a slot, as for_each_p1_row visits it.
+struct P1Row {
+  const char* name;   // the invariant, e.g. "coverage(1a)", "finite"
+  const char* scope;  // what `index` counts: "x edge", "edge", "tier-1", ...
+  std::size_t index;
+  double excess;  // how far the row is violated (<= 0: it holds); +inf when
+                  // the row reads a non-finite entry
+};
+
+/// Visit every P1 row of slot t for `alloc`: per edge, finiteness and
+/// nonnegativity of x, y (and z) and the edge capacity (1c); then coverage
+/// (1a) per tier-1 cloud, (1b) per tier-2 cloud and, with the tier-1 term,
+/// (1d) per tier-1 cloud. The one P1 slot check: slot_violation and the
+/// tests' invariant reports both walk it.
+void for_each_p1_row(const Instance& inst, std::size_t t,
+                     const Allocation& alloc,
+                     const std::function<void(const P1Row&)>& visit);
+
+/// Worst violation of P1's constraints at slot t (the rows of
+/// for_each_p1_row); 0 when feasible, +inf when an entry is not finite.
 double slot_violation(const Instance& inst, std::size_t t,
                       const Allocation& alloc);
 

@@ -831,8 +831,7 @@ NTierTrajectory run_ntier_roa(const NTierInstance& inst,
     SolveOutcome outcome;
     util::Timer slot_timer;
     prev = solver.solve(inst.demand[t], inst.node_price[t], t, prev, &outcome);
-    const double slot_seconds = slot_timer.seconds();
-    slo.record(to_slot_sample(outcome, slot_seconds));
+    slo.record(slot_timer.seconds());
     traj.slots.push_back(prev);
     if (health != nullptr) health->record(t, outcome);
     if (obs::metrics_enabled()) slots->inc();

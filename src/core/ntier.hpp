@@ -113,13 +113,10 @@ struct NTierRoaOptions {
   // coverage repair. resilience.enabled = false restores the fail-fast
   // behaviour.
   ResilienceOptions resilience;
-  // Slot-SLO accounting (obs/slo.hpp); default budget from
-  // SORA_SLOT_BUDGET_MS, zero budget = quantiles only.
+  // Slot-SLO accounting (obs/slo.hpp), as RoaOptions::slo: latency
+  // quantiles, and deadline hit/miss when the budget is positive.
   obs::SlotSloOptions slo;
-  NTierRoaOptions() {
-    ipm.tol = 1e-7;
-    slo.budget_seconds = obs::default_slot_budget_seconds();
-  }
+  NTierRoaOptions() { ipm.tol = 1e-7; }
 };
 
 /// Total cost (allocation + [increase]^+ reconfiguration, zero initial state).

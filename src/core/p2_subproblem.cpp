@@ -538,6 +538,7 @@ CoverageRepair repair_coverage(const Instance& inst, const SlotInputs& in,
   const solver::LpSolution sol =
       solve_lp_with_fallback(b.build(), lp, &lp_outcome);
   rep.outcome.attempts = lp_outcome.attempts;
+  rep.outcome.iterations = lp_outcome.iterations;
   if (!sol.ok()) {
     rep.outcome.status = sol.status;
     rep.outcome.detail = lp_outcome.detail;
@@ -709,7 +710,6 @@ struct P2Workspace::Impl {
     out.outcome = chain.finish();
     out.timing.build_seconds = build_seconds;
     out.timing.solve_seconds = solve_seconds;
-    out.timing.newton_steps = out.newton_steps;
     out.timing.warm_started = warm;
     observe_p2_timing(out.timing);
     return out;

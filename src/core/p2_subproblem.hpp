@@ -60,21 +60,18 @@ struct RoaOptions {
   ResilienceOptions resilience;
 
   // Slot-SLO accounting (obs/slo.hpp): per-slot latency quantiles and
-  // deadline hit/miss against `slo.budget_seconds`. The default picks up
-  // SORA_SLOT_BUDGET_MS; a zero budget still collects latency quantiles.
+  // deadline hit/miss against `slo.budget_seconds`, which the CLIs set from
+  // --slot-budget-ms. The default zero budget collects latency quantiles
+  // only.
   obs::SlotSloOptions slo;
 
-  RoaOptions() {
-    ipm.tol = 1e-6;
-    slo.budget_seconds = obs::default_slot_budget_seconds();
-  }
+  RoaOptions() { ipm.tol = 1e-6; }
 };
 
 /// Per-solve timing breakdown, aggregated into RoaRun by the drivers.
 struct P2Timing {
   double build_seconds = 0.0;  // constraint patch + start-point construction
   double solve_seconds = 0.0;  // inside the barrier solve
-  std::size_t newton_steps = 0;
   bool warm_started = false;   // start derived from the previous optimum
 };
 

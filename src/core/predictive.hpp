@@ -67,10 +67,11 @@ struct ControlRun {
   std::size_t failed_repairs = 0;
   // Slots planned by holding the applied decision after a failed window LP.
   std::size_t degraded_slots = 0;
-  // Slot-level SLO rollup. Per-slot latency = repair/apply time plus the
-  // window-LP (or chain) planning time amortized over the block it planned;
-  // budget from ControlOptions::roa.slo. Repaired slots count as fallbacks,
-  // unrepaired (failed-repair) slots as degraded. See obs/slo.hpp.
+  // Slot-level SLO rollup: latency quantiles and deadline misses. Per-slot
+  // latency = repair/apply time plus the window-LP (or chain) planning time
+  // amortized over the block it planned; budget from
+  // ControlOptions::roa.slo. The counters above are the slots' health. See
+  // obs/slo.hpp.
   obs::SlotSloReport slo;
 };
 

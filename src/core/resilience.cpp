@@ -215,6 +215,7 @@ solver::LpSolution solve_lp_with_fallback(const solver::LpModel& model,
   if (outcome != nullptr) {
     outcome->status = sol.status;
     outcome->attempts = attempt;
+    outcome->iterations = sol.iterations;
     outcome->backend = attempt == 1 ? first : second;
     outcome->detail = trail;
   }
@@ -267,12 +268,14 @@ bool SlotChain::barrier(SolveBackend backend, solver::IpmResult& result) {
     result.detail += result.detail.empty() ? "non-finite solution"
                                            : " [non-finite solution]";
   }
+  outcome_.iterations = result.newton_steps;
   stage(backend, result.status, result.detail);
   return solved_;
 }
 
 void SlotChain::no_start(SolveBackend backend,
                          const solver::StrictStart& start) {
+  outcome_.iterations = 0;
   stage(backend, start.status, start.detail);
 }
 
@@ -297,6 +300,7 @@ void SlotChain::hold_and_repair(const SolveOutcome& repair) {
   ++attempt_;
   outcome_.backend = SolveBackend::kHoldRepair;
   outcome_.status = repair.status;
+  outcome_.iterations = repair.iterations;
   solved_ = repair.ok();
   if (solved_) {
     outcome_.degraded = true;
@@ -317,17 +321,6 @@ SolveOutcome SlotChain::finish() {
 
 // ---------------------------------------------------------------------------
 // Obs-layer bridge.
-
-obs::SlotSample to_slot_sample(const SolveOutcome& outcome,
-                               double latency_seconds) {
-  obs::SlotSample s;
-  s.latency_seconds = latency_seconds;
-  s.backend_name = to_string(outcome.backend);
-  s.attempts = outcome.attempts == 0 ? 1 : outcome.attempts;
-  s.fell_back = outcome.fell_back();
-  s.degraded = outcome.degraded;
-  return s;
-}
 
 obs::Anomaly classify_anomaly(const SolveOutcome& outcome) {
   if (!outcome.ok()) return obs::Anomaly::kExhaustion;
@@ -350,6 +343,7 @@ std::string record_flight(const std::string& context, std::size_t slot,
   rec.backend = to_string(outcome.backend);
   rec.status = solver::to_string(outcome.status);
   rec.attempts = outcome.attempts == 0 ? 1 : outcome.attempts;
+  rec.iterations = outcome.iterations;
   rec.fell_back = outcome.fell_back();
   rec.degraded = outcome.degraded;
   rec.latency_seconds = latency_seconds;

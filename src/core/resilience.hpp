@@ -59,6 +59,8 @@ struct SolveOutcome {
   solver::SolveStatus status = solver::SolveStatus::kNumericalError;
   SolveBackend backend = SolveBackend::kWarmIpm;
   std::size_t attempts = 0;        // chain stages tried, >= 1 once solved
+  std::size_t iterations = 0;      // the last stage's Newton steps (barrier)
+                                   // or simplex/PDHG iterations (LP)
   bool degraded = false;           // decision came from hold + repair
   double repair_cost_delta = 0.0;  // allocation+reconfig cost of the push
   std::string detail;              // failure trail, empty on clean solves
@@ -151,7 +153,8 @@ bool all_finite(const linalg::Vec& x);
 /// the first attempt: it is an answer about the model, and PDHG, which
 /// cannot detect infeasibility, could only exhaust its budget on it. Never
 /// throws: the returned solution's status tells the story. When `outcome`
-/// is non-null it receives backend/attempt accounting.
+/// is non-null it receives backend/attempt accounting and the answering
+/// attempt's iterations.
 solver::LpSolution solve_lp_with_fallback(const solver::LpModel& model,
                                           const solver::LpSolveOptions& lp,
                                           SolveOutcome* outcome = nullptr);
@@ -206,14 +209,9 @@ class SlotChain {
 };
 
 // ---------------------------------------------------------------------------
-// Obs-layer bridge (SLO samples + flight recorder). obs sits below core in
-// the layer order, so the mapping from the resilience taxonomy onto the
-// generic obs records lives here.
-
-/// Map a finished outcome onto a slot-SLO sample (latency measured by the
-/// caller; budget filled in by the tracker).
-obs::SlotSample to_slot_sample(const SolveOutcome& outcome,
-                               double latency_seconds);
+// Obs-layer bridge (flight recorder). obs sits below core in the layer
+// order, so the mapping from the resilience taxonomy onto the generic obs
+// records lives here.
 
 /// Forensic classification of a finished outcome:
 ///   chain exhausted        -> kExhaustion

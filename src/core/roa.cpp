@@ -14,9 +14,6 @@ namespace {
 struct RoaMetrics {
   obs::Counter* runs;
   obs::Counter* slots;
-  obs::Histogram* slot_build_seconds;
-  obs::Histogram* slot_barrier_seconds;
-  obs::Histogram* slot_newton_steps;
   obs::Histogram* reconfig_magnitude;
   obs::Gauge* last_reconfig_magnitude;
 };
@@ -24,17 +21,9 @@ struct RoaMetrics {
 const RoaMetrics& roa_metrics() {
   static const RoaMetrics metrics = [] {
     auto& reg = obs::Registry::global();
-    auto seconds_buckets = [] { return obs::exponential_buckets(1e-6, 4.0, 14); };
     return RoaMetrics{
         &reg.counter("sora_roa_runs_total", "Completed ROA runs"),
         &reg.counter("sora_roa_slots_total", "ROA slots solved"),
-        &reg.histogram("sora_roa_slot_build_seconds", "seconds",
-                       "Per-slot P2 model build time", seconds_buckets()),
-        &reg.histogram("sora_roa_slot_barrier_seconds", "seconds",
-                       "Per-slot P2 barrier solve time", seconds_buckets()),
-        &reg.histogram("sora_roa_slot_newton_steps", "steps",
-                       "Per-slot Newton steps",
-                       obs::exponential_buckets(1.0, 2.0, 12)),
         &reg.histogram("sora_roa_reconfig_magnitude", "units",
                        "Per-slot reconfiguration magnitude sum_e [x_t-x_{t-1}]^+",
                        obs::exponential_buckets(1e-4, 4.0, 16)),
@@ -77,7 +66,7 @@ RoaRun run_roa(const Instance& inst, const RoaOptions& options) {
       // the serving daemon: one SlotInputs row view per slot.
       P2Solution p2 = workspace.step(SlotInputs::at(inst, truth, t), prev);
       const double slot_seconds = slot_timer.seconds();
-      slo.record(to_slot_sample(p2.outcome, slot_seconds));
+      slo.record(slot_seconds);
       record_flight("p2_slot", t, p2.outcome, slot_seconds);
       run.newton_steps += p2.newton_steps;
       run.build_seconds += p2.timing.build_seconds;
@@ -87,10 +76,6 @@ RoaRun run_roa(const Instance& inst, const RoaOptions& options) {
       if (obs_on) {
         const RoaMetrics& metrics = roa_metrics();
         metrics.slots->inc();
-        metrics.slot_build_seconds->observe(p2.timing.build_seconds);
-        metrics.slot_barrier_seconds->observe(p2.timing.solve_seconds);
-        metrics.slot_newton_steps->observe(
-            static_cast<double>(p2.timing.newton_steps));
         const double magnitude = reconfig_magnitude(prev, p2.alloc);
         metrics.reconfig_magnitude->observe(magnitude);
         metrics.last_reconfig_magnitude->set(magnitude);

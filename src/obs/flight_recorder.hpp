@@ -55,7 +55,8 @@ struct FlightRecord {
   bool degraded = false;
   double latency_seconds = 0.0;
   double repair_cost_delta = 0.0;
-  std::uint64_t iterations = 0;  ///< backend iterations when known
+  std::uint64_t iterations = 0;  ///< producing stage's Newton steps or
+                                 ///< simplex/PDHG iterations
   std::string detail;            ///< solver diagnostic (KKT gap, step info)
   std::string signature;         ///< instance/problem signature when known
   Anomaly anomaly = Anomaly::kNone;

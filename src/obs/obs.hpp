@@ -15,14 +15,14 @@
 //                               127.0.0.1:<port> (live Prometheus scrape;
 //                               0 = ephemeral port, logged at startup;
 //                               unparseable values warn and are ignored)
-//   SORA_SLOT_BUDGET_MS=<ms>    default per-slot deadline budget for the
-//                               slot-SLO layer (see obs/slo.hpp)
 //   SORA_INCIDENT_DIR=<dir>     write flight-recorder incident JSONs here
 //                               (see obs/flight_recorder.hpp)
 //
 // CLI front-ends (sora_cli, bench/run_benchmarks.sh) expose the same knobs
-// as --metrics-out / --metrics-format / --trace-out / --metrics-port /
-// --slot-budget-ms. See docs/OBSERVABILITY.md for the metric-name catalogue.
+// as --metrics-out / --metrics-format / --trace-out / --metrics-port. The
+// per-slot deadline budget has no environment knob: it comes from
+// RoaOptions::slo, which sora_cli and sora_serve set from --slot-budget-ms.
+// See docs/OBSERVABILITY.md for the metric-name catalogue.
 #pragma once
 
 #include "obs/flight_recorder.hpp"

@@ -1,9 +1,8 @@
 #include "obs/slo.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <map>
-#include <mutex>
+#include <cstdio>
 #include <sstream>
 
 namespace sora::obs {
@@ -89,85 +88,43 @@ struct SlotMetrics {
   Counter* slots;
   Counter* deadline_hits;
   Counter* deadline_misses;
-  Counter* fallbacks;
-  Counter* degraded;
-  Histogram* fallback_depth;
   Gauge* budget;
-  // Per-backend slot counters, registered on first sight of each name.
-  std::mutex mu;
-  std::map<std::string, Counter*> backend;
 };
 
 SloDigest g_digest;
 
-SlotMetrics& slot_metrics() {
-  static SlotMetrics* metrics = [] {
+const SlotMetrics& slot_metrics() {
+  static const SlotMetrics metrics = [] {
     auto& reg = Registry::global();
-    auto* m = new SlotMetrics{
+    const SlotMetrics m{
         &reg.counter("sora_slot_solves_total",
                      "Slot solves recorded by the SLO layer"),
         &reg.counter("sora_slot_deadline_hit_total",
                      "Slots that landed within the configured budget"),
         &reg.counter("sora_slot_deadline_miss_total",
                      "Slots that overran the configured budget"),
-        &reg.counter("sora_slot_fallback_total",
-                     "Slots the primary stage did not answer cleanly"),
-        &reg.counter("sora_slot_degraded_total",
-                     "Slots served by graceful degradation"),
-        &reg.histogram("sora_slot_fallback_depth", "attempts",
-                       "Fallback-chain depth per slot",
-                       linear_buckets(1.0, 1.0, 8)),
         &reg.gauge("sora_slot_budget_seconds",
                    "Configured per-slot deadline budget (0 = off)"),
-        {},
-        {},
     };
     reg.add_text_extension(render_slo_text);
     return m;
   }();
-  return *metrics;
-}
-
-Counter& backend_counter(SlotMetrics& m, const char* name) {
-  std::lock_guard<std::mutex> lock(m.mu);
-  auto it = m.backend.find(name);
-  if (it != m.backend.end()) return *it->second;
-  Counter& c = Registry::global().counter(
-      std::string("sora_slot_backend_") + name + "_total",
-      "Slots whose decision came from this backend");
-  m.backend.emplace(name, &c);
-  return c;
+  return metrics;
 }
 
 }  // namespace
 
-double default_slot_budget_seconds() {
-  static const double budget = [] {
-    const char* env = std::getenv("SORA_SLOT_BUDGET_MS");
-    if (env == nullptr) return 0.0;
-    const double ms = std::atof(env);
-    return ms > 0.0 ? ms * 1e-3 : 0.0;
-  }();
-  return budget;
-}
-
 namespace detail {
 
-void record_slot_sample_impl(const SlotSample& sample) {
-  SlotMetrics& m = slot_metrics();
-  g_digest.observe(sample.latency_seconds);
+void record_slot_impl(double latency_seconds, double budget_seconds) {
+  const SlotMetrics& m = slot_metrics();
+  g_digest.observe(latency_seconds);
   m.slots->inc();
-  m.fallback_depth->observe(static_cast<double>(sample.attempts));
-  if (sample.fell_back) m.fallbacks->inc();
-  if (sample.degraded) m.degraded->inc();
-  if (sample.budget_seconds > 0.0) {
-    m.budget->set(sample.budget_seconds);
-    (sample.latency_seconds <= sample.budget_seconds ? m.deadline_hits
-                                                     : m.deadline_misses)
+  if (budget_seconds > 0.0) {
+    m.budget->set(budget_seconds);
+    (latency_seconds <= budget_seconds ? m.deadline_hits : m.deadline_misses)
         ->inc();
   }
-  if (sample.backend_name != nullptr && sample.backend_name[0] != '\0')
-    backend_counter(m, sample.backend_name).inc();
 }
 
 }  // namespace detail
@@ -206,24 +163,18 @@ std::string render_slo_text() {
 SlotSloTracker::SlotSloTracker(const SlotSloOptions& options)
     : options_(options) {}
 
-void SlotSloTracker::record(SlotSample sample) {
-  sample.budget_seconds = options_.budget_seconds;
-  digest_.observe(sample.latency_seconds);
-  ++slots_;
+void SlotSloTracker::record(double latency_seconds) {
+  digest_.observe(latency_seconds);
   if (options_.budget_seconds > 0.0 &&
-      sample.latency_seconds > options_.budget_seconds)
+      latency_seconds > options_.budget_seconds)
     ++deadline_misses_;
-  if (sample.fell_back) ++fallback_slots_;
-  if (sample.degraded) ++degraded_slots_;
-  record_slot_sample(sample);  // global metrics; gated on metrics_enabled()
+  record_slot(latency_seconds, options_.budget_seconds);
 }
 
 SlotSloReport SlotSloTracker::report() const {
   SlotSloReport r;
-  r.slots = slots_;
+  r.slots = digest_.count();
   r.deadline_misses = deadline_misses_;
-  r.fallback_slots = fallback_slots_;
-  r.degraded_slots = degraded_slots_;
   r.budget_seconds = options_.budget_seconds;
   r.p50_seconds = digest_.quantile(0.50);
   r.p95_seconds = digest_.quantile(0.95);

@@ -2,27 +2,29 @@
 // accounting for the per-slot solve loop.
 //
 // The slotted pipelines (core::run_roa, the n-tier driver, the predictive
-// controllers) must land every decision before the next slot boundary; what
-// operations cares about is the latency *distribution* (p50/p95/p99) and the
-// deadline hit/miss ratio, not the mean. This header provides:
+// controllers, the serving daemon) must land every decision before the next
+// slot boundary; what operations cares about is the latency *distribution*
+// (p50/p95/p99) and the deadline hit/miss ratio, not the mean. Those are the
+// only facts this layer counts; a slot's health (fallbacks, degradation,
+// producing stage) is core::ChainHealth's and the sora_resilience_* metrics'.
 //
 //   * SloDigest — a fixed-bucket log-histogram quantile digest. Lock-free
 //     like the registry Histogram (relaxed atomic bumps), constant memory,
 //     and quantiles with bounded relative error (half-octave buckets with
 //     geometric interpolation: ~9% worst case). Covers 1us .. ~4.6 hours.
-//   * SlotSloTracker — per-run aggregation: feed it one SlotSample per slot
-//     and it produces the SlotSloReport attached to RoaRun / ControlRun /
-//     NTierRoaHealth. Always live (the report is functional data); the
-//     process-global `sora_slot_*` registry metrics are updated only while
-//     metrics_enabled().
+//   * record_slot() — one slot into the process-global `sora_slot_*`
+//     metrics, only while metrics_enabled().
+//   * SlotSloTracker — per-run aggregation into the SlotSloReport attached
+//     to RoaRun / ControlRun / NTierRoaHealth. Always live (the report is
+//     functional data); forwards each slot to record_slot().
 //   * render_slo_text() — the global latency digest as a Prometheus summary
 //     (`sora_slot_latency_seconds{quantile="..."}`), appended to
 //     Registry::render_text() via the text-extension hook so any exporter
 //     (file export, the scrape server) carries live quantiles.
 //
-// Environment: SORA_SLOT_BUDGET_MS sets the default per-slot deadline budget
-// (0 / unset = no deadline accounting). docs/OBSERVABILITY.md catalogues the
-// metric families.
+// The budget is SlotSloOptions::budget_seconds (RoaOptions::slo; the CLIs'
+// --slot-budget-ms); 0 = no deadline accounting. docs/OBSERVABILITY.md
+// catalogues the metric families.
 #pragma once
 
 #include <array>
@@ -69,24 +71,10 @@ class SloDigest {
   std::atomic<double> max_{0.0};
 };
 
-/// One finished slot solve, as seen by the SLO layer. backend_name uses the
-/// resilience-chain taxonomy (core::to_string(SolveBackend)) but is carried
-/// as a string so obs stays below core in the layer order.
-struct SlotSample {
-  double latency_seconds = 0.0;
-  const char* backend_name = "";   // producing backend
-  std::size_t attempts = 1;        // fallback-chain depth (1 = primary)
-  bool fell_back = false;          // non-primary backend produced the slot
-  bool degraded = false;           // hold + repair
-  double budget_seconds = 0.0;     // slot deadline; <= 0 disables the check
-};
-
 /// Per-run SLO rollup (attached to RoaRun and friends).
 struct SlotSloReport {
   std::size_t slots = 0;
   std::size_t deadline_misses = 0;
-  std::size_t fallback_slots = 0;
-  std::size_t degraded_slots = 0;
   double budget_seconds = 0.0;  // 0 = deadline accounting off
   double p50_seconds = 0.0;
   double p95_seconds = 0.0;
@@ -102,19 +90,17 @@ struct SlotSloOptions {
   double budget_seconds = 0.0;
 };
 
-/// Default budget from SORA_SLOT_BUDGET_MS (read once; 0 when unset).
-double default_slot_budget_seconds();
-
 namespace detail {
-void record_slot_sample_impl(const SlotSample& sample);
+void record_slot_impl(double latency_seconds, double budget_seconds);
 }  // namespace detail
 
-/// Record one slot into the process-global `sora_slot_*` metrics and the
-/// global latency digest. No-op while metrics are disabled — callers may
-/// invoke it unconditionally from the hot path.
-inline void record_slot_sample(const SlotSample& sample) {
+/// Record one slot's latency into the process-global `sora_slot_*` metrics
+/// and the global latency digest, and a deadline hit or miss when
+/// budget_seconds > 0. No-op while metrics are disabled — callers may invoke
+/// it unconditionally from the hot path.
+inline void record_slot(double latency_seconds, double budget_seconds) {
   if (!metrics_enabled()) return;
-  detail::record_slot_sample_impl(sample);
+  detail::record_slot_impl(latency_seconds, budget_seconds);
 }
 
 /// The global latency digest behind `sora_slot_latency_seconds` (exposed for
@@ -134,20 +120,15 @@ class SlotSloTracker {
  public:
   explicit SlotSloTracker(const SlotSloOptions& options = {});
 
-  /// Record one slot; `sample.budget_seconds` is overwritten with the
-  /// tracker's configured budget.
-  void record(SlotSample sample);
+  /// Record one slot against the tracker's budget.
+  void record(double latency_seconds);
 
   SlotSloReport report() const;
-  const SlotSloOptions& options() const { return options_; }
 
  private:
   SlotSloOptions options_;
   SloDigest digest_;
-  std::size_t slots_ = 0;
   std::size_t deadline_misses_ = 0;
-  std::size_t fallback_slots_ = 0;
-  std::size_t degraded_slots_ = 0;
 };
 
 }  // namespace sora::obs

@@ -56,7 +56,6 @@ ServeDaemon::ServeDaemon(const core::Instance& inst,
     : inst_(inst),
       options_(options),
       workspace_(inst, options.roa),
-      slo_(options.roa.slo),
       prev_(core::Allocation::zeros(inst.num_edges())),
       lambda_(inst.num_tier1(), 0.0) {
   SORA_CHECK_MSG(options_.requests_per_unit > 0.0,
@@ -103,8 +102,7 @@ SlotResult ServeDaemon::step(const Tick& tick) {
     if (obs::metrics_enabled()) serve_metrics().deadline_reroutes->inc();
   }
 
-  obs::SlotSample sample = core::to_slot_sample(p2.outcome, latency);
-  slo_.record(sample);
+  obs::record_slot(latency, budget);
   core::record_flight("serve_slot", next_slot_, p2.outcome, latency);
 
   SlotResult result;

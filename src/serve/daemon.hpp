@@ -12,11 +12,13 @@
 //     slot boundary is worthless under the reconfiguration-delay model) and
 //     the slot re-routes through P2Workspace::degrade — the resilience
 //     layer's hold-x_{t-1}-and-repair — never an abort;
-//   * every slot lands in the sora_slot_* SLO metrics and the flight
-//     recorder, live-scrapable through obs::ScrapeServer;
-//   * every snapshot_every slots the warm-start state + x_{t-1} + counters
-//     are written atomically (serve/snapshot.hpp); restore() resumes a
-//     killed stream with bit-identical continuation.
+//   * every slot's latency and deadline hit/miss land in the sora_slot_*
+//     SLO metrics, and every slot in the flight recorder, live-scrapable
+//     through obs::ScrapeServer;
+//   * every snapshot_every slots the warm-start state + x_{t-1} + the
+//     ServeStats counters are written atomically (serve/snapshot.hpp);
+//     restore() resumes a killed stream with bit-identical continuation,
+//     counters included.
 #pragma once
 
 #include <cstdint>
@@ -24,7 +26,6 @@
 
 #include "core/p2_subproblem.hpp"
 #include "core/types.hpp"
-#include "obs/slo.hpp"
 #include "serve/snapshot.hpp"
 #include "serve/tick.hpp"
 
@@ -59,7 +60,7 @@ struct ServeStats {
   std::uint64_t slots = 0;
   std::uint64_t degraded_slots = 0;
   std::uint64_t fallback_slots = 0;
-  std::uint64_t deadline_misses = 0;
+  std::uint64_t deadline_misses = 0;  // the daemon's one deadline count
   std::uint64_t snapshots_written = 0;
   core::CostBreakdown cost;
 };
@@ -88,7 +89,6 @@ class ServeDaemon {
   std::size_t next_slot() const { return next_slot_; }
   const core::Allocation& previous() const { return prev_; }
   const ServeStats& stats() const { return stats_; }
-  obs::SlotSloReport slo_report() const { return slo_.report(); }
 
   /// FNV-1a over an allocation's raw x|y|z bytes (bitwise trajectory
   /// fingerprint for the differential restore check).
@@ -98,7 +98,6 @@ class ServeDaemon {
   const core::Instance& inst_;
   ServeOptions options_;
   core::P2Workspace workspace_;
-  obs::SlotSloTracker slo_;
   core::Allocation prev_;
   core::Vec lambda_;  // [J] scratch, rewritten per tick
   std::size_t next_slot_ = 0;

@@ -102,7 +102,6 @@ struct IpmMetrics {
   obs::Histogram* newton_steps;
   obs::Histogram* backtracks;
   obs::Histogram* centerings;
-  obs::Histogram* cholesky_seconds;
   obs::Histogram* factor_seconds;
   obs::Histogram* solve_seconds;
   obs::Histogram* assembly_seconds;
@@ -126,9 +125,6 @@ const IpmMetrics& ipm_metrics() {
         &reg.histogram("sora_ipm_centering_iterations", "centerings",
                        "Outer centering phases per barrier solve",
                        obs::linear_buckets(1.0, 2.0, 16)),
-        &reg.histogram("sora_ipm_cholesky_seconds", "seconds",
-                       "Cholesky factor+solve time per barrier solve",
-                       obs::exponential_buckets(1e-6, 4.0, 14)),
         &reg.histogram("sora_ipm_factor_seconds", "seconds",
                        "Newton-system factorization time per barrier solve",
                        obs::exponential_buckets(1e-6, 4.0, 14)),
@@ -490,7 +486,6 @@ struct BarrierState {
       metrics.newton_steps->observe(static_cast<double>(steps_used));
       metrics.backtracks->observe(static_cast<double>(backtracks_total));
       metrics.centerings->observe(static_cast<double>(centerings));
-      metrics.cholesky_seconds->observe(factor_seconds + solve_seconds);
       metrics.factor_seconds->observe(factor_seconds);
       metrics.solve_seconds->observe(solve_seconds);
       metrics.assembly_seconds->observe(assembly_seconds);

@@ -1,7 +1,6 @@
 #include "testing/invariants.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 
 #include "core/competitive.hpp"
@@ -36,12 +35,6 @@ class Collector {
     require_ge(name, bound, value, detail);
   }
 
-  void require_finite(const char* name, double value,
-                      const std::string& detail) {
-    if (std::isfinite(value)) return;
-    report_.violations.push_back({name, slot_, value, detail});
-  }
-
  private:
   InvariantReport& report_;
   double tol_;
@@ -54,43 +47,12 @@ std::string at_tier2(std::size_t i) { return "tier-2 " + std::to_string(i); }
 
 void check_slot(const Instance& inst, std::size_t t, const Allocation& a,
                 const InvariantOptions& options, InvariantReport& report) {
-  Collector c(report, options.feas_tol, t);
-  const bool with_z = inst.has_tier1();
-
-  for (std::size_t e = 0; e < inst.num_edges(); ++e) {
-    c.require_finite("finite", a.x[e], "x " + at_edge(e));
-    c.require_finite("finite", a.y[e], "y " + at_edge(e));
-    c.require_ge("nonnegativity(1e)", a.x[e], 0.0, "x " + at_edge(e));
-    c.require_ge("nonnegativity(1e)", a.y[e], 0.0, "y " + at_edge(e));
-    c.require_le("edge-capacity(1c)", a.y[e], inst.edge_capacity[e],
-                 at_edge(e));
-    if (with_z) c.require_ge("nonnegativity(1e)", a.z[e], 0.0, "z " + at_edge(e));
-  }
-
-  // Coverage (1a): the deliverable rate of tier-1 cloud j is the sum over
-  // its edges of min(x, y[, z]) — the s-elimination of types.hpp.
-  for (std::size_t j = 0; j < inst.num_tier1(); ++j) {
-    double deliverable = 0.0;
-    for (const std::size_t e : inst.edges_of_tier1[j]) {
-      double rate = std::min(a.x[e], a.y[e]);
-      if (with_z) rate = std::min(rate, a.z[e]);
-      deliverable += rate;
-    }
-    c.require_ge("coverage(1a)", deliverable, inst.demand[t][j], at_tier1(j));
-  }
-
-  // Tier-2 capacity (1b) on the per-cloud aggregate X_i.
-  const Vec totals = core::tier2_totals(inst, a.x);
-  for (std::size_t i = 0; i < inst.num_tier2(); ++i)
-    c.require_le("tier2-capacity(1b)", totals[i], inst.tier2_capacity[i],
-                 at_tier2(i));
-
-  if (with_z) {
-    const Vec z_totals = core::tier1_totals(inst, a.z);
-    for (std::size_t j = 0; j < inst.num_tier1(); ++j)
-      c.require_le("tier1-capacity(1d)", z_totals[j], inst.tier1_capacity[j],
-                   at_tier1(j));
-  }
+  core::for_each_p1_row(inst, t, a, [&](const core::P1Row& row) {
+    if (row.excess <= options.feas_tol) return;
+    report.violations.push_back(
+        {row.name, t, row.excess - options.feas_tol,
+         std::string(row.scope) + " " + std::to_string(row.index)});
+  });
 }
 
 }  // namespace

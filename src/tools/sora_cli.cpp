@@ -27,7 +27,7 @@
 //   --metrics-port P serve live Prometheus text on 127.0.0.1:P/metrics
 //                    (enables metrics; same contract as SORA_METRICS_PORT)
 //   --slot-budget-ms B  per-slot deadline budget for the SLO report
-//                       (default SORA_SLOT_BUDGET_MS, 0 = quantiles only)
+//                       (0 = quantiles only)                   [0]
 //   --inject-faults RATE  force solver faults on ~RATE of slots (0 = off);
 //                         exercises the resilience chain (docs/ROBUSTNESS.md)
 //   --inject-seed S       fault-schedule seed                     [--seed]
@@ -123,8 +123,7 @@ NamedRun run_algorithm(const std::string& name, const core::Instance& inst,
 
   core::RoaOptions roa;
   roa.eps = roa.eps_prime = opts.get_double("eps", 1e-2);
-  if (opts.has("slot-budget-ms"))
-    roa.slo.budget_seconds = opts.get_double("slot-budget-ms", 0.0) * 1e-3;
+  roa.slo.budget_seconds = opts.get_double("slot-budget-ms", 0.0) * 1e-3;
   core::ControlOptions control;
   control.window = static_cast<std::size_t>(opts.get_int("window", 4));
   control.prediction = {opts.get_double("error", 0.0),
@@ -305,7 +304,7 @@ int main(int argc, char** argv) {
           "  --metrics-port P      live Prometheus scrape on 127.0.0.1:P\n"
           "                        (enables metrics; env: SORA_METRICS_PORT)\n"
           "  --slot-budget-ms B    per-slot SLO deadline budget in ms\n"
-          "                        (default SORA_SLOT_BUDGET_MS; 0 = off)\n"
+          "                        (default 0 = off)\n"
           "  --trace-out FILE      Chrome trace-event JSON (Perfetto)\n"
           "  --inject-faults RATE  force solver faults on ~RATE of slots\n"
           "  --inject-seed S       fault-schedule seed (default --seed)\n"

@@ -23,7 +23,7 @@
 //                         (one client at a time; 0 = ephemeral port)
 //   --requests-per-unit R raw requests per unit of lambda     [1.0]
 //   --slot-budget-ms B    deadline; a late solve is discarded and the slot
-//                         re-routed to hold-and-repair (SORA_SLOT_BUDGET_MS)
+//                         re-routed to hold-and-repair          [0 = none]
 //   --out FILE            per-slot output (default stdout)
 //   --max-slots N         stop after serving N slots
 // snapshots:
@@ -241,9 +241,7 @@ int main(int argc, char** argv) {
   serve::ServeOptions serve_opts;
   serve_opts.roa.eps = serve_opts.roa.eps_prime = opts.get_double("eps", 1e-2);
   serve_opts.roa.slo.budget_seconds =
-      opts.has("slot-budget-ms")
-          ? opts.get_double("slot-budget-ms", 0.0) * 1e-3
-          : obs::default_slot_budget_seconds();
+      opts.get_double("slot-budget-ms", 0.0) * 1e-3;
   serve_opts.requests_per_unit = opts.get_double("requests-per-unit", 1.0);
   serve_opts.snapshot_path = opts.get_string("snapshot", "");
   serve_opts.snapshot_every =

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "core/cost.hpp"
 #include "core/p1_model.hpp"
@@ -102,6 +103,30 @@ TEST(Cost, EvenSplitIsFeasible) {
     traj.slots.push_back(a);
   }
   EXPECT_TRUE(is_feasible(inst, traj, 1e-9));
+}
+
+// Every comparison with NaN is false, so a max-fold over the rows would
+// skip a NaN entry: the one P1 slot check reports it as infinitely violated.
+TEST(Cost, ViolationIsInfiniteOnNonFiniteEntry) {
+  const Instance inst = tiny_instance(3, 10.0);
+  Trajectory traj;
+  for (std::size_t t = 0; t < inst.horizon; ++t) {
+    Allocation a = Allocation::zeros(inst.num_edges());
+    a.x = inst.even_split(t);
+    a.y = a.x;
+    traj.slots.push_back(a);
+  }
+  ASSERT_TRUE(is_feasible(inst, traj));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf, -inf}) {
+    for (Vec Allocation::*entries : {&Allocation::x, &Allocation::y}) {
+      Trajectory poisoned = traj;
+      (poisoned.slots[1].*entries)[0] = bad;
+      EXPECT_EQ(slot_violation(inst, 1, poisoned.slots[1]), inf) << bad;
+      EXPECT_FALSE(is_feasible(inst, poisoned)) << bad;
+    }
+  }
 }
 
 TEST(Cost, ViolationDetectsUnderCoverage) {

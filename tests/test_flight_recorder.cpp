@@ -1,7 +1,8 @@
 // Flight recorder: ring overwrite semantics, incident JSON round-trip,
 // anomaly determinism under seeded fault injection, the P1 window-LP
 // iteration-limit regression (the incident the recorder exists to capture),
-// and the n-tier chain filing a Newton-budget fallback as iteration_limit.
+// the producing stage's iteration count on every record, and the n-tier
+// chain filing a Newton-budget fallback as iteration_limit.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -16,6 +17,7 @@
 #include "core/roa.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/json.hpp"
+#include "solver/simplex.hpp"
 #include "testing/fault_injection.hpp"
 #include "testing/generator.hpp"
 #include "util/rng.hpp"
@@ -208,12 +210,22 @@ TEST(FlightRecorderP1, WindowLpIterationLimitLeavesIncident) {
   ASSERT_TRUE(traj.has_value());  // the fallback rescued the solve
   EXPECT_EQ(traj->horizon(), inst.horizon);
 
+  // The record carries the iterations of the LP that answered: the simplex
+  // rescue, which runs on a doubled budget.
+  solver::SimplexOptions rescue = opts.simplex;
+  rescue.max_iterations *= 2;
+  const solver::LpSolution answer =
+      solver::solve_simplex(window.model(), rescue);
+  ASSERT_TRUE(answer.ok());
+  EXPECT_GT(answer.iterations, 0u);
+
   bool found = false;
   for (const auto& r : rec.snapshot()) {
     if (r.context != "p1_window") continue;
     found = true;
     EXPECT_EQ(r.anomaly, Anomaly::kIterationLimit);
     EXPECT_TRUE(r.fell_back);
+    EXPECT_EQ(r.iterations, answer.iterations);
     EXPECT_NE(r.signature.find("window[0," + std::to_string(inst.horizon)),
               std::string::npos);
   }
@@ -226,6 +238,33 @@ TEST(FlightRecorderP1, WindowLpIterationLimitLeavesIncident) {
   EXPECT_EQ(doc.at("incident").at("anomaly").as_string(), "iteration_limit");
   std::remove(path.c_str());
   rec.set_incident_dir("");
+  rec.clear();
+}
+
+// Each p2_slot record carries the Newton steps of the barrier solve that
+// produced the slot, so a healthy run's records add up to its total.
+TEST(FlightRecorderRoa, P2SlotRecordsCarryNewtonSteps) {
+  testing::GeneratorConfig cfg;
+  cfg.regime = testing::Regime::kSmooth;
+  cfg.seed = 7;
+  const core::Instance inst = testing::generate_instance(cfg);
+
+  FlightRecorder& rec = FlightRecorder::global();
+  rec.set_incident_dir("");
+  rec.clear();
+  const core::RoaRun run = core::run_roa(inst);
+  ASSERT_TRUE(run.healthy());
+
+  std::size_t slots = 0;
+  std::uint64_t newton_steps = 0;
+  for (const auto& r : rec.snapshot()) {
+    if (r.context != "p2_slot") continue;
+    ++slots;
+    EXPECT_GT(r.iterations, 0u) << "slot " << r.slot;
+    newton_steps += r.iterations;
+  }
+  EXPECT_EQ(slots, inst.horizon);
+  EXPECT_EQ(newton_steps, run.newton_steps);
   rec.clear();
 }
 

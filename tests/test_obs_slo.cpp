@@ -98,33 +98,20 @@ TEST(SloDigest, ConcurrentObservesAreLossless) {
             static_cast<std::uint64_t>(kThreads) * kPerThread);
 }
 
+// The tracker counts latency and deadlines only; a slot's health is
+// ChainHealth's and the sora_resilience_* metrics'.
 TEST(SlotSloTracker, ReportAggregatesDeadlinesAndHealth) {
   SlotSloOptions opts;
   opts.budget_seconds = 0.010;
   SlotSloTracker tracker(opts);
 
-  SlotSample fast;
-  fast.latency_seconds = 0.002;
-  fast.backend_name = "warm_ipm";
-  for (int i = 0; i < 8; ++i) tracker.record(fast);
-
-  SlotSample slow;  // misses the 10ms budget and fell back
-  slow.latency_seconds = 0.050;
-  slow.backend_name = "cold_ipm";
-  slow.attempts = 2;
-  slow.fell_back = true;
-  tracker.record(slow);
-
-  SlotSample bad;  // degraded slot, inside budget
-  bad.latency_seconds = 0.001;
-  bad.degraded = true;
-  tracker.record(bad);
+  for (int i = 0; i < 8; ++i) tracker.record(0.002);
+  tracker.record(0.050);  // misses the 10ms budget
+  tracker.record(0.001);
 
   const SlotSloReport report = tracker.report();
   EXPECT_EQ(report.slots, 10u);
   EXPECT_EQ(report.deadline_misses, 1u);
-  EXPECT_EQ(report.fallback_slots, 1u);
-  EXPECT_EQ(report.degraded_slots, 1u);
   EXPECT_DOUBLE_EQ(report.budget_seconds, 0.010);
   EXPECT_FALSE(report.met_slo());
   EXPECT_GT(report.p99_seconds, report.p50_seconds);
@@ -133,9 +120,7 @@ TEST(SlotSloTracker, ReportAggregatesDeadlinesAndHealth) {
 
 TEST(SlotSloTracker, ZeroBudgetDisablesDeadlineAccounting) {
   SlotSloTracker tracker;  // budget 0
-  SlotSample s;
-  s.latency_seconds = 123.0;
-  tracker.record(s);
+  tracker.record(123.0);
   const SlotSloReport report = tracker.report();
   EXPECT_EQ(report.deadline_misses, 0u);
   EXPECT_TRUE(report.met_slo());
@@ -144,13 +129,8 @@ TEST(SlotSloTracker, ZeroBudgetDisablesDeadlineAccounting) {
 TEST(SlotSlo, GlobalMetricsAndSummaryRenderWhenEnabled) {
   MetricsOn on;
   reset_global_slot_slo();
-  SlotSample s;
-  s.latency_seconds = 0.004;
-  s.backend_name = "warm_ipm";
-  s.budget_seconds = 0.010;
-  record_slot_sample(s);
-  s.latency_seconds = 0.200;  // budget miss
-  record_slot_sample(s);
+  record_slot(0.004, 0.010);
+  record_slot(0.200, 0.010);  // budget miss
 
   EXPECT_EQ(global_slot_digest().count(), 2u);
   const std::string text = render_slo_text();
@@ -164,15 +144,14 @@ TEST(SlotSlo, GlobalMetricsAndSummaryRenderWhenEnabled) {
   const std::string full = Registry::global().render_text();
   EXPECT_NE(full.find("sora_slot_latency_seconds{quantile=\"0.99\"}"),
             std::string::npos);
-  EXPECT_NE(full.find("sora_slot_deadline_miss_total"), std::string::npos);
+  EXPECT_NE(full.find("sora_slot_deadline_miss_total 1"), std::string::npos);
+  EXPECT_NE(full.find("sora_slot_deadline_hit_total 1"), std::string::npos);
 }
 
 TEST(SlotSlo, DisabledRecordingIsDropped) {
   set_metrics_enabled(false);
   reset_global_slot_slo();
-  SlotSample s;
-  s.latency_seconds = 1.0;
-  record_slot_sample(s);
+  record_slot(1.0, 0.0);
   EXPECT_EQ(global_slot_digest().count(), 0u);
 }
 
@@ -206,10 +185,7 @@ std::string http_get(int port, const std::string& target) {
 TEST(ScrapeServerTest, ServesMetricsOnEphemeralPort) {
   MetricsOn on;
   reset_global_slot_slo();
-  SlotSample s;
-  s.latency_seconds = 0.008;
-  s.backend_name = "warm_ipm";
-  record_slot_sample(s);
+  record_slot(0.008, 0.0);
 
   ScrapeServer server;
   const int port = server.start(0);

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/roa.hpp"
+#include "obs/obs.hpp"
 #include "serve/daemon.hpp"
 #include "serve/snapshot.hpp"
 #include "serve/tick.hpp"
@@ -252,20 +253,25 @@ TEST(Snapshot, StaleTmpFileDoesNotShadowSnapshot) {
 // without a graceful shutdown, then a daemon restored from the last
 // committed snapshot (taken every `every` slots): from the snapshot's slot
 // on it must retrace the golden trajectory bit for bit, since the
-// warm-start state and x_{t-1} both come from the snapshot.
+// warm-start state and x_{t-1} both come from the snapshot, and end on the
+// golden run's counters and cost, which the snapshot carries too.
 void expect_restore_bit_identical(const Instance& inst, const char* name,
-                                  std::size_t every, std::size_t crash_after) {
+                                  std::size_t every, std::size_t crash_after,
+                                  double budget_seconds = 0.0) {
   const std::string path = temp_path(name);
   ServeOptions options;
   options.requests_per_unit = kRequestsPerUnit;
   options.snapshot_path = path;
   options.snapshot_every = every;
+  options.roa.slo.budget_seconds = budget_seconds;
 
   std::vector<std::uint64_t> golden;
+  ServeStats golden_stats;
   {
     ServeDaemon daemon(inst, options);
     for (std::size_t t = 0; t < inst.horizon; ++t)
       golden.push_back(daemon.step(demand_tick(inst, t)).alloc_hash);
+    golden_stats = daemon.stats();
   }
   {
     ServeDaemon daemon(inst, options);
@@ -283,6 +289,14 @@ void expect_restore_bit_identical(const Instance& inst, const char* name,
       EXPECT_EQ(result.alloc_hash, golden[t])
           << "slot " << t << " diverged after restore";
     }
+    const ServeStats& stats = daemon.stats();
+    EXPECT_EQ(stats.slots, golden_stats.slots);
+    EXPECT_EQ(stats.fallback_slots, golden_stats.fallback_slots);
+    EXPECT_EQ(stats.degraded_slots, golden_stats.degraded_slots);
+    EXPECT_EQ(stats.deadline_misses, golden_stats.deadline_misses);
+    EXPECT_EQ(stats.cost.allocation, golden_stats.cost.allocation);
+    EXPECT_EQ(stats.cost.reconfiguration,
+              golden_stats.cost.reconfiguration);
   }
   std::remove(path.c_str());
 }
@@ -306,6 +320,14 @@ TEST(ServeDaemon, RestoreContinuesBitIdenticallyAtScale) {
   cfg.seed = 11;
   expect_restore_bit_identical(testing::generate_scaled_instance(cfg),
                                "serve_snap_restore_scaled.bin", 2, 3);
+}
+
+TEST(ServeDaemon, RestoreKeepsTheDeadlineMissCount) {
+  // An impossible budget: every slot misses its deadline and is held and
+  // repaired, so the miss count the snapshot carries is the slot count.
+  const Instance inst = make_instance(12);
+  expect_restore_bit_identical(inst, "serve_snap_restore_deadline.bin", 5, 8,
+                               1e-12);
 }
 
 TEST(ServeDaemon, RestoreRejectsMismatchedTopology) {
@@ -342,15 +364,24 @@ TEST(ServeDaemon, DeadlineMissDegradesInsteadOfCrashing) {
   options.roa.slo.budget_seconds = 1e-12;
   ServeDaemon daemon(inst, options);
 
+  // Every tick also lands in the global slot-SLO metrics a scrape reads.
+  const auto global_misses = [] {
+    const auto snap = obs::Registry::global().snapshot();
+    const auto it = snap.counters.find("sora_slot_deadline_miss_total");
+    return it == snap.counters.end() ? std::uint64_t{0} : it->second;
+  };
+  obs::set_metrics_enabled(true);
+  const std::uint64_t misses_before = global_misses();
   for (std::size_t t = 0; t < inst.horizon; ++t) {
     const SlotResult result = daemon.step(demand_tick(inst, t));
     EXPECT_TRUE(result.deadline_miss) << "slot " << t;
     EXPECT_TRUE(result.degraded) << "slot " << t;
     EXPECT_STREQ(result.backend, "hold_repair");
   }
+  obs::set_metrics_enabled(false);
   EXPECT_EQ(daemon.stats().deadline_misses, inst.horizon);
   EXPECT_EQ(daemon.stats().degraded_slots, inst.horizon);
-  EXPECT_EQ(daemon.slo_report().deadline_misses, inst.horizon);
+  EXPECT_EQ(global_misses() - misses_before, inst.horizon);
 
   // A late tick whose repair LP is infeasible publishes x_{t-1} unrepaired:
   // not degraded, yet still a fallback slot.
