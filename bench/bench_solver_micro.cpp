@@ -221,10 +221,9 @@ cloudnet::Instance slot_latency_instance() {
 
 void run_slot_latency(benchmark::State& state, const cloudnet::Instance& inst,
                       const core::RoaOptions& opts) {
-  // Same streaming digest the production SLO path uses, so the reported
-  // quantiles carry the digest's half-octave resolution — what a scrape of
-  // sora_slot_latency_seconds would actually show.
-  obs::SloDigest digest;
+  // The per-run tracker run_roa reports through: exact nearest-rank
+  // quantiles over every slot solved during the benchmark.
+  obs::SlotSloTracker slo;
   const auto inputs = core::InputSeries::truth(inst);
   for (auto _ : state) {
     core::P2Workspace workspace(inst, opts);
@@ -232,13 +231,14 @@ void run_slot_latency(benchmark::State& state, const cloudnet::Instance& inst,
     for (std::size_t t = 0; t < inst.horizon; ++t) {
       util::Timer timer;
       const auto sol = workspace.solve(inputs, t, prev);
-      digest.observe(timer.seconds());
+      slo.record(timer.seconds());
       prev = sol.alloc;
       benchmark::DoNotOptimize(sol.objective);
     }
   }
-  state.counters["slot_p50_ms"] = digest.quantile(0.50) * 1e3;
-  state.counters["slot_p99_ms"] = digest.quantile(0.99) * 1e3;
+  const obs::SlotSloReport report = slo.report();
+  state.counters["slot_p50_ms"] = report.p50_seconds * 1e3;
+  state.counters["slot_p99_ms"] = report.p99_seconds * 1e3;
 }
 
 void BM_SlotLatencyMonolithic(benchmark::State& state) {

@@ -142,6 +142,33 @@ Instance build_instance(const InstanceConfig& config,
   return inst;
 }
 
+Instance instance_from_flags(const util::Options& flags) {
+  const std::uint64_t seed =
+      static_cast<std::uint64_t>(flags.get_int("seed", 42));
+  const std::size_t hours =
+      static_cast<std::size_t>(flags.get_int("hours", 120));
+  WorkloadTrace trace;
+  const std::string trace_path = flags.get_string("trace", "");
+  if (!trace_path.empty()) {
+    trace = load_csv_trace(trace_path);
+    if (trace.hours() > hours && flags.has("hours")) trace.demand.resize(hours);
+  } else {
+    util::Rng rng(seed);
+    const std::string kind = flags.get_string("workload", "wikipedia");
+    trace = kind == "worldcup" ? worldcup_like(hours, rng)
+                               : wikipedia_like(hours, rng);
+  }
+
+  InstanceConfig cfg;
+  cfg.num_tier2 = static_cast<std::size_t>(flags.get_int("tier2", 6));
+  cfg.num_tier1 = static_cast<std::size_t>(flags.get_int("tier1", 12));
+  cfg.sla_k = static_cast<std::size_t>(flags.get_int("k", 1));
+  cfg.reconfig_weight = flags.get_double("b", 1000.0);
+  cfg.seed = seed;
+  cfg.model_tier1 = flags.get_bool("model-tier1", false);
+  return build_instance(cfg, trace);
+}
+
 ValidationReport validate_instance(const Instance& inst) {
   ValidationReport report;
   auto fail = [&report](std::string msg) {

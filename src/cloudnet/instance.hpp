@@ -22,6 +22,7 @@
 
 #include "cloudnet/geo.hpp"
 #include "cloudnet/workload.hpp"
+#include "util/options.hpp"
 
 namespace sora::cloudnet {
 
@@ -98,6 +99,12 @@ struct InstanceConfig {
 /// paper's procedure). The trace must be non-empty.
 Instance build_instance(const InstanceConfig& config,
                         const WorkloadTrace& trace);
+
+/// The instance sora_cli and sora_serve build from their shared flags:
+/// the --trace FILE demand column (cut to --hours when given), else a
+/// --hours-slot --workload wikipedia|worldcup trace drawn with --seed, on a
+/// --tier2 x --tier1 topology with --k, --b, --model-tier1 and --seed.
+Instance instance_from_flags(const util::Options& flags);
 
 struct ValidationReport {
   bool ok = true;

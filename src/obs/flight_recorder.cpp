@@ -4,6 +4,7 @@
 #include <mutex>
 #include <sstream>
 
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 
 namespace sora::obs {
@@ -22,48 +23,20 @@ const char* to_string(Anomaly anomaly) {
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
 void append_record_json(std::ostringstream& os, const FlightRecord& r) {
   os << "{\"sequence\":" << r.sequence
-     << ",\"context\":\"" << json_escape(r.context) << "\""
+     << ",\"context\":\"" << json::escape(r.context) << "\""
      << ",\"slot\":" << r.slot
-     << ",\"backend\":\"" << json_escape(r.backend) << "\""
-     << ",\"status\":\"" << json_escape(r.status) << "\""
+     << ",\"backend\":\"" << json::escape(r.backend) << "\""
+     << ",\"status\":\"" << json::escape(r.status) << "\""
      << ",\"attempts\":" << r.attempts
      << ",\"fell_back\":" << (r.fell_back ? "true" : "false")
      << ",\"degraded\":" << (r.degraded ? "true" : "false")
-     << ",\"latency_seconds\":" << fmt_double(r.latency_seconds)
-     << ",\"repair_cost_delta\":" << fmt_double(r.repair_cost_delta)
+     << ",\"latency_seconds\":" << json::number(r.latency_seconds)
+     << ",\"repair_cost_delta\":" << json::number(r.repair_cost_delta)
      << ",\"iterations\":" << r.iterations
-     << ",\"detail\":\"" << json_escape(r.detail) << "\""
-     << ",\"signature\":\"" << json_escape(r.signature) << "\""
+     << ",\"detail\":\"" << json::escape(r.detail) << "\""
+     << ",\"signature\":\"" << json::escape(r.signature) << "\""
      << ",\"anomaly\":\"" << to_string(r.anomaly) << "\"}";
 }
 

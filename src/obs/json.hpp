@@ -1,6 +1,7 @@
 // Minimal recursive-descent JSON parser, enough to validate the files the
-// obs exporters emit (metrics JSON, Chrome trace-event JSON). Header-only so
-// tests and tools can use it without linking anything beyond sora_obs.
+// obs exporters emit (metrics JSON, Chrome trace-event JSON), and the string
+// and number writers those exporters share. Header-only so tests and tools
+// can use it without linking anything beyond sora_obs.
 //
 // Intentional simplifications: numbers parse via strtod, \uXXXX escapes are
 // passed through verbatim, and inputs are trusted to be small (files we
@@ -8,6 +9,7 @@
 // input.
 #pragma once
 
+#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <memory>
@@ -17,6 +19,36 @@
 #include "util/check.hpp"
 
 namespace sora::obs::json {
+
+/// `s` escaped for the inside of a JSON string literal.
+inline std::string escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+/// A finite double as %.17g: round-trips exactly, and integers stay short.
+inline std::string number(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
 
 class Value;
 using Array = std::vector<Value>;

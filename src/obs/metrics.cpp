@@ -7,6 +7,7 @@
 #include <mutex>
 #include <sstream>
 
+#include "obs/json.hpp"
 #include "util/check.hpp"
 
 namespace sora::obs {
@@ -86,35 +87,6 @@ const char* kind_name(Kind kind) {
   return "?";
 }
 
-// %g keeps integers short and doubles readable; +Inf never reaches here.
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 struct Entry {
   std::string name;
   std::string unit;
@@ -135,7 +107,6 @@ struct Registry::Impl {
   std::deque<Histogram> histograms;
   std::vector<Entry> entries;  // registration order
   std::map<std::string, std::size_t> index;
-  std::vector<std::function<std::string()>> text_extensions;
 
   Entry* find(const std::string& name, Kind kind) {
     auto it = index.find(name);
@@ -219,15 +190,9 @@ RegistrySnapshot Registry::snapshot() const {
   return snap;
 }
 
-void Registry::add_text_extension(std::function<std::string()> fn) {
-  Impl& im = impl();
-  std::lock_guard<std::mutex> lock(im.mu);
-  im.text_extensions.push_back(std::move(fn));
-}
-
 std::string Registry::render_text() const {
   Impl& im = impl();
-  std::unique_lock<std::mutex> lock(im.mu);
+  std::lock_guard<std::mutex> lock(im.mu);
   std::ostringstream os;
   for (const Entry& e : im.entries) {
     if (!e.help.empty()) os << "# HELP " << e.name << " " << e.help << "\n";
@@ -237,7 +202,7 @@ std::string Registry::render_text() const {
         os << e.name << " " << e.counter->value() << "\n";
         break;
       case Kind::kGauge:
-        os << e.name << " " << fmt_double(e.gauge->value()) << "\n";
+        os << e.name << " " << json::number(e.gauge->value()) << "\n";
         break;
       case Kind::kHistogram: {
         const auto& bounds = e.histogram->bounds();
@@ -245,22 +210,17 @@ std::string Registry::render_text() const {
         std::uint64_t cumulative = 0;
         for (std::size_t k = 0; k < bounds.size(); ++k) {
           cumulative += counts[k];
-          os << e.name << "_bucket{le=\"" << fmt_double(bounds[k]) << "\"} "
+          os << e.name << "_bucket{le=\"" << json::number(bounds[k]) << "\"} "
              << cumulative << "\n";
         }
         os << e.name << "_bucket{le=\"+Inf\"} " << e.histogram->count()
            << "\n";
-        os << e.name << "_sum " << fmt_double(e.histogram->sum()) << "\n";
+        os << e.name << "_sum " << json::number(e.histogram->sum()) << "\n";
         os << e.name << "_count " << e.histogram->count() << "\n";
         break;
       }
     }
   }
-  // Copy the extension list, then run the producers unlocked: extensions may
-  // read the registry (e.g. render a digest that also registers metrics).
-  const auto extensions = im.text_extensions;
-  lock.unlock();
-  for (const auto& fn : extensions) os << fn();
   return os.str();
 }
 
@@ -273,16 +233,16 @@ std::string Registry::render_json() const {
   for (const Entry& e : im.entries) {
     if (!first) os << ",";
     first = false;
-    os << "{\"name\":\"" << json_escape(e.name) << "\",\"type\":\""
+    os << "{\"name\":\"" << json::escape(e.name) << "\",\"type\":\""
        << kind_name(e.kind) << "\"";
-    if (!e.unit.empty()) os << ",\"unit\":\"" << json_escape(e.unit) << "\"";
-    if (!e.help.empty()) os << ",\"help\":\"" << json_escape(e.help) << "\"";
+    if (!e.unit.empty()) os << ",\"unit\":\"" << json::escape(e.unit) << "\"";
+    if (!e.help.empty()) os << ",\"help\":\"" << json::escape(e.help) << "\"";
     switch (e.kind) {
       case Kind::kCounter:
         os << ",\"value\":" << e.counter->value();
         break;
       case Kind::kGauge:
-        os << ",\"value\":" << fmt_double(e.gauge->value());
+        os << ",\"value\":" << json::number(e.gauge->value());
         break;
       case Kind::kHistogram: {
         const auto& bounds = e.histogram->bounds();
@@ -290,11 +250,11 @@ std::string Registry::render_json() const {
         os << ",\"buckets\":[";
         for (std::size_t k = 0; k < bounds.size(); ++k) {
           if (k != 0) os << ",";
-          os << "{\"le\":" << fmt_double(bounds[k]) << ",\"count\":"
+          os << "{\"le\":" << json::number(bounds[k]) << ",\"count\":"
              << counts[k] << "}";
         }
         os << ",{\"le\":\"+Inf\",\"count\":" << counts[bounds.size()] << "}]";
-        os << ",\"sum\":" << fmt_double(e.histogram->sum());
+        os << ",\"sum\":" << json::number(e.histogram->sum());
         os << ",\"count\":" << e.histogram->count();
         break;
       }

@@ -19,7 +19,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -160,14 +159,8 @@ class Registry {
   RegistrySnapshot snapshot() const;
 
   /// Prometheus-style exposition text (HELP/TYPE comments, cumulative
-  /// le-labelled histogram buckets). Text extensions are appended last.
+  /// le-labelled histogram buckets) of every instrument.
   std::string render_text() const;
-
-  /// Append an extra exposition-text producer (e.g. the slot-SLO summary,
-  /// which lives outside the registry's instrument kinds) to render_text()
-  /// output. Extensions run OUTSIDE the registry mutex, so they may call
-  /// back into the registry. Extensions cannot be removed.
-  void add_text_extension(std::function<std::string()> fn);
   /// {"metrics": [{"name": ..., "type": ..., ...}, ...]}
   std::string render_json() const;
   /// Render in `format` and write to `path`; throws CheckError on I/O error.

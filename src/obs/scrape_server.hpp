@@ -1,6 +1,6 @@
 // Minimal Prometheus scrape endpoint: a single-threaded HTTP server that
-// serves the registry's exposition text (including the slot-SLO summary
-// appended via the text-extension hook) on GET /metrics, so a live run can
+// serves the registry's exposition text (slot latency included, as the
+// sora_slot_latency_seconds histogram) on GET /metrics, so a live run can
 // be watched instead of post-mortemed from exit dumps.
 //
 //   GET /metrics  -> 200, Prometheus text format 0.0.4

@@ -49,6 +49,8 @@ class Reader {
   bool u64(std::uint64_t& v) { return copy(&v, 8); }
   bool f64(double& v) { return copy(&v, 8); }
   bool vec(core::Vec& v, std::size_t n) {
+    // Check the header's count against the bytes left before allocating.
+    if (n > (bytes_.size() - pos_) / 8) return false;
     v.resize(n);
     for (std::size_t i = 0; i < n; ++i)
       if (!f64(v[i])) return false;

@@ -1,6 +1,7 @@
 #include "serve/tick.hpp"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -17,7 +18,7 @@ bool parse_count(const std::string& token, double& value) {
   char* end = nullptr;
   value = std::strtod(token.c_str(), &end);
   if (end == token.c_str() || *end != '\0' || errno == ERANGE) return false;
-  return value >= 0.0 && value == value;  // reject negatives and NaN
+  return std::isfinite(value) && value >= 0.0;
 }
 
 }  // namespace

@@ -66,7 +66,6 @@
 #include "testing/fault_injection.hpp"
 #include "util/csv.hpp"
 #include "util/options.hpp"
-#include "util/rng.hpp"
 #include "util/timer.hpp"
 
 namespace {
@@ -87,33 +86,6 @@ struct NamedRun {
   // Slot-SLO rollup where the policy exposes it (ROA, predictive).
   obs::SlotSloReport slo;
 };
-
-core::Instance build(const util::Options& opts) {
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(opts.get_int("seed", 42));
-  const std::size_t hours =
-      static_cast<std::size_t>(opts.get_int("hours", 120));
-  cloudnet::WorkloadTrace trace;
-  const std::string trace_path = opts.get_string("trace", "");
-  if (!trace_path.empty()) {
-    trace = cloudnet::load_csv_trace(trace_path);
-    if (trace.hours() > hours && opts.has("hours")) trace.demand.resize(hours);
-  } else {
-    util::Rng rng(seed);
-    const std::string kind = opts.get_string("workload", "wikipedia");
-    trace = kind == "worldcup" ? cloudnet::worldcup_like(hours, rng)
-                               : cloudnet::wikipedia_like(hours, rng);
-  }
-
-  cloudnet::InstanceConfig cfg;
-  cfg.num_tier2 = static_cast<std::size_t>(opts.get_int("tier2", 6));
-  cfg.num_tier1 = static_cast<std::size_t>(opts.get_int("tier1", 12));
-  cfg.sla_k = static_cast<std::size_t>(opts.get_int("k", 1));
-  cfg.reconfig_weight = opts.get_double("b", 1000.0);
-  cfg.seed = seed;
-  cfg.model_tier1 = opts.get_bool("model-tier1", false);
-  return cloudnet::build_instance(cfg, trace);
-}
 
 NamedRun run_algorithm(const std::string& name, const core::Instance& inst,
                        const util::Options& opts) {
@@ -350,7 +322,7 @@ int main(int argc, char** argv) {
               << "/metrics\n";
   }
 
-  const core::Instance inst = build(opts);
+  const core::Instance inst = cloudnet::instance_from_flags(opts);
   const auto report = cloudnet::validate_instance(inst);
   if (!report.ok) {
     std::cerr << "instance invalid: " << report.problems[0] << "\n";
@@ -422,8 +394,9 @@ int main(int argc, char** argv) {
   }
 
   // Slot-SLO table: shown for any policy that tracked per-slot latency
-  // (ROA and the predictive controllers). Quantiles come from the same
-  // log-bucket digest the scrape endpoint exports.
+  // (ROA and the predictive controllers). Quantiles are the run's exact
+  // nearest-rank values; the scrape endpoint exports the same latencies as
+  // the sora_slot_latency_seconds histogram.
   bool any_slo = false;
   for (const auto& run : runs) any_slo |= run.slo.slots > 0;
   if (any_slo) {

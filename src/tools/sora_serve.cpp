@@ -14,7 +14,7 @@
 //   sora_serve --listen 7071 --snapshot state.snap --snapshot-every 10
 //   sora_serve --restore --snapshot state.snap --ticks -
 //
-// Flags (instance construction matches sora_cli):
+// Flags (instance construction is sora_cli's, cloudnet::instance_from_flags):
 //   --workload wikipedia|worldcup  --trace FILE  --hours T
 //   --tier2 I --tier1 J --k K --b W --eps E --model-tier1 --seed S
 // serving:
@@ -53,43 +53,14 @@
 #include <thread>
 
 #include "cloudnet/instance.hpp"
-#include "cloudnet/workload.hpp"
 #include "obs/obs.hpp"
 #include "serve/daemon.hpp"
 #include "serve/tick.hpp"
 #include "util/options.hpp"
-#include "util/rng.hpp"
 
 namespace {
 
 using namespace sora;
-
-core::Instance build(const util::Options& opts) {
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(opts.get_int("seed", 42));
-  const std::size_t hours =
-      static_cast<std::size_t>(opts.get_int("hours", 120));
-  cloudnet::WorkloadTrace trace;
-  const std::string trace_path = opts.get_string("trace", "");
-  if (!trace_path.empty()) {
-    trace = cloudnet::load_csv_trace(trace_path);
-    if (trace.hours() > hours && opts.has("hours")) trace.demand.resize(hours);
-  } else {
-    util::Rng rng(seed);
-    const std::string kind = opts.get_string("workload", "wikipedia");
-    trace = kind == "worldcup" ? cloudnet::worldcup_like(hours, rng)
-                               : cloudnet::wikipedia_like(hours, rng);
-  }
-
-  cloudnet::InstanceConfig cfg;
-  cfg.num_tier2 = static_cast<std::size_t>(opts.get_int("tier2", 6));
-  cfg.num_tier1 = static_cast<std::size_t>(opts.get_int("tier1", 12));
-  cfg.sla_k = static_cast<std::size_t>(opts.get_int("k", 1));
-  cfg.reconfig_weight = opts.get_double("b", 1000.0);
-  cfg.seed = seed;
-  cfg.model_tier1 = opts.get_bool("model-tier1", false);
-  return cloudnet::build_instance(cfg, trace);
-}
 
 // Line-at-a-time source over stdin, a file, or one loopback TCP client.
 // next_line() returns false only at end-of-stream (for the socket source:
@@ -231,7 +202,7 @@ int main(int argc, char** argv) {
        "restore", "metrics-port", "emit-ticks", "kill-after",
        "tick-delay-ms"});
 
-  const core::Instance inst = build(opts);
+  const core::Instance inst = cloudnet::instance_from_flags(opts);
   const auto report = cloudnet::validate_instance(inst);
   if (!report.ok) {
     std::cerr << "instance invalid: " << report.problems[0] << "\n";

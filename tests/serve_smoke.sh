@@ -49,9 +49,17 @@ echo "== crash run (snapshot every 5, killed after 12, live scrape) =="
   --snapshot state.snap --snapshot-every 5 --kill-after 12 \
   --tick-delay-ms 150 --metrics-port 9464 &
 SERVE_PID=$!
-scrape 9464 live-scrape.txt
+# The latency histogram is registered at load: keep scraping until a slot
+# has been recorded (the first scrape can land before slot 0 finishes).
+for _ in $(seq 1 50); do
+  scrape 9464 live-scrape.txt
+  if grep -qE '^sora_slot_latency_seconds_count [1-9]' live-scrape.txt; then
+    break
+  fi
+  sleep 0.1
+done
 grep -q 'sora_serve_ticks_total' live-scrape.txt
-grep -q 'sora_slot_latency_seconds' live-scrape.txt
+grep -qE '^sora_slot_latency_seconds_count [1-9]' live-scrape.txt
 set +e
 wait "$SERVE_PID"
 CRASH_RC=$?

@@ -1,5 +1,5 @@
-// Slot-SLO telemetry: digest accuracy against exact quantiles, tracker
-// rollups, Prometheus rendering, and a live HTTP scrape round-trip.
+// Slot-SLO telemetry: exact tracker rollups, the registry's slot-latency
+// histogram, and a live HTTP scrape round-trip.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
@@ -10,7 +10,6 @@
 #include <cmath>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -26,76 +25,12 @@ struct MetricsOn {
   ~MetricsOn() { set_metrics_enabled(false); }
 };
 
+// Nearest rank: the ceil(q * n)-th smallest value.
 double exact_quantile(std::vector<double> xs, double q) {
   std::sort(xs.begin(), xs.end());
-  // Nearest-rank, matching SloDigest's convention.
-  const auto n = xs.size();
-  std::size_t rank = static_cast<std::size_t>(
-      q * static_cast<double>(n) + 0.5);
-  rank = std::max<std::size_t>(rank, 1);
-  return xs[std::min(rank, n) - 1];
-}
-
-// Half-octave buckets with geometric interpolation: worst-case relative
-// error is sqrt(2)-1 ~ 41% at a bucket edge, but for smooth distributions
-// the interpolated estimate lands well inside; we assert the documented
-// bucket-width bound rather than the optimistic typical case.
-constexpr double kBucketBound = 0.42;
-
-TEST(SloDigest, QuantilesTrackExactWithinBucketResolution) {
-  util::Rng rng(7);
-  SloDigest digest;
-  std::vector<double> xs;
-  for (int i = 0; i < 20000; ++i) {
-    // Log-uniform latencies over [50us, 500ms] — spans ~13 buckets.
-    const double v = 50e-6 * std::pow(1e4, rng.uniform());
-    xs.push_back(v);
-    digest.observe(v);
-  }
-  EXPECT_EQ(digest.count(), 20000u);
-  for (const double q : {0.5, 0.9, 0.95, 0.99}) {
-    const double exact = exact_quantile(xs, q);
-    const double est = digest.quantile(q);
-    EXPECT_NEAR(est / exact, 1.0, kBucketBound)
-        << "q=" << q << " exact=" << exact << " est=" << est;
-  }
-}
-
-TEST(SloDigest, ExtremesClampAndMaxIsExact) {
-  SloDigest digest;
-  digest.observe(1e-9);   // below the grid: first bucket
-  digest.observe(1e9);    // above the grid: last bucket
-  EXPECT_EQ(digest.count(), 2u);
-  EXPECT_DOUBLE_EQ(digest.max(), 1e9);
-  // The p100 estimate is clamped to the observed max, never extrapolated
-  // beyond it.
-  EXPECT_LE(digest.quantile(1.0), 1e9);
-  EXPECT_GT(digest.quantile(1.0), 0.0);
-}
-
-TEST(SloDigest, EmptyReturnsZeroAndResetClears) {
-  SloDigest digest;
-  EXPECT_EQ(digest.quantile(0.5), 0.0);
-  digest.observe(0.25);
-  EXPECT_GT(digest.quantile(0.5), 0.0);
-  digest.reset();
-  EXPECT_EQ(digest.count(), 0u);
-  EXPECT_EQ(digest.quantile(0.5), 0.0);
-}
-
-TEST(SloDigest, ConcurrentObservesAreLossless) {
-  SloDigest digest;
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 10000;
-  std::vector<std::thread> workers;
-  for (int w = 0; w < kThreads; ++w)
-    workers.emplace_back([&digest, w] {
-      for (int i = 0; i < kPerThread; ++i)
-        digest.observe(1e-3 * (1 + w));
-    });
-  for (auto& t : workers) t.join();
-  EXPECT_EQ(digest.count(),
-            static_cast<std::uint64_t>(kThreads) * kPerThread);
+  const auto rank = static_cast<std::size_t>(
+      std::ceil(q * static_cast<double>(xs.size())));
+  return xs[std::max<std::size_t>(rank, 1) - 1];
 }
 
 // The tracker counts latency and deadlines only; a slot's health is
@@ -126,33 +61,75 @@ TEST(SlotSloTracker, ZeroBudgetDisablesDeadlineAccounting) {
   EXPECT_TRUE(report.met_slo());
 }
 
+TEST(SlotSloTracker, ReportQuantilesAreExactNearestRank) {
+  util::Rng rng(5);
+  SlotSloOptions opts;
+  opts.budget_seconds = 0.006;
+  SlotSloTracker tracker(opts);
+  std::vector<double> xs;
+  for (int i = 0; i < 120; ++i) {
+    // Lognormal latencies around 4 ms.
+    const double v = 0.004 * std::exp(0.5 * rng.normal());
+    xs.push_back(v);
+    tracker.record(v);
+  }
+  const SlotSloReport report = tracker.report();
+  EXPECT_EQ(report.slots, 120u);
+  EXPECT_EQ(report.p50_seconds, exact_quantile(xs, 0.50));
+  EXPECT_EQ(report.p95_seconds, exact_quantile(xs, 0.95));
+  EXPECT_EQ(report.p99_seconds, exact_quantile(xs, 0.99));
+  EXPECT_EQ(report.max_seconds, *std::max_element(xs.begin(), xs.end()));
+  EXPECT_EQ(report.deadline_misses,
+            static_cast<std::size_t>(std::count_if(
+                xs.begin(), xs.end(), [](double v) { return v > 0.006; })));
+  EXPECT_EQ(SlotSloTracker().report().p99_seconds, 0.0);  // empty run
+}
+
+HistogramSnapshot slot_latency_histogram() {
+  const RegistrySnapshot snap = Registry::global().snapshot();
+  const auto it = snap.histograms.find("sora_slot_latency_seconds");
+  EXPECT_NE(it, snap.histograms.end());
+  return it == snap.histograms.end() ? HistogramSnapshot{} : it->second;
+}
+
 TEST(SlotSlo, GlobalMetricsAndSummaryRenderWhenEnabled) {
   MetricsOn on;
-  reset_global_slot_slo();
+  Registry::global().reset_all();
   record_slot(0.004, 0.010);
   record_slot(0.200, 0.010);  // budget miss
 
-  EXPECT_EQ(global_slot_digest().count(), 2u);
-  const std::string text = render_slo_text();
-  EXPECT_NE(text.find("sora_slot_latency_seconds{quantile=\"0.5\"}"),
-            std::string::npos);
-  EXPECT_NE(text.find("sora_slot_latency_seconds_count 2"),
-            std::string::npos);
+  const HistogramSnapshot hist = slot_latency_histogram();
+  EXPECT_EQ(hist.count, 2u);
+  EXPECT_DOUBLE_EQ(hist.sum, 0.204);
+  ASSERT_EQ(hist.bounds.size(), 27u);
+  EXPECT_DOUBLE_EQ(hist.bounds.front(), 1e-6);
 
-  // The summary also rides along with the registry's full exposition via
-  // the text-extension hook.
   const std::string full = Registry::global().render_text();
-  EXPECT_NE(full.find("sora_slot_latency_seconds{quantile=\"0.99\"}"),
+  EXPECT_NE(full.find("# TYPE sora_slot_latency_seconds histogram"),
+            std::string::npos);
+  EXPECT_NE(full.find("sora_slot_latency_seconds_count 2"),
             std::string::npos);
   EXPECT_NE(full.find("sora_slot_deadline_miss_total 1"), std::string::npos);
   EXPECT_NE(full.find("sora_slot_deadline_hit_total 1"), std::string::npos);
+
+  // The JSON export carries it too, and reset_all() clears it.
+  EXPECT_NE(Registry::global().render_json().find(
+                "\"name\":\"sora_slot_latency_seconds\""),
+            std::string::npos);
+  Registry::global().reset_all();
+  EXPECT_EQ(slot_latency_histogram().count, 0u);
 }
 
 TEST(SlotSlo, DisabledRecordingIsDropped) {
   set_metrics_enabled(false);
-  reset_global_slot_slo();
-  record_slot(1.0, 0.0);
-  EXPECT_EQ(global_slot_digest().count(), 0u);
+  Registry::global().reset_all();
+  record_slot(1.0, 0.5);
+  // Registered at load, so the snapshot holds it, empty.
+  EXPECT_EQ(slot_latency_histogram().count, 0u);
+  EXPECT_EQ(Registry::global()
+                .snapshot()
+                .counters.at("sora_slot_deadline_miss_total"),
+            0u);
 }
 
 // ---- live scrape round-trip ------------------------------------------------
@@ -184,7 +161,7 @@ std::string http_get(int port, const std::string& target) {
 
 TEST(ScrapeServerTest, ServesMetricsOnEphemeralPort) {
   MetricsOn on;
-  reset_global_slot_slo();
+  Registry::global().reset_all();
   record_slot(0.008, 0.0);
 
   ScrapeServer server;
@@ -196,9 +173,10 @@ TEST(ScrapeServerTest, ServesMetricsOnEphemeralPort) {
   const std::string metrics = http_get(port, "/metrics");
   EXPECT_NE(metrics.find("HTTP/1.1 200"), std::string::npos);
   EXPECT_NE(metrics.find("text/plain; version=0.0.4"), std::string::npos);
-  EXPECT_NE(metrics.find("sora_slot_latency_seconds{quantile=\"0.5\"}"),
+  EXPECT_NE(metrics.find("sora_slot_latency_seconds_bucket{le=\"+Inf\"} 1"),
             std::string::npos);
-  EXPECT_NE(metrics.find("sora_slot_solves_total"), std::string::npos);
+  EXPECT_NE(metrics.find("sora_slot_latency_seconds_count 1"),
+            std::string::npos);
 
   const std::string health = http_get(port, "/healthz");
   EXPECT_NE(health.find("HTTP/1.1 200"), std::string::npos);

@@ -103,14 +103,14 @@ TEST(ScrapeServerRouting, QueryStringsResolveToThePlainPath) {
 // Regression: a client that connects, sends a request, and then never reads
 // the response fills the kernel buffers; without a send timeout and the
 // stop()-side connection shutdown, send_all() blocks forever and stop()'s
-// join hangs. Registered LAST in this binary: the oversized text extension
-// below cannot be unregistered.
+// join hangs. Registered LAST in this binary: the oversized counter below
+// cannot be unregistered.
 TEST(ScrapeServerRobustness, WedgedClientDoesNotHangStop) {
   set_metrics_enabled(true);
   // A response far bigger than the combined socket buffers, so send() must
   // actually block on the unread peer rather than fire-and-forget.
-  Registry::global().add_text_extension(
-      [] { return std::string(32u << 20, '#'); });
+  Registry::global().counter("scrape_test_oversized_total",
+                             std::string(32u << 20, '#'));
 
   ScrapeServer server;
   const int port = server.start(0);

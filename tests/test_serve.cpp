@@ -3,6 +3,7 @@
 // bit-identical continuation, and deadline-miss degradation.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -105,6 +106,9 @@ TEST(TickParse, RejectsMalformedFrames) {
   EXPECT_FALSE(parse_tick_line("tick 0 -1 2", 2, tick, &error));   // negative
   EXPECT_FALSE(parse_tick_line("tick x 1 2", 2, tick, &error));    // slot
   EXPECT_FALSE(parse_tick_line("tick 0 nan 1", 2, tick, &error));  // nan
+  EXPECT_FALSE(parse_tick_line("tick 0 inf 1", 2, tick, &error));  // inf
+  EXPECT_FALSE(parse_tick_line("tick 0 1 infinity", 2, tick, &error));
+  EXPECT_FALSE(parse_tick_line("tick 0 0:inf", 2, tick, &error));
   EXPECT_FALSE(parse_tick_line("hello", 2, tick, &error));         // verb
   EXPECT_FALSE(error.empty());
 }
@@ -118,6 +122,62 @@ TEST(TickParse, FormatRoundTripsBitwise) {
   for (std::size_t j = 0; j < requests.size(); ++j)
     EXPECT_EQ(std::memcmp(&tick.requests[j], &requests[j], sizeof(double)), 0)
         << "request " << j << " did not round-trip bitwise";
+}
+
+// Seeded mutation fuzz for the daemon's two untrusted inputs, tick lines and
+// snapshot bytes: one to three edits per mutant, each a byte flip, a
+// truncation, an inserted byte, or a dictionary token inserted or written
+// over the bytes at a random offset.
+std::string mutate(std::string s, util::Rng& rng,
+                   const std::vector<std::string>& dictionary) {
+  const std::uint64_t edits = 1 + rng.uniform_index(3);
+  for (std::uint64_t k = 0; k < edits; ++k) {
+    const std::size_t pos = rng.uniform_index(s.size() + 1);
+    const std::string& token = dictionary[rng.uniform_index(dictionary.size())];
+    switch (rng.uniform_index(5)) {
+      case 0:
+        if (pos < s.size())
+          s[pos] = static_cast<char>(s[pos] ^ (1 + rng.uniform_index(255)));
+        break;
+      case 1:
+        s.resize(pos);
+        break;
+      case 2:
+        s.insert(pos, 1, static_cast<char>(rng.uniform_index(256)));
+        break;
+      case 3:
+        s.insert(pos, token);
+        break;
+      default:
+        s.replace(pos, token.size(), token);
+    }
+  }
+  return s;
+}
+
+TEST(TickParse, SeededMutationsNeverThrow) {
+  constexpr std::size_t kSites = 4;
+  const std::vector<std::string> seeds = {
+      format_tick_line(7, {1.0, 2.5, 0.0, 1e6}), "tick 3 0:1.5 2:7",
+      "snapshot", "quit", "# comment"};
+  const std::vector<std::string> dictionary = {
+      "inf", " inf", "infinity", "nan", "-1", " -1", "1e400", ":", "0:inf",
+      "#", " ", "18446744073709551616", std::string(400, '9')};
+  util::Rng rng(2718);
+  std::size_t accepted_ticks = 0;
+  for (int n = 0; n < 4000; ++n) {
+    const std::string line =
+        mutate(seeds[rng.uniform_index(seeds.size())], rng, dictionary);
+    Tick tick;
+    bool ok = false;
+    ASSERT_NO_THROW(ok = parse_tick_line(line, kSites, tick)) << line;
+    if (!ok || tick.kind != Tick::Kind::kTick) continue;
+    ++accepted_ticks;
+    ASSERT_EQ(tick.requests.size(), kSites) << line;
+    for (const double r : tick.requests)
+      ASSERT_TRUE(std::isfinite(r) && r >= 0.0) << line;
+  }
+  EXPECT_GT(accepted_ticks, 0u);  // mutants do reach the count parser
 }
 
 // ---- streaming vs batch ----------------------------------------------------
@@ -176,10 +236,28 @@ TEST(Snapshot, EncodeDecodeRoundTrip) {
   EXPECT_EQ(out.deadline_misses, 1u);
 }
 
+// FNV-1a matching the snapshot trailer, for crafting patched bytes that
+// pass the checksum.
+std::uint64_t fnv1a(const char* data, std::size_t size) {
+  std::uint64_t hash = 1469598103934665603ull;
+  for (std::size_t i = 0; i < size; ++i) {
+    hash ^= static_cast<unsigned char>(data[i]);
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
+
+void reseal(std::string& bytes) {
+  const std::uint64_t sum = fnv1a(bytes.data(), bytes.size() - 8);
+  std::memcpy(&bytes[bytes.size() - 8], &sum, sizeof sum);
+}
+
 TEST(Snapshot, DecodeRejectsCorruption) {
   ServeSnapshot snap;
   snap.num_edges = 2;
   snap.prev = core::Allocation::zeros(2);
+  snap.has_warm = true;
+  snap.warm = {1.0};
   const std::string bytes = encode_snapshot(snap);
 
   ServeSnapshot out;
@@ -195,16 +273,20 @@ TEST(Snapshot, DecodeRejectsCorruption) {
   flipped[20] ^= 0x40;
   EXPECT_FALSE(decode_snapshot(flipped, out, &error));
   EXPECT_NE(error.find("checksum"), std::string::npos);
-}
 
-// FNV-1a matching the snapshot trailer, for crafting version-bumped bytes.
-std::uint64_t fnv1a(const char* data, std::size_t size) {
-  std::uint64_t hash = 1469598103934665603ull;
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= static_cast<unsigned char>(data[i]);
-    hash *= 1099511628211ull;
+  // A resealed header claiming 2^61 edges or warm entries is short of body
+  // bytes, and must say so before allocating anything.
+  for (const std::size_t offset : {40, 48}) {  // num_edges, warm_size
+    std::string huge = bytes;
+    const std::uint64_t claim = 1ull << 61;
+    std::memcpy(&huge[offset], &claim, sizeof claim);
+    reseal(huge);
+    bool ok = true;
+    EXPECT_NO_THROW(ok = decode_snapshot(huge, out, &error)) << offset;
+    EXPECT_FALSE(ok);
+    EXPECT_NE(error.find("snapshot body truncated"), std::string::npos)
+        << error;
   }
-  return hash;
 }
 
 TEST(Snapshot, DecodeRejectsFutureVersion) {
@@ -216,13 +298,52 @@ TEST(Snapshot, DecodeRejectsFutureVersion) {
   // checksum so ONLY the version check can reject it.
   const std::uint32_t future = kSnapshotVersion + 9;
   std::memcpy(&bytes[8], &future, sizeof future);
-  const std::uint64_t sum = fnv1a(bytes.data(), bytes.size() - 8);
-  std::memcpy(&bytes[bytes.size() - 8], &sum, sizeof sum);
+  reseal(bytes);
 
   ServeSnapshot out;
   std::string error;
   EXPECT_FALSE(decode_snapshot(bytes, out, &error));
   EXPECT_NE(error.find("version"), std::string::npos);
+}
+
+TEST(Snapshot, SeededMutationsNeverThrow) {
+  ServeSnapshot warm;
+  warm.num_edges = 3;
+  warm.prev = core::Allocation::zeros(3);
+  warm.prev.x[1] = 0.5;
+  warm.has_warm = true;
+  warm.warm = {1.0, 2.0, 3.0, 4.0};
+  ServeSnapshot cold;
+  cold.num_edges = 2;
+  cold.prev = core::Allocation::zeros(2);
+  const std::vector<std::string> seeds = {encode_snapshot(warm),
+                                          encode_snapshot(cold)};
+  // Little-endian counts a corrupt header might claim.
+  std::vector<std::string> dictionary;
+  for (const std::uint64_t v :
+       {0ull, 1ull, 3ull, 1ull << 32, 1ull << 33, 1ull << 61, ~0ull}) {
+    std::string le(8, '\0');
+    std::memcpy(&le[0], &v, sizeof v);
+    dictionary.push_back(le);
+  }
+  util::Rng rng(31415);
+  std::size_t accepted = 0;
+  for (int n = 0; n < 4000; ++n) {
+    std::string bytes =
+        mutate(seeds[rng.uniform_index(seeds.size())], rng, dictionary);
+    // Reseal half the mutants so they get past the checksum to the body.
+    if (n % 2 == 0 && bytes.size() >= 16) reseal(bytes);
+    ServeSnapshot out;
+    bool ok = false;
+    ASSERT_NO_THROW(ok = decode_snapshot(bytes, out)) << "mutant " << n;
+    if (!ok) continue;
+    ++accepted;
+    ASSERT_EQ(out.prev.x.size(), out.num_edges) << "mutant " << n;
+    ASSERT_EQ(out.prev.y.size(), out.num_edges) << "mutant " << n;
+    ASSERT_EQ(out.prev.z.size(), out.num_edges) << "mutant " << n;
+    ASSERT_TRUE(out.has_warm || out.warm.empty()) << "mutant " << n;
+  }
+  EXPECT_GT(accepted, 0u);  // resealed mutants do decode
 }
 
 TEST(Snapshot, StaleTmpFileDoesNotShadowSnapshot) {
